@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import drift_forecast_series
-from .lob import ReplayResult, fill_quantity, liquidate, midprice, replay
+from .lob import (BookError, ReplayResult, fill_quantity, liquidate,
+                  midprice, replay)
 from .model import MarketParams
 from .solver import (CoefficientTable, ForecastVector, optimal_spreads,
                      optimal_spreads_with_forecasts, quote_prices)
@@ -32,6 +33,7 @@ __all__ = [
     "aggregate",
     "subsample_bootstrap_ci",
     "compare_strategies",
+    "summarize",
     "report_to_csv",
     "report_to_json",
 ]
@@ -214,35 +216,36 @@ def subsample_bootstrap_ci(values, level: float = 0.95, m: int | None = None,
 
 def compare_strategies(day_params, policies, day_replays, day_ids=None,
                        excluded_days=(), bootstrap_seed: int = 0):
-    """Run every policy over every day and aggregate, with and without the
-    excluded (break-flagged) days.
-
-    ``day_params`` maps each day to its calibrated MarketParams (a list
-    parallel to ``day_replays``). Returns a report dict.
-    """
-    n_days = len(day_replays)
-    if day_ids is None:
-        day_ids = list(range(n_days))
-    excluded = set(excluded_days)
-    report = {"policies": {}, "n_days": n_days,
-              "n_excluded": len(excluded & set(day_ids))}
+    """Run every policy over every day and ``summarize`` the results; a
+    day the book or the parameters reject counts as incomplete.
+    ``day_params`` holds each day's calibrated MarketParams (a list
+    parallel to ``day_replays``)."""
+    day_ids = range(len(day_replays)) if day_ids is None else day_ids
+    by_policy = {}
     for policy in policies:
-        results = []
-        for i in range(n_days):
+        results = by_policy[policy.name] = []
+        for params, rep, day_id in zip(day_params, day_replays, day_ids):
             try:
-                results.append(run_day(day_params[i], policy, day_replays[i],
-                                       day_id=day_ids[i]))
-            except Exception as exc:  # keep the sweep alive
-                results.append(DayResult(day_id=day_ids[i], W_T=np.nan,
-                                         I_T=np.nan, S_T=np.nan,
-                                         objective=np.nan,
-                                         liquidation_value=np.nan, fills=0,
+                results.append(run_day(params, policy, rep, day_id=day_id))
+            except (BookError, ValueError, ArithmeticError) as exc:
+                results.append(DayResult(day_id, *[np.nan] * 5, fills=0,
                                          incomplete=True,
                                          flags=[f"error: {exc}"]))
-        kept = [r for r in results if not r.incomplete]
-        filtered = [r for r in kept if r.day_id not in excluded]
-        entry = {}
-        for label, subset in (("all", kept), ("filtered", filtered)):
+    return summarize(by_policy, excluded_days, bootstrap_seed)
+
+
+def summarize(by_policy, excluded_days=(), bootstrap_seed: int = 0):
+    """Report dict over each policy's DayResults: statistics of the complete
+    days with and without the excluded (break-flagged) ones, CIs from 5
+    days on; ``n_days`` and ``n_excluded`` count days in the results."""
+    days = {r.day_id for results in by_policy.values() for r in results}
+    excluded = set(excluded_days)
+    report = {"policies": {}, "n_days": len(days),
+              "n_excluded": len(excluded & days)}
+    for name, results in by_policy.items():
+        entry = report["policies"][name] = {}
+        filtered = [r for r in results if r.day_id not in excluded]
+        for label, subset in (("all", results), ("filtered", filtered)):
             agg = aggregate(subset)
             mean, std, cnt = agg["objective"]
             block = {"objective_mean": mean, "objective_std": std,
@@ -250,13 +253,12 @@ def compare_strategies(day_params, policies, day_replays, day_ids=None,
                      "liquidation_std": agg["liquidation_value"][1],
                      "n_days": cnt}
             if cnt >= 5:
-                vals = [r.objective for r in subset]
+                vals = [r.objective for r in subset if not r.incomplete]
                 lo, hi = subsample_bootstrap_ci(vals, seed=bootstrap_seed)
                 block["ci_bootstrap"] = [lo, hi]
                 se = std / math.sqrt(cnt)
                 block["ci_normal"] = [mean - 1.96 * se, mean + 1.96 * se]
             entry[label] = block
-        report["policies"][policy.name] = entry
     return report
 
 

@@ -12,6 +12,7 @@ parameter/config file, 3 empty report.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv as _csv
 import json
 import os
@@ -26,7 +27,8 @@ from . import backtest as bt
 from .estimation import (compute_break_errors, estimate_day, rolling_params,
                          structural_break_flags)
 from .lob import read_events_binary, read_events_csv, replay
-from .model import (MarketParams, load_params, save_params, validate_params)
+from .model import (MarketParams, TimeGrid, load_params, save_params,
+                    validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
                         TwoPointIndependent, make_table_policy,
                         monte_carlo_value, run_episode)
@@ -232,43 +234,43 @@ def cmd_estimate(cfg) -> int:
     if not events_dir.is_dir():
         print(f"event directory not found: {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
+    n_steps = int(cfg.get("n_steps", 0))
+    if not n_steps:
+        print("config must set n_steps", file=sys.stderr)
+        return EXIT_FAILURE
     out = _outdir(cfg)
-    grid_cfg = {"n_steps": int(cfg.get("n_steps", 0)) or None,
-                "step_seconds": float(cfg.get("step_seconds", 1.0)),
-                "tick_size": float(cfg.get("tick_size", 1.0)),
-                "session_start_ns": int(cfg.get("session_start_ns",
-                                                10 ** 9))}
+    tick = float(cfg.get("tick_size", 1.0))
+    grid = TimeGrid(n_steps=n_steps,
+                    step_seconds=float(cfg.get("step_seconds", 1.0)),
+                    session_start_ns=int(cfg.get("session_start_ns", 10 ** 9)))
     window = int(cfg["window"])
-    lam = float(cfg.get("lambda", 0.0005))
-    from .model import TimeGrid
     store = []
     failures = 0
     files = _day_files(events_dir)
     for i, path in enumerate(files):
         try:
-            events = _read_events(path)
-            n_steps = grid_cfg["n_steps"]
-            if n_steps is None:
-                raise ValueError("config must set n_steps")
-            grid = TimeGrid(n_steps=n_steps,
-                            step_seconds=grid_cfg["step_seconds"],
-                            session_start_ns=grid_cfg["session_start_ns"])
-            rep = replay(events, grid, tick_size=grid_cfg["tick_size"])
+            rep = replay(_read_events(path), grid, tick_size=tick)
             store.append(estimate_day(rep, i,
                                       level_depth=int(cfg["level_depth"]),
-                                      tick_size=grid_cfg["tick_size"]))
+                                      tick_size=tick))
         except Exception as exc:
             print(f"day {path.name} failed: {exc}", file=sys.stderr)
             failures += 1
     if not store:
         print("all days failed", file=sys.stderr)
         return EXIT_FAILURE
+    # Day i is calibrated on the last ``window`` estimated days before it
+    # and named by its file index, so a failed day shifts nothing.
+    day_ids = [d.day_id for d in store]
     n_params = 0
-    for i in range(window, len(store)):
-        p = rolling_params(i, store, window=window, lam=lam,
-                           tick_size=grid_cfg["tick_size"],
-                           step_seconds=grid_cfg["step_seconds"],
-                           session_start_ns=grid_cfg["session_start_ns"])
+    for i in range(len(files)):
+        prior = bisect.bisect_left(day_ids, i)
+        if prior < window:
+            continue
+        p = rolling_params(prior, store, window=window,
+                           lam=float(cfg.get("lambda", 0.0005)),
+                           tick_size=tick, step_seconds=grid.step_seconds,
+                           session_start_ns=grid.session_start_ns)
         save_params(p, out / f"params_day_{i:04d}.yaml")
         n_params += 1
     if len(store) > window:
@@ -283,21 +285,27 @@ def cmd_estimate(cfg) -> int:
 
 
 def _backtest_one_day(task):
-    """Worker: one (day, params file, events file) triple -> result rows."""
+    """Worker: (day, params file, events file, ...) -> (day, rows, error);
+    a failed day gets an incomplete row per policy, in any process."""
     day_idx, params_path, events_path, policy_names, order_volume = task
-    p = load_params(params_path)
-    events = _read_events(Path(events_path))
-    rep = replay(events, p.grid, tick_size=p.tick_size)
-    table = None
-    rows = []
-    for name in policy_names:
-        if name.startswith("optimal") and table is None:
-            table = backward_pass(p)
-        pol = _make_policy(name, table, order_volume)
-        r = bt.run_day(p, pol, rep, day_id=day_idx)
-        rows.append([day_idx, name, r.objective, r.liquidation_value,
-                     r.W_T, r.I_T, r.S_T, r.fills, int(r.incomplete)])
-    return day_idx, rows
+    try:
+        p = load_params(params_path)
+        events = _read_events(Path(events_path))
+        rep = replay(events, p.grid, tick_size=p.tick_size)
+        table = None
+        rows = []
+        for name in policy_names:
+            if name.startswith("optimal") and table is None:
+                table = backward_pass(p)
+            pol = _make_policy(name, table, order_volume)
+            r = bt.run_day(p, pol, rep, day_id=day_idx)
+            rows.append([day_idx, name, r.objective, r.liquidation_value,
+                         r.W_T, r.I_T, r.S_T, r.fills, int(r.incomplete)])
+    except Exception as exc:  # one bad day must not end the sweep
+        nan = float("nan")
+        return day_idx, [[day_idx, name, nan, nan, nan, nan, nan, 0, 1]
+                         for name in policy_names], repr(exc)
+    return day_idx, rows, None
 
 
 def cmd_backtest(cfg) -> int:
@@ -317,33 +325,26 @@ def cmd_backtest(cfg) -> int:
     if not tasks:
         print("no days with calibrated parameters", file=sys.stderr)
         return EXIT_FAILURE
-    workers = int(cfg["workers"])
-    results = {}
-    failures = 0
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for day_idx, rows in pool.map(_backtest_one_day, tasks):
-                results[day_idx] = rows
+    if int(cfg["workers"]) > 1:
+        with ProcessPoolExecutor(max_workers=int(cfg["workers"])) as pool:
+            outcomes = list(pool.map(_backtest_one_day, tasks))
     else:
-        for task in tasks:
-            try:
-                day_idx, rows = _backtest_one_day(task)
-                results[day_idx] = rows
-            except Exception as exc:
-                print(f"day {task[0]} failed: {exc}", file=sys.stderr)
-                failures += 1
-    if not results:
+        outcomes = [_backtest_one_day(task) for task in tasks]
+    failures = [(day, error) for day, _, error in outcomes
+                if error is not None]
+    for day, error in failures:
+        print(f"day {day} failed: {error}", file=sys.stderr)
+    if len(failures) == len(tasks):
         print("all days failed", file=sys.stderr)
         return EXIT_FAILURE
     with open(out / "day_results.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["day", "policy", "objective", "liquidation_value",
                     "W_T", "I_T", "S_T", "fills", "incomplete"])
-        for day_idx in sorted(results):
-            for row in results[day_idx]:
-                w.writerow(row)
-    print(f"backtested {len(results)} days "
-          f"({failures} failures) -> {out / 'day_results.csv'}")
+        for _, rows, _ in outcomes:  # in day order
+            w.writerows(rows)
+    print(f"backtested {len(outcomes)} days "
+          f"({len(failures)} failures) -> {out / 'day_results.csv'}")
     return EXIT_OK
 
 
@@ -358,11 +359,13 @@ def cmd_report(cfg) -> int:
         r = _csv.reader(fh)
         next(r, None)
         for row in r:
-            if not row or int(row[8]):
-                continue
-            by_policy.setdefault(row[1], []).append(
-                (int(row[0]), float(row[2]), float(row[3])))
-    if not by_policy:
+            if row:
+                by_policy.setdefault(row[1], []).append(bt.DayResult(
+                    day_id=int(row[0]), objective=float(row[2]),
+                    liquidation_value=float(row[3]), W_T=float(row[4]),
+                    I_T=float(row[5]), S_T=float(row[6]), fills=int(row[7]),
+                    incomplete=bool(int(row[8]))))
+    if all(r.incomplete for rows in by_policy.values() for r in rows):
         print("empty report", file=sys.stderr)
         return EXIT_EMPTY_REPORT
     flagged = set()
@@ -370,33 +373,8 @@ def cmd_report(cfg) -> int:
     if flags_path.exists():
         with open(flags_path) as fh:
             flagged = set(json.load(fh).get("flagged", []))
-    report = {"policies": {}, "n_days": max(len(v) for v in by_policy.values()),
-              "n_excluded": len(flagged)}
-    for name, rows in sorted(by_policy.items()):
-        entry = {}
-        for label in ("all", "filtered"):
-            keep = [x for x in rows if label == "all" or x[0] not in flagged]
-            objs = np.array([x[1] for x in keep])
-            liqs = np.array([x[2] for x in keep])
-            n = len(objs)
-            block = {
-                "n_days": n,
-                "objective_mean": float(np.mean(objs)) if n else float("nan"),
-                "objective_std": float(np.std(objs, ddof=1)) if n > 1 else 0.0,
-                "liquidation_mean": (float(np.mean(liqs)) if n
-                                     else float("nan")),
-                "liquidation_std": (float(np.std(liqs, ddof=1)) if n > 1
-                                    else 0.0),
-            }
-            if n >= 5:
-                lo, hi = bt.subsample_bootstrap_ci(objs,
-                                                   seed=int(cfg["seed"]))
-                block["ci_bootstrap"] = [lo, hi]
-                se = block["objective_std"] / np.sqrt(n)
-                m = block["objective_mean"]
-                block["ci_normal"] = [m - 1.96 * se, m + 1.96 * se]
-            entry[label] = block
-        report["policies"][name] = entry
+    report = bt.summarize(dict(sorted(by_policy.items())), flagged,
+                          bootstrap_seed=int(cfg["seed"]))
     bt.report_to_csv(report, out / "report.csv")
     bt.report_to_json(report, out / "report.json")
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'}")

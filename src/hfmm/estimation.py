@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lob import IntervalFlow, ReplayResult, fill_quantity
+from .lob import IntervalFlow, ReplayResult
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
                     TimeGrid)
 
@@ -31,7 +31,6 @@ __all__ = [
     "nearest_rank_quantile",
 ]
 
-_HUGE_SIZE = 10 ** 9  # measurement placements never cap the fill
 _DRIFT_LAG = 5
 
 
@@ -134,16 +133,15 @@ def _regress_side(side: str, snapshot, flow: IntervalFlow, S: float,
     Returns (c, p, valid). Demand at distance l follows D(l) = c (p - l)
     where it is positive; zero-fill levels are censored and excluded.
     """
-    if not any(mo.side == side for mo in flow.mos):
-        return 0.0, 0.0, False
+    mos = [mo for mo in flow.mos if mo.side == side]
     ladder = snapshot.asks if side == "ask" else snapshot.bids
-    if not ladder:
+    if not mos or not ladder:
         return 0.0, 0.0, False
-    touch = ladder[0][0]
     sign = 1 if side == "ask" else -1
-    prices = touch + sign * np.arange(level_depth)
-    fills = np.array([fill_quantity(int(px), _HUGE_SIZE, side, flow)
-                      for px in prices], dtype=float)
+    prices = ladder[0][0] + sign * np.arange(level_depth)  # from the touch
+    # fill_quantity's closed form at every level, for an order never capped
+    fills = sum(np.maximum(mo.volume - mo.better_priced_volume(prices), 0)
+                for mo in mos)
     dist = sign * (prices * tick_size - S)
     keep = (fills > 0) & (dist > 0)
     if keep.sum() < 2:

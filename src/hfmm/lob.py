@@ -18,24 +18,23 @@ the interface (midprice, liquidation proceeds).
 from __future__ import annotations
 
 import csv as _csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "BookEvent",
-    "Book",
+    "BookError",
     "BookState",
     "MORecord",
     "IntervalFlow",
     "LiquidationResult",
     "ReplayResult",
     "EVENT_DTYPE",
-    "apply_event",
     "midprice",
     "fill_quantity",
     "liquidate",
-    "snapshots_at",
     "replay",
     "read_events_csv",
     "write_events_csv",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 KIND_CODES = {"add": 0, "cancel": 1, "execute": 2, "trade": 3}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 SIDE_CODES = {"bid": 0, "ask": 1}
 SIDE_NAMES = {0: "bid", 1: "ask"}
 
@@ -59,6 +57,10 @@ EVENT_DTYPE = np.dtype([
     ("pad2", "<i4"),
 ])
 assert EVENT_DTYPE.itemsize == 32
+
+# replay's book: at most _BLOCK_ROWS cut points and _BLOCK_CELLS cells a block
+_BLOCK_ROWS = 1024
+_BLOCK_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -78,31 +80,6 @@ class BookError(ValueError):
         super().__init__(msg if event_index is None
                          else f"event {event_index}: {msg}")
         self.event_index = event_index
-
-
-class Book:
-    """Mutable order book: order registry plus per-side price aggregates."""
-
-    __slots__ = ("orders", "bid_levels", "ask_levels")
-
-    def __init__(self):
-        self.orders = {}      # order_ref -> [side_code, price, remaining]
-        self.bid_levels = {}  # price -> aggregate size
-        self.ask_levels = {}
-
-    def levels(self, side_code):
-        return self.ask_levels if side_code else self.bid_levels
-
-    def best_bid(self):
-        return max(self.bid_levels) if self.bid_levels else None
-
-    def best_ask(self):
-        return min(self.ask_levels) if self.ask_levels else None
-
-    def snapshot(self, K=20) -> "BookState":
-        bids = sorted(self.bid_levels.items(), reverse=True)[:K]
-        asks = sorted(self.ask_levels.items())[:K]
-        return BookState(bids=tuple(bids), asks=tuple(asks))
 
 
 @dataclass(frozen=True)
@@ -133,17 +110,17 @@ class MORecord:
     prices: np.ndarray    # best-first
     cum_sizes: np.ndarray
 
-    def better_priced_volume(self, placed_price_ticks: int) -> int:
-        """Standing volume at strictly better prices than the placement."""
-        if len(self.prices) == 0:
-            return 0
+    def better_priced_volume(self, placed_price_ticks):
+        """Standing volume at strictly better prices than the placement;
+        elementwise for an array of placements."""
         if self.side == "ask":
             # better = lower price; prices ascending
-            i = int(np.searchsorted(self.prices, placed_price_ticks, "left"))
+            i = np.searchsorted(self.prices, placed_price_ticks)
         else:
             # better = higher price; prices descending
-            i = int(np.searchsorted(-self.prices, -placed_price_ticks, "left"))
-        return int(self.cum_sizes[i - 1]) if i > 0 else 0
+            i = np.searchsorted(-self.prices, np.negative(placed_price_ticks))
+        cum = self.cum_sizes
+        return (cum[i - 1] if len(cum) else 0) * (i > 0)
 
 
 @dataclass
@@ -166,73 +143,27 @@ class ReplayResult:
     terminal_book: BookState # as-of the end of the session
 
 
-def apply_event(book: Book, ev: BookEvent, event_index=None) -> Book:
-    """Apply one event in place; returns the book for chaining."""
-    kind = ev.kind
-    side_code = SIDE_CODES.get(ev.side)
-    if side_code is None:
-        raise BookError(f"unknown side {ev.side!r}", event_index)
-    if ev.size <= 0 or ev.price_ticks <= 0:
-        raise BookError("size and price must be positive", event_index)
-    if kind == "add":
-        if ev.order_ref in book.orders:
-            raise BookError(f"duplicate order_ref {ev.order_ref}", event_index)
-        book.orders[ev.order_ref] = [side_code, ev.price_ticks, ev.size]
-        lv = book.levels(side_code)
-        lv[ev.price_ticks] = lv.get(ev.price_ticks, 0) + ev.size
-    elif kind in ("cancel", "execute"):
-        order = book.orders.get(ev.order_ref)
-        if order is None:
-            raise BookError(f"unknown order_ref {ev.order_ref}", event_index)
-        if ev.size > order[2]:
-            raise BookError(f"{kind} of {ev.size} exceeds remaining "
-                            f"{order[2]} on order {ev.order_ref}", event_index)
-        order[2] -= ev.size
-        lv = book.levels(order[0])
-        left = lv[order[1]] - ev.size
-        if left:
-            lv[order[1]] = left
-        else:
-            del lv[order[1]]
-        if order[2] == 0:
-            del book.orders[ev.order_ref]
-    elif kind == "trade":
-        pass  # marker only; surrounding execute events move the book
-    else:
-        raise BookError(f"unknown event kind {kind!r}", event_index)
-    return book
-
-
-def midprice(book, tick_size: float = 1.0) -> float:
+def midprice(book: BookState, tick_size: float = 1.0) -> float:
     """(best bid + best ask) / 2 in currency units."""
-    if isinstance(book, BookState):
-        if not book.bids or not book.asks:
-            raise BookError("one-sided book")
-        bb, ba = book.bids[0][0], book.asks[0][0]
-    else:
-        bb, ba = book.best_bid(), book.best_ask()
-        if bb is None or ba is None:
-            raise BookError("one-sided book")
-    return (bb + ba) / 2 * tick_size
+    if not book.bids or not book.asks:
+        raise BookError("one-sided book")
+    return (book.bids[0][0] + book.asks[0][0]) / 2 * tick_size
 
 
 def fill_quantity(placed_price_ticks: int, placed_size: int, side: str,
                   flow: IntervalFlow) -> int:
     """Shares of a resting order at ``placed_price_ticks`` filled by the
     interval's MOs, assuming the order is first in queue at its price:
-    each matching MO contributes max(V_MO - V_better, 0), cumulatively
-    capped at the placed size."""
-    remaining = placed_size
-    total = 0
+    min(sum over the side's MOs of max(V_MO - V_better, 0), placed size).
+    Every take is non-negative, so this equals capping each MO's take
+    cumulatively at what is left of the order."""
+    q = 0
     for mo in flow.mos:
-        if mo.side != side or remaining <= 0:
-            continue
-        q = mo.volume - mo.better_priced_volume(placed_price_ticks)
-        if q > 0:
-            take = min(q, remaining)
-            total += take
-            remaining -= take
-    return total
+        if mo.side == side:
+            take = mo.volume - int(mo.better_priced_volume(placed_price_ticks))
+            if take > 0:
+                q += take
+    return q if q <= placed_size else max(placed_size, 0)
 
 
 def liquidate(book: BookState, inventory: float,
@@ -269,105 +200,193 @@ def liquidate(book: BookState, inventory: float,
 # Stream replay
 # ---------------------------------------------------------------------------
 
-def _as_records(events):
-    """Normalize input into plain tuples (ts, kind_code, side_code, price,
-    size, ref) for the hot loop."""
+def _as_array(events) -> np.ndarray:
+    """The stream as one EVENT_DTYPE array. BookEvent sequences convert,
+    with kind and side names outside the schema as code 255."""
     if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
-        return [(int(r[0]), int(r[1]), int(r[2]), int(r[4]), int(r[5]),
-                 int(r[6])) for r in events.tolist()]
-    out = []
-    for ev in events:
-        out.append((ev.ts_ns, KIND_CODES[ev.kind], SIDE_CODES[ev.side],
-                    ev.price_ticks, ev.size, ev.order_ref))
-    return out
+        return events
+    return np.array([(ev.ts_ns, KIND_CODES.get(ev.kind, 255),
+                      SIDE_CODES.get(ev.side, 255), 0,
+                      ev.price_ticks, ev.size, ev.order_ref, 0)
+                     for ev in events], dtype=EVENT_DTYPE)
+
+
+def _resolve(ev: np.ndarray):
+    """Order-level pass: (ops, level, change, level_price, error) = the add,
+    cancel and execute events, the ladder level each one changes and its
+    signed shares, each level's price (bids, then asks, best-first), and
+    None or (index, message, last) for the first event a one-pass book
+    rejects, where the time of event ``last`` is the last that triggers
+    snapshots (the rejected one's, unless it is out of time order).
+
+    A stable argsort on order_ref groups each order's events in stream
+    order; every add opens a life of its ref, and cumsums of the shares
+    taken within a life decide unknown refs, over-cancels and duplicates.
+    """
+    ts, kind, side = ev["ts_ns"], ev["kind"], ev["side"]
+    price, ref, size = ev["price_ticks"], ev["order_ref"], ev["size"]
+    ops = np.flatnonzero(kind <= 2)
+    by_ref = np.argsort(ref[ops], kind="stable")
+    idx = ops[by_ref]
+    r, z = ref[idx], size[idx].astype(np.int64)
+    is_add = kind[idx] == 0
+    new_ref = np.ones(len(idx), dtype=bool)
+    new_ref[1:] = r[1:] != r[:-1]
+    opens = is_add | new_ref
+    life = np.cumsum(opens) - 1
+
+    def of_life(x):  # x at the event that opened each one's life
+        return x[opens][life]
+
+    opened = of_life(np.where(is_add, z, 0))
+    taken = np.where(is_add, 0, z)
+    after = np.cumsum(taken)
+    after -= of_life(after - taken)
+    before = after - taken
+    duplicate = np.zeros(len(idx), dtype=bool)
+    duplicate[1:] = is_add[1:] & ~new_ref[1:] & (after[:-1] < opened[:-1])
+
+    prices, rank = np.unique(price[idx[is_add]], return_inverse=True)
+    L = len(prices)
+    add_level = np.zeros(len(idx), dtype=np.int64)
+    add_level[is_add] = np.where(side[idx[is_add]] == 1, L + rank,
+                                 L - 1 - rank)
+    level, change = np.empty((2, len(idx)), dtype=np.int64)
+    level[by_ref] = of_life(add_level)
+    change[by_ref] = np.where(is_add, z, -z)
+    level_price = np.concatenate([prices[::-1], prices]).astype(np.int64)
+
+    def at(mask):  # a mask over the ops in ref order, in stream order
+        return np.bincount(idx[mask], minlength=len(ev)) > 0
+
+    disorder = np.zeros(len(ev), dtype=bool)
+    disorder[1:] = ts[1:] < ts[:-1]
+    checks = (
+        ("events out of order", disorder),
+        ("unknown kind code {kind}", kind > 3),
+        ("unknown side code {side}", side > 1),
+        ("size and price must be positive", (size <= 0) | (price <= 0)),
+        ("duplicate order_ref {ref}", at(duplicate)),
+        ("unknown order_ref {ref}", at(~is_add & (before >= opened))),
+        ("size exceeds remaining",
+         at(~is_add & (before < opened) & (after > opened))),
+    )
+    bad = np.logical_or.reduce([mask for _, mask in checks])
+    error = None
+    if bad.any():
+        e = int(np.argmax(bad))
+        msg = next(msg for msg, mask in checks if mask[e])
+        error = (e, msg.format(kind=kind[e], side=side[e], ref=ref[e]),
+                 e - int(disorder[e]))
+    return ops, level, change, level_price, error
+
+
+def _ladder_blocks(level, change, row, n_rows, n_levels):
+    """Yields (r0, states, cols): states[i, j] is the size at level cols[j]
+    once the events whose (non-decreasing) ``row`` is <= r0 + i are
+    applied. Only levels live in a block get a column; a block is one
+    add.at and one cumsum."""
+    book = np.zeros(n_levels, dtype=np.int64)
+    r0 = lo = 0
+    while r0 < n_rows:
+        live = np.flatnonzero(book)
+        rows = min(n_rows - r0, _BLOCK_ROWS)
+        while True:
+            hi = int(np.searchsorted(row, r0 + rows))
+            cols = np.union1d(live, level[lo:hi])
+            if rows == 1 or rows * len(cols) <= _BLOCK_CELLS:
+                break
+            rows = max(1, _BLOCK_CELLS // len(cols))
+        states = np.zeros((rows, len(cols)), dtype=np.int64)
+        np.add.at(states, (row[lo:hi] - r0,
+                           np.searchsorted(cols, level[lo:hi])),
+                  change[lo:hi])
+        np.cumsum(states, axis=0, out=states)
+        states += book[cols]
+        book[cols] = states[-1]
+        yield r0, states, cols
+        r0 += rows
+        lo = hi
+
+
+def _ladders(states, cols, level_price, K, wanted):
+    """Each row's non-empty levels, best-first, as segments 2 * row + side
+    of flat arrays: (prices, sizes summed within the segment, segment
+    starts, the first K (price, size) pairs per segment of wanted rows)."""
+    rr, cc = np.nonzero(states)
+    seg = 2 * rr + (cols[cc] >= len(level_price) // 2)
+    px, sz = level_price[cols[cc]], states[rr, cc]
+    starts = np.searchsorted(seg, np.arange(2 * len(states) + 1))
+    head = np.repeat(starts[:-1], np.diff(starts))
+    cum = np.cumsum(sz)
+    cum -= cum[head] - sz[head]
+    sel = wanted[rr] & (np.arange(len(px)) - head < K)
+    pairs = list(zip(px[sel].tolist(), sz[sel].tolist()))
+    cut = np.searchsorted(seg[sel], np.arange(2 * len(states) + 1)).tolist()
+    return px, cum, starts, [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
-    """One pass over a time-sorted stream producing the as-of-t_k snapshots
-    (last event strictly before t_k applied) and the per-interval MO flow.
+    """The as-of-t_k snapshots (every event strictly before t_k applied)
+    and the per-interval MO flow of a time-sorted stream.
 
     ``grid`` is the model TimeGrid; the session covers [t_0, t_N + step).
-    """
-    records = _as_records(events)
-    n = grid.n_steps
-    times = [grid.action_time_ns(k) for k in range(n + 1)]
+    ``events`` is an EVENT_DTYPE array or a sequence of BookEvent; the
+    snapshots keep the best ``K`` >= 1 levels per side. The first event a
+    one-pass book would reject raises BookError with its index, after the
+    snapshots due before it (a one-sided one raises first).
 
-    orders = {}
-    bid_levels = {}
-    ask_levels = {}
+    The book is a tick ladder; the events between consecutive cut points
+    (action times, in-session trade markers, the end) are applied as one
+    array operation per block of cuts.
+    """
+    ev = _as_array(events)
+    ts, kind = ev["ts_ns"], ev["kind"]
+    n = grid.n_steps
+    times = np.array([grid.action_time_ns(k) for k in range(n + 1)],
+                     dtype=np.int64)
+    ops, level, change, level_price, error = _resolve(ev)
+    applied, n_snap = len(ev), n
+    if error is not None:
+        applied = error[0]
+        n_snap = int(np.searchsorted(times[:n], ts[error[2]], "right"))
+    snap_cut = np.searchsorted(ts[:applied], times[:n_snap])
+    mo = np.flatnonzero(kind[:applied] == 3)
+    interval = np.searchsorted(times[:n], ts[mo], "right") - 1
+    inside = (interval >= 0) & (ts[mo] < times[n])
+    mo, interval = mo[inside], interval[inside].tolist()
+    mo_side, mo_volume = ev["side"][mo].tolist(), ev["size"][mo].tolist()
+
+    # cut c is the book after events [0, c): snapshots, MOs, then the end
+    cuts = np.concatenate([snap_cut, mo, [applied]])
+    order = np.argsort(cuts, kind="stable")
+    n_ops = int(np.searchsorted(ops, applied))
+    row = np.searchsorted(cuts[order], ops[:n_ops], "right")
+    end = n_snap + len(mo)
+
     snapshots = [None] * n
     mids = np.empty(n)
     flows = [IntervalFlow() for _ in range(n)]
-    next_k = 0
-    last_ts = None
-
-    def take_snapshot(k):
-        bids = sorted(bid_levels.items(), reverse=True)[:K]
-        asks = sorted(ask_levels.items())[:K]
-        state = BookState(bids=tuple(bids), asks=tuple(asks))
-        snapshots[k] = state
-        mids[k] = midprice(state, tick_size)
-
-    for idx, (ts, kind, side, price, size, ref) in enumerate(records):
-        if last_ts is not None and ts < last_ts:
-            raise BookError("events out of order", idx)
-        last_ts = ts
-        while next_k < n and ts >= times[next_k]:
-            take_snapshot(next_k)
-            next_k += 1
-        if kind == 0:  # add
-            if ref in orders:
-                raise BookError(f"duplicate order_ref {ref}", idx)
-            orders[ref] = [side, price, size]
-            lv = ask_levels if side else bid_levels
-            lv[price] = lv.get(price, 0) + size
-        elif kind == 1 or kind == 2:  # cancel / execute
-            order = orders.get(ref)
-            if order is None:
-                raise BookError(f"unknown order_ref {ref}", idx)
-            if size > order[2]:
-                raise BookError("size exceeds remaining", idx)
-            order[2] -= size
-            lv = ask_levels if order[0] else bid_levels
-            left = lv[order[1]] - size
-            if left:
-                lv[order[1]] = left
-            else:
-                del lv[order[1]]
-            if order[2] == 0:
-                del orders[ref]
-        elif kind == 3:  # trade marker
-            if next_k == 0 or ts >= times[n]:
-                continue  # outside the session's intervals
-            lv = ask_levels if side else bid_levels
-            if side:
-                prices = np.fromiter(sorted(lv), dtype=np.int64, count=len(lv))
-            else:
-                prices = np.fromiter(sorted(lv, reverse=True), dtype=np.int64,
-                                     count=len(lv))
-            cum = np.cumsum([lv[p] for p in prices.tolist()]) if len(lv) \
-                else np.empty(0, dtype=np.int64)
-            flows[next_k - 1].mos.append(
-                MORecord(side=SIDE_NAMES[side], volume=size,
-                         prices=prices, cum_sizes=cum))
-        else:
-            raise BookError(f"unknown kind code {kind}", idx)
-
-    while next_k < n:
-        take_snapshot(next_k)
-        next_k += 1
-    bids = sorted(bid_levels.items(), reverse=True)[:K]
-    asks = sorted(ask_levels.items())[:K]
-    terminal = BookState(bids=tuple(bids), asks=tuple(asks))
+    for r0, states, cols in _ladder_blocks(level[:n_ops], change[:n_ops], row,
+                                           len(cuts), len(level_price)):
+        what = order[r0:r0 + len(states)]
+        px, cum, starts, top = _ladders(states, cols, level_price, K,
+                                        (what < n_snap) | (what == end))
+        snap = np.flatnonzero(what < n_snap)
+        for i, w in zip(snap.tolist(), what[snap].tolist()):
+            snapshots[w] = BookState(bids=top[2 * i], asks=top[2 * i + 1])
+            mids[w] = midprice(snapshots[w], tick_size)
+        starts = starts.tolist()
+        for i in np.flatnonzero((what >= n_snap) & (what < end)).tolist():
+            t = what[i] - n_snap
+            a, b = starts[2 * i + mo_side[t]], starts[2 * i + mo_side[t] + 1]
+            flows[interval[t]].mos.append(
+                MORecord(side=SIDE_NAMES[mo_side[t]], volume=mo_volume[t],
+                         prices=px[a:b], cum_sizes=cum[a:b]))
+    if error is not None:
+        raise BookError(error[1], error[0])
     return ReplayResult(snapshots=snapshots, midprices=mids, flows=flows,
-                        terminal_book=terminal)
-
-
-def snapshots_at(events, grid, K: int = 20, tick_size: float = 1.0):
-    """Book states and midprices as-of each action time."""
-    res = replay(events, grid, K=K, tick_size=tick_size)
-    return [(grid.action_time_ns(k), res.snapshots[k], float(res.midprices[k]))
-            for k in range(grid.n_steps)]
+                        terminal_book=BookState(bids=top[-2], asks=top[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +420,13 @@ def read_events_csv(path):
 
 
 def write_events_binary(events, path) -> None:
-    if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
-        arr = events
-    else:
-        arr = np.zeros(len(events), dtype=EVENT_DTYPE)
-        for i, ev in enumerate(events):
-            arr[i] = (ev.ts_ns, KIND_CODES[ev.kind], SIDE_CODES[ev.side], 0,
-                      ev.price_ticks, ev.size, ev.order_ref, 0)
-    arr.tofile(path)
+    _as_array(events).tofile(path)
 
 
 def read_events_binary(path) -> np.ndarray:
+    """The file's EVENT_DTYPE records; rejects a truncated file."""
+    nbytes = os.path.getsize(path)
+    if nbytes % EVENT_DTYPE.itemsize:
+        raise ValueError(f"{path}: {nbytes} bytes is not a whole number of "
+                         f"{EVENT_DTYPE.itemsize}-byte event records")
     return np.fromfile(path, dtype=EVENT_DTYPE)

@@ -217,6 +217,12 @@ class TestCompareStrategies:
         rep = compare_strategies([params] * 3, policies, days)
         assert rep["policies"]["fixed_level_1"]["all"]["n_days"] == 2
 
+    def test_programming_error_is_not_an_incomplete_day(self):
+        params, policies, days = self._quiet_setup(3)
+        days[1] = 42  # not an event stream: a caller's bug, not a bad day
+        with pytest.raises(TypeError):
+            compare_strategies([params] * 3, policies, days)
+
     def test_single_day_count(self):
         params, policies, days = self._quiet_setup(1)
         rep = compare_strategies([params], policies, days)

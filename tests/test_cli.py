@@ -6,8 +6,9 @@ import pytest
 import yaml
 
 from hfmm.cli import main
-from hfmm.lob import write_events_binary
-from hfmm.model import save_params, symmetric_params
+from hfmm.estimation import estimate_day, rolling_params
+from hfmm.lob import read_events_binary, replay, write_events_binary
+from hfmm.model import TimeGrid, save_params, symmetric_params
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
 N_STEPS = 60
@@ -193,3 +194,78 @@ class TestPipeline:
         assert "ci_bootstrap" in block
         with open(out / "report.csv") as fh:
             assert len(list(csv.reader(fh))) == 11  # header + 5 x 2
+
+
+def scramble(path):
+    """Rewrite an event file in reverse time order, which replay rejects."""
+    write_events_binary(read_events_binary(path)[::-1], path)
+
+
+class TestFailedDays:
+    def test_failed_day_shifts_no_window(self, tmp_path):
+        """With day 2 rejected, day i's params come from the last 20
+        estimated days before i, under day i's own file index."""
+        events_dir = make_days(tmp_path, 24)
+        scramble(events_dir / "day_0002.bin")
+        out = tmp_path / "calib"
+        assert main(["estimate", "--events", str(events_dir), "--out",
+                     str(out), "--config", str(write_config(tmp_path))]) == 0
+        names = sorted(f.name for f in out.glob("params_day_*.yaml"))
+        assert names == ["params_day_0021.yaml", "params_day_0022.yaml",
+                         "params_day_0023.yaml"]
+
+        grid = TimeGrid(n_steps=N_STEPS, session_start_ns=10 ** 9)
+        store = [estimate_day(replay(read_events_binary(
+                     events_dir / f"day_{d:04d}.bin"), grid), d)
+                 for d in range(24) if d != 2]
+        for i in (21, 22, 23):
+            prior = [s for s in store if s.day_id < i][-20:]
+            assert i not in [s.day_id for s in prior]
+            expect = tmp_path / f"expect_{i}.yaml"
+            save_params(rolling_params(20, prior, window=20,
+                                       session_start_ns=10 ** 9), expect)
+            assert (out / f"params_day_{i:04d}.yaml").read_bytes() == \
+                expect.read_bytes()
+
+    def test_bad_day_same_for_any_worker_count(self, tmp_path, capsys):
+        events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)
+        scramble(events_dir / "day_0021.bin")
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"bt{workers}"
+            assert main(["backtest", "--events", str(events_dir),
+                         "--params", str(params_dir), "--out", str(out),
+                         "--workers", workers,
+                         "--config", str(write_config(tmp_path))]) == 0
+            assert "day 21 failed" in capsys.readouterr().err
+            outputs.append((out / "day_results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        with open(tmp_path / "bt1" / "day_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["day"]: r["incomplete"] for r in rows} == {"20": "0",
+                                                             "21": "1"}
+
+        # a day that fails alone fails the command
+        (params_dir / "params_day_0020.yaml").unlink()
+        assert main(["backtest", "--events", str(events_dir),
+                     "--params", str(params_dir), "--out",
+                     str(tmp_path / "bt3"), "--workers", "2",
+                     "--config", str(write_config(tmp_path))]) == 1
+
+    def test_report_counts_only_excluded_days_it_has(self, tmp_path):
+        out = tmp_path / "bt"
+        out.mkdir()
+        with open(out / "day_results.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["day", "policy", "objective", "liquidation_value",
+                        "W_T", "I_T", "S_T", "fills", "incomplete"])
+            for day in range(20, 26):
+                w.writerow([day, "fixed_level_1", float(day), float(day),
+                            0.0, 0.0, 1.0, 0, 0])
+        (out / "break_flags.json").write_text(
+            json.dumps({"flagged": [3, 21, 24]}))
+        assert main(["report", "--out", str(out),
+                     "--config", str(write_config(tmp_path))]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_excluded"] == 2
+        assert report["policies"]["fixed_level_1"]["filtered"]["n_days"] == 4

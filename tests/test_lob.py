@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfmm.lob import (EVENT_DTYPE, Book, BookError, BookEvent, BookState,
-                      IntervalFlow, MORecord, apply_event, fill_quantity,
+from hfmm.lob import (EVENT_DTYPE, BookError, BookEvent, BookState,
+                      IntervalFlow, MORecord, fill_quantity,
                       liquidate, midprice, read_events_binary,
-                      read_events_csv, replay, snapshots_at,
-                      write_events_binary, write_events_csv)
+                      read_events_csv, replay, write_events_binary,
+                      write_events_csv)
 from hfmm.model import TimeGrid
+from hfmm.synthetic import SyntheticDayConfig, generate_day
+
+from replay_oracle import oracle_replay, sequential_fill
 
 
 def ev(ts, kind, side, price, size, ref):
@@ -23,35 +26,62 @@ def mo(side, volume, levels):
     return MORecord(side=side, volume=volume, prices=prices, cum_sizes=cum)
 
 
+# One share on each side, far from any test price, keeps every snapshot of a
+# replay two-sided; ``book_after`` strips it from the terminal ladder.
+ANCHORS = [ev(-1, "add", "bid", 1, 1, -1),
+           ev(-1, "add", "ask", 10 ** 9, 1, -2)]
+
+
+def book_after(events):
+    """Bids and asks after ``events``, as replay's terminal book sees them."""
+    res = replay(ANCHORS + events, TimeGrid(n_steps=1, session_start_ns=0))
+    return res.terminal_book.bids[:-1], res.terminal_book.asks[:-1]
+
+
+def rejected_at(events):
+    """Index, counted from the first of ``events``, of the event replay
+    rejects."""
+    with pytest.raises(BookError) as err:
+        book_after(events)
+    return err.value.event_index - len(ANCHORS)
+
+
 class TestApplyEvent:
     def test_add_then_execute(self):
-        b = Book()
-        apply_event(b, ev(0, "add", "ask", 10100, 300, 1))
-        assert b.snapshot().asks == ((10100, 300),)
-        apply_event(b, ev(1, "execute", "ask", 10100, 300, 1))
-        assert b.snapshot().asks == ()
+        added = [ev(0, "add", "ask", 10100, 300, 1)]
+        assert book_after(added)[1] == ((10100, 300),)
+        done = added + [ev(1, "execute", "ask", 10100, 300, 1)]
+        assert book_after(done)[1] == ()
 
     def test_cancel_unknown_ref_rejected(self):
-        with pytest.raises(BookError):
-            apply_event(Book(), ev(0, "cancel", "ask", 10100, 10, 99))
+        assert rejected_at([ev(0, "cancel", "ask", 10100, 10, 99)]) == 0
 
     def test_duplicate_ref_rejected(self):
-        b = Book()
-        apply_event(b, ev(0, "add", "bid", 9000, 10, 1))
-        with pytest.raises(BookError):
-            apply_event(b, ev(1, "add", "bid", 9001, 10, 1))
+        assert rejected_at([ev(0, "add", "bid", 9000, 10, 1),
+                            ev(1, "add", "bid", 9001, 10, 1)]) == 1
 
     def test_oversize_execute_rejected(self):
-        b = Book()
-        apply_event(b, ev(0, "add", "bid", 9000, 10, 1))
-        with pytest.raises(BookError):
-            apply_event(b, ev(1, "execute", "bid", 9000, 11, 1))
+        assert rejected_at([ev(0, "add", "bid", 9000, 10, 1),
+                            ev(1, "execute", "bid", 9000, 11, 1)]) == 1
 
     def test_partial_cancel_keeps_level(self):
-        b = Book()
-        apply_event(b, ev(0, "add", "ask", 10100, 300, 1))
-        apply_event(b, ev(1, "cancel", "ask", 10100, 100, 1))
-        assert b.snapshot().asks == ((10100, 200),)
+        assert book_after([ev(0, "add", "ask", 10100, 300, 1),
+                           ev(1, "cancel", "ask", 10100, 100, 1)])[1] == \
+            ((10100, 200),)
+
+    def test_ref_reused_after_full_removal(self):
+        assert book_after([ev(0, "add", "bid", 9000, 10, 1),
+                           ev(1, "cancel", "bid", 9000, 10, 1),
+                           ev(2, "add", "bid", 9001, 5, 1),
+                           ev(3, "execute", "bid", 9001, 2, 1)])[0] == \
+            ((9001, 3),)
+
+    def test_malformed_events_rejected(self):
+        assert rejected_at([ev(0, "add", "bid", 9000, 0, 1)]) == 0
+        assert rejected_at([ev(0, "add", "bid", -5, 10, 1)]) == 0
+        assert rejected_at([ev(0, "add", "middle", 9000, 10, 1)]) == 0
+        assert rejected_at([ev(0, "add", "bid", 9000, 10, 1),
+                            ev(1, "amend", "bid", 9000, 10, 1)]) == 1
 
 
 class TestMidprice:
@@ -176,11 +206,29 @@ class TestReplay:
         with pytest.raises(BookError):
             replay(events, self._grid())
 
+    def test_snapshot_due_before_a_bad_event_comes_first(self):
+        """The book at t_0 = 5 is one-sided; event 1 (t = 10) is the first
+        to see it, so that error wins over event 2's bad time, as in a
+        one-pass replay. With a two-sided book, event 2 is rejected."""
+        grid = TimeGrid(n_steps=2, step_seconds=1e-8, session_start_ns=5)
+        events = [ev(0, "add", "bid", 100, 5, 1),
+                  ev(10, "add", "bid", 99, 5, 2),
+                  ev(3, "add", "ask", 101, 5, 3)]
+        with pytest.raises(BookError, match="one-sided") as err:
+            replay(events, grid)
+        assert err.value.event_index is None
+        events[1] = ev(10, "add", "ask", 102, 5, 2)
+        events[0] = ev(0, "add", "ask", 101, 5, 1)
+        events.insert(0, ev(0, "add", "bid", 100, 5, 4))
+        with pytest.raises(BookError, match="out of order") as err:
+            replay(events, grid)
+        assert err.value.event_index == 3
+
     def test_snapshots_at_counts(self):
-        rows = snapshots_at(self._base_events(), self._grid())
-        assert len(rows) == 3
-        assert rows[0][0] == 10 ** 9
-        assert rows[0][2] == pytest.approx(10000.5)
+        res = replay(self._base_events(), self._grid())
+        assert len(res.snapshots) == len(res.midprices) == 3
+        assert self._grid().action_time_ns(0) == 10 ** 9
+        assert res.midprices[0] == pytest.approx(10000.5)
 
     def test_determinism_bit_identical(self):
         events = self._base_events() + [
@@ -224,3 +272,146 @@ class TestEventIO:
         a = replay(self._events(), grid)
         b = replay(arr, grid)
         assert a.snapshots == b.snapshots
+
+    def test_truncated_binary_rejected(self, tmp_path):
+        path = tmp_path / "day_0000.bin"
+        write_events_binary(self._events(), path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match="day_0000.bin"):
+            read_events_binary(path)
+
+
+def assert_same_replay(a, b):
+    """Bit-for-bit equality of two ReplayResults."""
+    assert a.snapshots == b.snapshots
+    assert a.midprices.tobytes() == b.midprices.tobytes()
+    assert a.terminal_book == b.terminal_book
+    assert len(a.flows) == len(b.flows)
+    for fa, fb in zip(a.flows, b.flows):
+        assert len(fa.mos) == len(fb.mos)
+        for x, y in zip(fa.mos, fb.mos):
+            assert (x.side, x.volume) == (y.side, y.volume)
+            for u, v in ((x.prices, y.prices), (x.cum_sizes, y.cum_sizes)):
+                assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+def outcome(fn, *args, **kwargs):
+    """The ReplayResult, or the BookError's message and index."""
+    try:
+        return fn(*args, **kwargs)
+    except BookError as exc:
+        return ("BookError", str(exc), exc.event_index)
+
+
+class TestColumnarReplayMatchesOracle:
+    @pytest.mark.parametrize("n_steps", [2000, 19800])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_synthetic_days(self, n_steps, seed):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=n_steps),
+                                     seed=seed)
+        assert_same_replay(replay(events, truth.params.grid),
+                           oracle_replay(events, truth.params.grid))
+
+    def test_small_blocks(self, monkeypatch):
+        """Blocks cut short by the cell budget give the same result."""
+        import hfmm.lob
+        monkeypatch.setattr(hfmm.lob, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(hfmm.lob, "_BLOCK_CELLS", 40)
+        events, truth = generate_day(SyntheticDayConfig(n_steps=60), seed=5)
+        assert_same_replay(replay(events, truth.params.grid),
+                           oracle_replay(events, truth.params.grid))
+
+    def test_book_event_input_and_small_K(self):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=50), seed=4)
+        kinds = ("add", "cancel", "execute", "trade")
+        objs = [ev(int(r["ts_ns"]), kinds[r["kind"]], ("bid", "ask")[r["side"]],
+                   int(r["price_ticks"]), int(r["size"]), int(r["order_ref"]))
+                for r in events]
+        grid = truth.params.grid
+        assert_same_replay(replay(objs, grid, K=3, tick_size=0.01),
+                           oracle_replay(events, grid, K=3, tick_size=0.01))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_random_streams_valid_and_invalid(self, data):
+        arr = random_stream(data)
+        grid = TimeGrid(n_steps=data.draw(st.integers(1, 6)),
+                        step_seconds=3e-9,
+                        session_start_ns=data.draw(st.integers(0, 4)))
+        K = data.draw(st.integers(1, 4))
+        new = outcome(replay, arr, grid, K=K)
+        old = outcome(oracle_replay, arr, grid, K=K)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert_same_replay(new, old)
+
+
+def random_stream(data):
+    """A small valid stream over few prices and times, with refs reused
+    after removal and, unless left out, a standing order on each side that
+    keeps the book two-sided; then, half the time, one field of one event
+    corrupted (time, kind, side, price, size or ref)."""
+    draw = data.draw
+    rows = [(-1, 0, 0, 97, 50, 900), (-1, 0, 1, 104, 50, 901)] \
+        if draw(st.integers(0, 3)) else []
+    live, dead, ts = {}, [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.sampled_from([0, 0, 1, 3, 7]))
+        action = draw(st.sampled_from(["add", "reduce", "reduce", "trade"]))
+        if action == "reduce" and live:
+            ref = draw(st.sampled_from(sorted(live)))
+            side, price, left = live[ref]
+            size = draw(st.integers(1, left))
+            rows.append((ts, draw(st.sampled_from([1, 2])), side, price, size,
+                         ref))
+            live[ref] = (side, price, left - size)
+            if size == left:
+                del live[ref]
+                dead.append(ref)
+        elif action == "trade":
+            rows.append((ts, 3, draw(st.integers(0, 1)), 100,
+                         draw(st.integers(1, 80)), 0))
+        else:
+            ref = draw(st.sampled_from(dead + [len(rows) + 1]))
+            dead = [r for r in dead if r != ref]
+            side, price = draw(st.integers(0, 1)), draw(st.integers(98, 103))
+            size = draw(st.integers(1, 30))
+            rows.append((ts, 0, side, price, size, ref))
+            live[ref] = (side, price, size)
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.integers(0, 5))
+        choices = {0: [rows[i][0] - 5], 1: [4, 0, 1], 2: [2, 0, 1],
+                   3: [0, -3, 100], 4: [0, 31, 10 ** 6], 5: [1, 2, 900]}
+        bad = draw(st.sampled_from(choices[field]))
+        rows[i] = rows[i][:field] + (bad,) + rows[i][field + 1:]
+    arr = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for i, (ts, kind, side, price, size, ref) in enumerate(rows):
+        arr[i] = (ts, kind, side, 0, price, size, ref, 0)
+    return arr
+
+
+class TestClosedFormFills:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_sequential_cap(self, data):
+        side = data.draw(st.sampled_from(["ask", "bid"]))
+        mos = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            mo_side = data.draw(st.sampled_from([side, side, "ask", "bid"]))
+            prices = sorted(data.draw(st.sets(st.integers(95, 105),
+                                              max_size=6)),
+                            reverse=mo_side == "bid")  # best first
+            sizes = [data.draw(st.integers(1, 50)) for _ in prices]
+            mos.append(mo(mo_side, data.draw(st.integers(0, 300)),
+                          list(zip(prices, sizes))))
+        flow = IntervalFlow(mos=mos)
+        placed = np.arange(94, 107)
+        size = data.draw(st.integers(-5, 400))
+        expect = [sequential_fill(int(px), size, side, flow) for px in placed]
+        assert [fill_quantity(int(px), size, side, flow)
+                for px in placed] == expect
+        for m in mos:  # the array form estimation uses
+            assert m.better_priced_volume(placed).tolist() == \
+                [int(m.better_priced_volume(int(px))) for px in placed]

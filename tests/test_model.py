@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +133,23 @@ class TestSerialization:
         k = np.arange(5)
         np.testing.assert_allclose(p.arrivals.pi_plus,
                                    0.3 + 0.01 * k + 0.001 * k ** 2)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="pyyaml without libyaml")
+    def test_libyaml_and_pure_python_agree(self, tmp_path):
+        """The libyaml dumper writes the pure-Python dumper's bytes, and both
+        loaders read back the same arrays."""
+        p = random_valid_params(np.random.default_rng(5), n_steps=300)
+        path = tmp_path / "params.yaml"
+        save_params(p, path)
+        doc = params_to_dict(p)
+        assert path.read_text() == yaml.dump(doc, Dumper=yaml.SafeDumper,
+                                             sort_keys=False)
+        with open(path) as fh:
+            pure = params_from_dict(yaml.load(fh, Loader=yaml.SafeLoader))
+        fast = load_params(path)
+        for name in ("pi_plus", "pi_minus", "pi_joint"):
+            a, b = getattr(pure.arrivals, name), getattr(fast.arrivals, name)
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == getattr(p.arrivals, name).tobytes()
+        assert pure.moments == fast.moments == p.moments

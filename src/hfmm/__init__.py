@@ -15,8 +15,7 @@ from .solver import (CoefficientTable, ForecastVector, MarketState,
                      backward_pass, closed_form_spread_symmetric,
                      forecast_shift, inventory_threshold,
                      nonmartingale_value_adjustments, optimal_spreads,
-                     optimal_spreads_with_forecasts, quote_prices,
-                     value_function)
+                     quote_prices, value_function)
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,7 @@ __all__ = [
     "validate_params",
     "CoefficientTable", "ForecastVector", "MarketState", "backward_pass",
     "closed_form_spread_symmetric", "forecast_shift", "inventory_threshold",
-    "nonmartingale_value_adjustments", "optimal_spreads",
-    "optimal_spreads_with_forecasts", "quote_prices", "value_function",
+    "nonmartingale_value_adjustments", "optimal_spreads", "quote_prices",
+    "value_function",
     "__version__",
 ]

@@ -20,8 +20,7 @@ from .estimation import drift_forecast_series
 from .lob import (BookError, ReplayResult, fill_quantity, liquidate,
                   midprice, replay)
 from .model import MarketParams
-from .solver import (CoefficientTable, ForecastVector, optimal_spreads,
-                     optimal_spreads_with_forecasts, quote_prices)
+from .solver import CoefficientTable, optimal_spreads, quote_prices
 
 __all__ = [
     "Policy",
@@ -106,8 +105,8 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
     table = policy.table
-    use_forecast = policy.kind == "optimal_forecast"
-    drifts = drift_forecast_series(mids)[0] if use_forecast else None
+    drifts = (drift_forecast_series(mids)[0]
+              if policy.kind == "optimal_forecast" else np.zeros(n))
 
     W = 0.0
     I = 0.0
@@ -122,11 +121,7 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
             if ask_fb or bid_fb:
                 flags.append(f"level fallback at step {k}")
         else:
-            if use_forecast:
-                f = ForecastVector(k=k, deltas=np.array([drifts[k]]))
-                Lp, Lm = optimal_spreads_with_forecasts(table, k, I, f)
-            else:
-                Lp, Lm = optimal_spreads(table, k, I)
+            Lp, Lm = optimal_spreads(table, k, I, drifts[k])
             ask, bid = quote_prices(S, Lp, Lm, tick)
             ask_ticks = int(round(ask / tick))
             bid_ticks = int(round(bid / tick))

@@ -1,9 +1,11 @@
 """Synthetic-market Monte-Carlo engine.
 
 Implements the exact step dynamics of the model (Bernoulli arrivals plus
-linear random demand), evaluates quoting policies over many independent
-paths, and provides small brute-force dynamic programs that serve as
-independent oracles for the closed-form solver.
+linear random demand) once, in a loop that advances many paths together:
+``monte_carlo_values`` evaluates quoting policies over many independent
+paths with it, and ``run_episode`` records one path of it step by step.
+Small brute-force dynamic programs serve as independent oracles for the
+closed-form solver.
 
 Reproducibility: every path draws from its own substream spawned from the
 base seed, so path i is identical regardless of path count, chunking, or
@@ -14,13 +16,12 @@ worker layout. Each step consumes a fixed channel layout
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import DemandMoments, MarketParams, SideMoments
-from .solver import CoefficientTable, ForecastVector, forecast_shift
+from .solver import CoefficientTable, optimal_spreads
 
 __all__ = [
     "SideDistribution",
@@ -32,8 +33,6 @@ __all__ = [
     "PriceModel",
     "SimMarket",
     "EpisodeResult",
-    "sample_arrivals",
-    "step_dynamics",
     "run_episode",
     "monte_carlo_value",
     "monte_carlo_values",
@@ -41,6 +40,7 @@ __all__ = [
     "one_step_objective",
     "make_table_policy",
     "make_fixed_spread_policy",
+    "perturb_policy",
 ]
 
 _SAMPLE_FLOOR = 1e-9
@@ -150,6 +150,8 @@ class LognormalIndependent(SideDistribution):
                    math.log(mu_p) - s_p ** 2 / 2, s_p)
 
     def sample(self, u_c, u_p):
+        from scipy.special import ndtri  # lazily: scipy is slow to import
+
         c = np.exp(self.m_c + self.s_c * ndtri(u_c))
         p = np.exp(self.m_p + self.s_p * ndtri(u_p))
         return np.maximum(c, _SAMPLE_FLOOR), np.maximum(p, _SAMPLE_FLOOR)
@@ -197,6 +199,8 @@ class GaussianCopulaLognormal(SideDistribution):
         return cls(base.m_c, base.s_c, base.m_p, base.s_p, (lo + hi) / 2)
 
     def sample(self, u_c, u_p):
+        from scipy.special import ndtri  # lazily: scipy is slow to import
+
         z1 = ndtri(u_c)
         z2 = self.rho * z1 + math.sqrt(1 - self.rho ** 2) * ndtri(u_p)
         c = np.exp(self.m_c + self.s_c * z1)
@@ -250,7 +254,6 @@ class SimMarket:
     params: MarketParams
     demand: DemandDistribution
     price: PriceModel
-    truncate_fills: bool = False
 
 
 @dataclass
@@ -267,55 +270,13 @@ class EpisodeResult:
     terminal_objective: float
 
 
-def sample_arrivals(schedule, k: int, u: float):
-    """Map one uniform to the joint arrival indicator pair for step k."""
-    pj = schedule.pi_joint[k]
-    pp = schedule.pi_plus[k]
-    pm = schedule.pi_minus[k]
-    if u < pj:
-        return 1, 1
-    if u < pp:
-        return 1, 0
-    if u < pp + pm - pj:
-        return 0, 1
-    return 0, 0
-
-
 def _arrivals_vec(pp, pm, pj, u):
+    """Map uniforms to the joint arrival indicators of one step: both sides
+    below pi_joint, buy only up to pi_plus, sell only for the next
+    pi_minus - pi_joint."""
     ind_p = (u < pj) | ((u >= pj) & (u < pp))
     ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
     return ind_p, ind_m
-
-
-@dataclass(frozen=True)
-class StepDraws:
-    ind_plus: int
-    ind_minus: int
-    c_plus: float
-    p_plus: float
-    c_minus: float
-    p_minus: float
-    dS: float
-
-
-def step_dynamics(state, L_plus: float, L_minus: float, draws: StepDraws,
-                  truncate_fills: bool = False):
-    """Advance (S, W, I) by one interval. Returns (state', Q+, Q-).
-
-    Fills follow the linear demand rule verbatim: they may be negative when
-    the quote is placed beyond the reservation price, unless truncation is
-    requested.
-    """
-    from .solver import MarketState
-
-    Qp = draws.ind_plus * draws.c_plus * (draws.p_plus - L_plus)
-    Qm = draws.ind_minus * draws.c_minus * (draws.p_minus - L_minus)
-    if truncate_fills:
-        Qp, Qm = max(Qp, 0.0), max(Qm, 0.0)
-    W = state.W + (state.S + L_plus) * Qp - (state.S - L_minus) * Qm
-    I = state.I - Qp + Qm
-    S = state.S + draws.dS
-    return MarketState(k=state.k + 1, S=S, W=W, I=I), Qp, Qm
 
 
 def _path_draws(seed_seq, n: int):
@@ -323,48 +284,62 @@ def _path_draws(seed_seq, n: int):
     return rng.random((n, 5)), rng.standard_normal(n)
 
 
-def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
-    """Single-path episode with full logging; deterministic given the seed."""
+def _steps(policy, market: SimMarket, u, z):
+    """Advance len(z) paths together through the model's step dynamics from
+    S0 with no cash or inventory. After step k it yields the state (S, W, I)
+    and the step's (L+, L-, Q+, Q-, arrival indicators), all arrays over
+    the paths; W and I are updated in place, so read them before resuming.
+
+    Fills follow the linear demand rule verbatim: they are negative when a
+    quote lies beyond the taker's reservation price.
+    """
     p = market.params
     n = p.grid.n_steps
+    drift = market.price.drift_array(n)
+    vol = market.price.vol_array(n)
+    pp = p.arrivals.pi_plus
+    pm = p.arrivals.pi_minus
+    pj = p.arrivals.pi_joint
+    S = np.full(len(z), market.price.S0)
+    W = np.zeros(len(z))
+    I = np.zeros(len(z))
+    for k in range(n):
+        ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u[:, k, 0])
+        Lp, Lm = policy.spreads(k, S, I)
+        cp, ppr = market.demand.plus.sample(u[:, k, 1], u[:, k, 2])
+        cm, pmr = market.demand.minus.sample(u[:, k, 3], u[:, k, 4])
+        Qp = ind_p * cp * (ppr - Lp)
+        Qm = ind_m * cm * (pmr - Lm)
+        W += (S + Lp) * Qp - (S - Lm) * Qm
+        I += Qm - Qp
+        S = S + drift[k] + vol[k] * z[:, k]
+        yield S, W, I, (Lp, Lm, Qp, Qm, ind_p, ind_m)
+
+
+def _objective(market: SimMarket, S, W, I):
+    return W + S * I - market.params.lam * I ** 2
+
+
+def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
+    """One path of the Monte-Carlo step loop, recorded step by step;
+    deterministic given the seed. A ``SeedSequence`` spawned as path i of
+    ``monte_carlo_values`` reproduces that path exactly."""
+    n = market.params.grid.n_steps
     seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
            else np.random.SeedSequence(rng_seed))
     u, z = _path_draws(seq, n)
-    drift = market.price.drift_array(n)
-    vol = market.price.vol_array(n)
 
-    S = np.empty(n + 1)
-    W = np.empty(n + 1)
-    I = np.empty(n + 1)
-    Lp_log = np.empty(n)
-    Lm_log = np.empty(n)
-    Qp_log = np.empty(n)
-    Qm_log = np.empty(n)
-    indp_log = np.empty(n, dtype=int)
-    indm_log = np.empty(n, dtype=int)
-
-    S[0], W[0], I[0] = market.price.S0, 0.0, 0.0
-    for k in range(n):
-        ind_p, ind_m = sample_arrivals(p.arrivals, k, u[k, 0])
-        Lp, Lm = policy.spreads(k, S[k], I[k])
-        Lp, Lm = float(np.asarray(Lp)), float(np.asarray(Lm))
-        cp, ppr = market.demand.plus.sample(u[k, 1], u[k, 2])
-        cm, pmr = market.demand.minus.sample(u[k, 3], u[k, 4])
-        Qp = ind_p * float(cp) * (float(ppr) - Lp)
-        Qm = ind_m * float(cm) * (float(pmr) - Lm)
-        if market.truncate_fills:
-            Qp, Qm = max(Qp, 0.0), max(Qm, 0.0)
-        W[k + 1] = W[k] + (S[k] + Lp) * Qp - (S[k] - Lm) * Qm
-        I[k + 1] = I[k] - Qp + Qm
-        S[k + 1] = S[k] + drift[k] + vol[k] * z[k]
-        Lp_log[k], Lm_log[k] = Lp, Lm
-        Qp_log[k], Qm_log[k] = Qp, Qm
-        indp_log[k], indm_log[k] = ind_p, ind_m
-
-    objective = W[n] + S[n] * I[n] - p.lam * I[n] ** 2
-    return EpisodeResult(S=S, W=W, I=I, L_plus=Lp_log, L_minus=Lm_log,
-                         Q_plus=Qp_log, Q_minus=Qm_log, ind_plus=indp_log,
-                         ind_minus=indm_log, terminal_objective=objective)
+    states = [(market.price.S0, 0.0, 0.0)]
+    logs = []
+    for S, W, I, step in _steps(policy, market, u[None], z[None]):
+        states.append((S[0], W[0], I[0]))
+        logs.append([np.ravel(x)[0] for x in step])
+    S_log, W_log, I_log = np.array(states).T
+    Lp, Lm, Qp, Qm, ind_p, ind_m = np.array(logs).T
+    return EpisodeResult(S=S_log, W=W_log, I=I_log, L_plus=Lp, L_minus=Lm,
+                         Q_plus=Qp, Q_minus=Qm, ind_plus=ind_p.astype(int),
+                         ind_minus=ind_m.astype(int),
+                         terminal_objective=_objective(market, S, W, I)[0])
 
 
 def monte_carlo_values(policies, market: SimMarket, n_paths: int,
@@ -374,14 +349,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     Returns a list of (mean, std_error) tuples, one per policy, plus the
     per-policy objective arrays for further analysis.
     """
-    p = market.params
-    n = p.grid.n_steps
+    n = market.params.grid.n_steps
     children = np.random.SeedSequence(base_seed).spawn(n_paths)
-    drift = market.price.drift_array(n)
-    vol = market.price.vol_array(n)
-    pp = p.arrivals.pi_plus
-    pm = p.arrivals.pi_minus
-    pj = p.arrivals.pi_joint
 
     objectives = [np.empty(n_paths) for _ in policies]
     for start in range(0, n_paths, chunk_size):
@@ -393,23 +362,9 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
             u[i], z[i] = _path_draws(child, n)
 
         for pol_idx, policy in enumerate(policies):
-            S = np.full(m, market.price.S0)
-            W = np.zeros(m)
-            I = np.zeros(m)
-            for k in range(n):
-                ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u[:, k, 0])
-                Lp, Lm = policy.spreads(k, S, I)
-                cp, ppr = market.demand.plus.sample(u[:, k, 1], u[:, k, 2])
-                cm, pmr = market.demand.minus.sample(u[:, k, 3], u[:, k, 4])
-                Qp = ind_p * cp * (ppr - Lp)
-                Qm = ind_m * cm * (pmr - Lm)
-                if market.truncate_fills:
-                    Qp = np.maximum(Qp, 0.0)
-                    Qm = np.maximum(Qm, 0.0)
-                W += (S + Lp) * Qp - (S - Lm) * Qm
-                I += Qm - Qp
-                S = S + drift[k] + vol[k] * z[:, k]
-            objectives[pol_idx][start:stop] = W + S * I - p.lam * I ** 2
+            for S, W, I, _ in _steps(policy, market, u, z):
+                pass
+            objectives[pol_idx][start:stop] = _objective(market, S, W, I)
 
     out = []
     for obj in objectives:
@@ -432,25 +387,12 @@ def monte_carlo_value(policy, market: SimMarket, n_paths: int, base_seed: int,
 # Simulation policies
 # ---------------------------------------------------------------------------
 
-def make_table_policy(table: CoefficientTable, drifts=None):
-    """Quoting policy driven by solver coefficients. If a deterministic
-    per-step drift array is supplied, the forecast-adjusted spreads are
-    precomputed from it."""
-    n = table.n_steps
-    shift = np.zeros(n)
-    if drifts is not None:
-        drifts = np.asarray(drifts, dtype=float)
-        for k in range(n):
-            agg = forecast_shift(table, k, ForecastVector(k=k, deltas=drifts[k:]))
-            shift[k] = agg
+def make_table_policy(table: CoefficientTable):
+    """Quoting policy driven by solver coefficients (martingale price)."""
 
     class _TablePolicy:
         def spreads(self, k, S, I):
-            Lp = (table.A1_plus[k] * I + table.A2_plus[k] + table.A3_plus[k]
-                  + table.beta_plus[k] / (2 * table.gamma[k]) * shift[k])
-            Lm = (-table.A1_minus[k] * I - table.A2_minus[k] + table.A3_minus[k]
-                  - table.beta_minus[k] / (2 * table.gamma[k]) * shift[k])
-            return Lp, Lm
+            return optimal_spreads(table, k, I)
 
     return _TablePolicy()
 

@@ -24,7 +24,7 @@ __all__ = [
     "ForecastVector",
     "backward_pass",
     "optimal_spreads",
-    "optimal_spreads_with_forecasts",
+    "forecast_shift",
     "quote_prices",
     "value_function",
     "nonmartingale_value_adjustments",
@@ -33,9 +33,6 @@ __all__ = [
     "table_to_csv",
 ]
 
-# Forward products of xi are truncated once they drop below this magnitude;
-# remaining forecast contributions are beyond double-precision significance.
-_XI_PRODUCT_FLOOR = 1e-15
 _GAMMA_FLOOR = 1e-300
 
 
@@ -183,21 +180,8 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
                    + mom_p.mu_cp / mom_p.mu_c * A1m[k]
                    - mom_m.mu_cp / mom_m.mu_c * A1p[k]))
 
-        g_sum = 0.0
-        for delta, pi_d, m, ed, A2, A3 in (
-                (1.0, pp, mom_p, ed_p, A2p[k], A3p[k]),
-                (-1.0, pm, mom_m, ed_m, A2m[k], A3m[k])):
-            da = A3 + delta * A2
-            g_sum += pi_d * (ed * da ** 2 + a * m.mu_c2p2
-                             - delta * hn * m.mu_cp
-                             + (m.mu_cp + delta * hn * m.mu_c
-                                - 2 * a * m.mu_c2p) * da)
-        g[k] = (g[k + 1] + g_sum
-                - 2 * a * pj * mom_p.mu_c * mom_m.mu_c
-                * ((A2p[k] + A3p[k]) * (A3m[k] - A2m[k])
-                   - mom_p.mu_cp / mom_p.mu_c * (A3m[k] - A2m[k])
-                   - mom_m.mu_cp / mom_m.mu_c * (A2p[k] + A3p[k])
-                   + mom_p.mu_cp * mom_m.mu_cp / (mom_p.mu_c * mom_m.mu_c)))
+        g[k] = _g_step(g[k + 1], pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
+                       A2p[k], A2m[k], A3p[k], A3m[k], hn, 0.0)
 
         xi[k] = (1.0
                  + a / gamma[k]
@@ -212,35 +196,33 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
                             xi=xi, alpha=alpha, h=h, g=g, lam=p.lam)
 
 
-def optimal_spreads(table: CoefficientTable, k: int, I: float):
-    """Martingale-price optimal spreads (L+, L-) at step k, inventory I."""
-    L_plus = table.A1_plus[k] * I + table.A2_plus[k] + table.A3_plus[k]
-    L_minus = -table.A1_minus[k] * I - table.A2_minus[k] + table.A3_minus[k]
-    return float(L_plus), float(L_minus)
+def optimal_spreads(table: CoefficientTable, k: int, I, shift=0.0):
+    """Optimal spreads (L+, L-) at step k for inventory I, a scalar or an
+    array. ``shift`` is the forecast aggregate F_k (``forecast_shift``);
+    0 gives the martingale-price spreads."""
+    L_plus = (table.A1_plus[k] * I + table.A2_plus[k] + table.A3_plus[k]
+              + table.beta_plus[k] / (2 * table.gamma[k]) * shift)
+    L_minus = (-table.A1_minus[k] * I - table.A2_minus[k] + table.A3_minus[k]
+               - table.beta_minus[k] / (2 * table.gamma[k]) * shift)
+    return L_plus, L_minus
+
+
+def _forecast_aggregates(table: CoefficientTable, k: int,
+                         f: ForecastVector) -> np.ndarray:
+    """F_j for j = k..N by the backward recursion
+    F_j = Delta_j + xi_{j+1} F_{j+1}; F is zero past the forecast's last
+    step."""
+    F = np.zeros(table.n_steps - k)
+    tail = 0.0  # xi_{j+1} F_{j+1}
+    for j in range(min(table.n_steps, f.k + len(f.deltas)) - 1, k - 1, -1):
+        F[j - k] = f.delta(j) + tail
+        tail = table.xi[j] * F[j - k]
+    return F
 
 
 def forecast_shift(table: CoefficientTable, k: int, f: ForecastVector) -> float:
-    """The bracketed forecast aggregate: Delta_k plus the xi-weighted tail."""
-    total = f.delta(k)
-    prod = 1.0
-    # steps beyond the forecast's support contribute exactly zero
-    last = min(table.n_steps, f.k + len(f.deltas))
-    for j in range(k + 1, last):
-        prod *= table.xi[j]
-        if abs(prod) < _XI_PRODUCT_FLOOR:
-            break
-        total += prod * f.delta(j)
-    return total
-
-
-def optimal_spreads_with_forecasts(table: CoefficientTable, k: int, I: float,
-                                   f: ForecastVector):
-    """Optimal spreads under a general adapted price with forecasts f."""
-    L_plus, L_minus = optimal_spreads(table, k, I)
-    agg = forecast_shift(table, k, f)
-    L_plus += table.beta_plus[k] / (2 * table.gamma[k]) * agg
-    L_minus -= table.beta_minus[k] / (2 * table.gamma[k]) * agg
-    return float(L_plus), float(L_minus)
+    """The forecast aggregate F_k: Delta_k plus the xi-weighted tail."""
+    return float(_forecast_aggregates(table, k, f)[0])
 
 
 def quote_prices(S: float, L_plus: float, L_minus: float, tick_size: float):
@@ -268,26 +250,12 @@ def nonmartingale_value_adjustments(table: CoefficientTable, k: int,
     the forecast path treated as deterministic.
     """
     n = table.n_steps
-    # h_tilde[j] for j = k..N+1 via the xi-product representation.
-    h_tilde = np.empty(n + 2 - k)
-
-    def h_tilde_at(j: int) -> float:
-        total = float(table.h[j])
-        prod = 1.0
-        for m in range(j, n):
-            prod *= table.xi[m]
-            if abs(prod) < _XI_PRODUCT_FLOOR:
-                break
-            total += prod * f.delta(m)
-        return total
-
-    for j in range(k, n + 1):
-        h_tilde[j - k] = h_tilde_at(j)
-    h_tilde[n + 1 - k] = 0.0
+    # h_tilde[j - k] = h_j + xi_j F_j for j = k..N, then the terminal h.
+    h_tilde = np.append(table.h[k:n] + table.xi[k:] * _forecast_aggregates(
+        table, k, f), table.h[n])
 
     mom_p, mom_m = p.moments.plus, p.moments.minus
     g_tilde = 0.0  # value at step j+1, starting from the terminal condition
-    g_mart = 0.0
     # rebuild g tilde backward from N to k with forecast-adjusted A2/A3
     for j in range(n - 1, k - 1, -1):
         pp = p.arrivals.pi_plus[j]
@@ -313,18 +281,15 @@ def nonmartingale_value_adjustments(table: CoefficientTable, k: int,
 
         g_tilde = _g_step(g_tilde, pp, pm, pj, a, mom_p, mom_m,
                           ed_p, ed_m, A2p, A2m, A3p, A3m, hn, d_j)
-        g_mart = _g_step(g_mart, pp, pm, pj, a, mom_p, mom_m,
-                         ed_p, ed_m, table.A2_plus[j], table.A2_minus[j],
-                         table.A3_plus[j], table.A3_minus[j],
-                         float(table.h[j + 1]), 0.0)
 
-    return float(h_tilde[0]), float(g_tilde - g_mart)
+    return float(h_tilde[0]), float(g_tilde - table.g[k])
 
 
 def _g_step(g_next, pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
             A2p, A2m, A3p, A3m, hn, d_j) -> float:
     """One backward update of the constant value term with explicit
-    A2/A3 inputs, shared by the martingale and forecast-adjusted sweeps."""
+    A2/A3 inputs, shared by the martingale (d_j = 0) and forecast-adjusted
+    sweeps."""
     g_sum = 0.0
     for delta, pi_d, m, ed, A2, A3 in (
             (1.0, pp, mom_p, ed_p, A2p, A3p),

@@ -18,8 +18,8 @@ from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
                             TwoPointIndependent, brute_force_value_small,
                             make_table_policy, monte_carlo_values,
                             perturb_policy)
-from hfmm.solver import (ForecastVector, backward_pass, inventory_threshold,
-                         optimal_spreads, optimal_spreads_with_forecasts)
+from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
+                         inventory_threshold, optimal_spreads)
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
@@ -186,8 +186,9 @@ def test_criterion_06_brute_force_two_step():
                          price=PriceModel(S0=100.0, drift=drift))
     grid_d = np.round(np.arange(-1.0, 4.01, 0.01), 2)
     _, (lp_d, lm_d) = brute_force_value_small(market_d, grid_d)
-    Lp_d, Lm_d = optimal_spreads_with_forecasts(
-        table, 0, 0.0, ForecastVector(k=0, deltas=drift))
+    Lp_d, Lm_d = optimal_spreads(
+        table, 0, 0.0, forecast_shift(table, 0, ForecastVector(k=0,
+                                                              deltas=drift)))
     assert abs(lp_d - Lp_d) <= 0.011 and abs(lm_d - Lm_d) <= 0.011
     announce(6, "two-step enumeration matches the recursion value within "
                 "0.01 and its argmax controls within one 0.01 grid cell, "

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hfmm
 from hfmm.cli import main
 from hfmm.estimation import estimate_day, rolling_params
 from hfmm.lob import read_events_binary, replay, write_events_binary
@@ -269,3 +274,13 @@ class TestFailedDays:
         report = json.loads((out / "report.json").read_text())
         assert report["n_excluded"] == 2
         assert report["policies"]["fixed_level_1"]["filtered"]["n_days"] == 4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the lognormal demand families use scipy, so importing the CLI,
+    # which every command does, must not pay for importing it
+    env = dict(os.environ, PYTHONPATH=str(Path(hfmm.__file__).parents[1]))
+    code = "import sys, hfmm.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,15 +5,13 @@ from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid, symmetric_params)
 from hfmm.simulator import (DemandDistribution, GaussianCopulaLognormal,
                             LognormalIndependent, PointMass, PriceModel,
-                            SimMarket, TwoPointIndependent,
+                            SimMarket, TwoPointIndependent, _arrivals_vec,
                             brute_force_value_small, make_fixed_spread_policy,
                             make_table_policy, monte_carlo_value,
                             monte_carlo_values, one_step_objective,
-                            perturb_policy, run_episode, sample_arrivals,
-                            step_dynamics)
-from hfmm.simulator import StepDraws
-from hfmm.solver import (ForecastVector, MarketState, backward_pass,
-                         optimal_spreads, optimal_spreads_with_forecasts)
+                            perturb_policy, run_episode)
+from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
+                         optimal_spreads)
 
 
 def point_market(p, c=100.0, pv=5.0, **price_kwargs):
@@ -24,66 +22,69 @@ def point_market(p, c=100.0, pv=5.0, **price_kwargs):
         price=PriceModel(S0=100.0, **price_kwargs))
 
 
+def sure_arrivals_market(pi_plus, pi_minus, c=100.0, pv=5.0):
+    """Point-mass demand with each step's arrivals certain (1) or absent
+    (0) and no joint arrivals, so every draw gives the same path."""
+    n = len(pi_plus)
+    base = symmetric_params(c, pv, 0.5, 0.0, 0.0, n)
+    p = MarketParams(grid=base.grid,
+                     arrivals=ArrivalSchedule(pi_plus=pi_plus,
+                                              pi_minus=pi_minus,
+                                              pi_joint=np.zeros(n)),
+                     moments=base.moments, lam=0.0)
+    return point_market(p, c=c, pv=pv)
+
+
 class TestSampleArrivals:
     def test_degenerate_always_joint(self):
-        s = ArrivalSchedule.constant(1.0, 1.0, 1.0, 3)
-        for u in (0.0, 0.3, 0.999):
-            assert sample_arrivals(s, 1, u) == (1, 1)
+        ip, im = _arrivals_vec(1.0, 1.0, 1.0, np.array([0.0, 0.3, 0.999]))
+        assert ip.all() and im.all()
 
     def test_comonotone_boundary(self):
-        s = ArrivalSchedule.constant(0.4, 0.4, 0.4, 3)
-        for u in np.linspace(0.001, 0.999, 37):
-            ip, im = sample_arrivals(s, 0, float(u))
-            assert ip == im
+        ip, im = _arrivals_vec(0.4, 0.4, 0.4, np.linspace(0.001, 0.999, 37))
+        np.testing.assert_array_equal(ip, im)
 
     def test_joint_frequencies(self):
-        s = ArrivalSchedule.constant(0.2, 0.2, 0.04, 1)
         rng = np.random.default_rng(0)
         n = 200_000
-        draws = np.array([sample_arrivals(s, 0, float(u))
-                          for u in rng.random(n)])
+        ip, im = _arrivals_vec(0.2, 0.2, 0.04, rng.random(n))
         probs = {(1, 1): 0.04, (1, 0): 0.16, (0, 1): 0.16, (0, 0): 0.64}
-        for combo, prob in probs.items():
-            freq = np.mean(np.all(draws == combo, axis=1))
+        for (want_p, want_m), prob in probs.items():
+            freq = np.mean((ip == want_p) & (im == want_m))
             se = np.sqrt(prob * (1 - prob) / n)
             assert abs(freq - prob) < 3 * se
 
 
 class TestStepDynamics:
-    def _draws(self, ind_p, ind_m, c=100.0, p=5.0, incr=0.0):
-        return StepDraws(ind_plus=ind_p, ind_minus=ind_m, c_plus=c, p_plus=p,
-                         c_minus=c, p_minus=p, dS=incr)
-
     def test_no_arrivals(self):
-        s = MarketState(k=0, S=100.0, W=7.0, I=2.0)
-        s2, qp, qm = step_dynamics(s, 2.5, 2.5, self._draws(0, 0))
-        assert (s2.W, s2.I) == (7.0, 2.0)
-        assert (qp, qm) == (0.0, 0.0)
-        assert s2.k == 1
+        # a buy fill at step 0 leaves cash and inventory that a step with
+        # no arrivals carries over unchanged
+        market = sure_arrivals_market([1.0, 0.0], [0.0, 0.0])
+        ep = run_episode(make_fixed_spread_policy(2.5, 2.5), market, 0)
+        assert (ep.Q_plus[1], ep.Q_minus[1]) == (0.0, 0.0)
+        assert (ep.W[2], ep.I[2]) == (ep.W[1], ep.I[1])
+        assert ep.I[1] == -250.0
+        assert len(ep.W) == 3
 
     def test_buy_side_fill(self):
-        s = MarketState(k=0, S=100.0, W=0.0, I=0.0)
-        s2, qp, _ = step_dynamics(s, 2.5, 2.5, self._draws(1, 0))
-        assert qp == 250.0
-        assert s2.W == pytest.approx(250 * 102.5)
-        assert s2.I == -250.0
+        market = sure_arrivals_market([1.0], [0.0])
+        ep = run_episode(make_fixed_spread_policy(2.5, 2.5), market, 0)
+        assert ep.Q_plus[0] == 250.0
+        assert ep.W[1] == pytest.approx(250 * 102.5)
+        assert ep.I[1] == -250.0
 
     def test_boundary_reservation_price(self):
-        s = MarketState(k=0, S=100.0, W=0.0, I=0.0)
-        s2, _, qm = step_dynamics(s, 2.5, 5.0, self._draws(0, 1))
-        assert qm == 0.0
-        assert s2.W == 0.0
-        assert s2.I == 0.0
+        market = sure_arrivals_market([0.0], [1.0])
+        ep = run_episode(make_fixed_spread_policy(2.5, 5.0), market, 0)
+        assert ep.Q_minus[0] == 0.0
+        assert ep.W[1] == 0.0
+        assert ep.I[1] == 0.0
 
-    def test_negative_fill_untruncated_and_truncated(self):
-        s = MarketState(k=0, S=100.0, W=0.0, I=0.0)
-        deep, qp, _ = step_dynamics(s, 6.0, 2.5, self._draws(1, 0))
-        assert qp == pytest.approx(-100.0)  # Q+ = 100*(5-6)
-        assert deep.I == pytest.approx(100.0)
-        trunc, qp_t, _ = step_dynamics(s, 6.0, 2.5, self._draws(1, 0),
-                                       truncate_fills=True)
-        assert qp_t == 0.0
-        assert trunc.I == 0.0 and trunc.W == 0.0
+    def test_negative_fill_untruncated(self):
+        market = sure_arrivals_market([1.0], [0.0])
+        ep = run_episode(make_fixed_spread_policy(6.0, 2.5), market, 0)
+        assert ep.Q_plus[0] == pytest.approx(-100.0)  # Q+ = 100*(5-6)
+        assert ep.I[1] == pytest.approx(100.0)
 
 
 class TestRunEpisode:
@@ -135,6 +136,28 @@ class TestRunEpisode:
         I_T = np.sum(ep.Q_minus - ep.Q_plus)
         assert ep.W[-1] == pytest.approx(W_T, rel=1e-12, abs=1e-9)
         assert ep.I[-1] == pytest.approx(I_T, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("minus", [
+        TwoPointIndependent((80, 120), (4, 6)),
+        LognormalIndependent.from_moments(100.0, 10400.0, 5.0, 26.0),
+    ])
+    def test_equals_monte_carlo_path(self, minus):
+        # run_episode is the Monte-Carlo step loop on one path: with path
+        # i's seed it reproduces path i of a chunked run bit for bit
+        p = symmetric_params(100, 5, 0.3, 0.1, 0.001, 40)
+        market = SimMarket(
+            params=p,
+            demand=DemandDistribution(
+                plus=TwoPointIndependent((80, 120), (4, 6)), minus=minus),
+            price=PriceModel(S0=100.0, drift=0.01, vol=0.05))
+        pol = make_table_policy(backward_pass(p))
+        n_paths, seed = 150, 31
+        _, (objectives,) = monte_carlo_values([pol], market, n_paths, seed,
+                                              chunk_size=64)
+        children = np.random.SeedSequence(seed).spawn(n_paths)
+        for i, child in enumerate(children):
+            ep = run_episode(pol, market, child)
+            assert ep.terminal_objective == objectives[i]
 
 
 class TestSamplerMoments:
@@ -298,7 +321,7 @@ class TestBruteForce:
         grid = np.round(np.arange(-1.0, 4.01, 0.01), 2)
         value, (lp, lm) = brute_force_value_small(market, grid)
         f0 = ForecastVector(k=0, deltas=drift)
-        Lp, Lm = optimal_spreads_with_forecasts(t, 0, 0.0, f0)
+        Lp, Lm = optimal_spreads(t, 0, 0.0, forecast_shift(t, 0, f0))
         assert abs(lp - Lp) <= 0.011
         assert abs(lm - Lm) <= 0.011
 

@@ -11,10 +11,11 @@ from hfmm.solver import (CoefficientTable, ForecastVector, MarketState,
                          backward_pass, closed_form_spread_symmetric,
                          forecast_shift, inventory_threshold,
                          nonmartingale_value_adjustments, optimal_spreads,
-                         optimal_spreads_with_forecasts, pi0_alpha_step,
-                         pi0_half_spread, pi0_inventory_coef, quote_prices,
-                         table_to_csv, value_function)
+                         pi0_alpha_step, pi0_half_spread, pi0_inventory_coef,
+                         quote_prices, table_to_csv, value_function)
+from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
+import forecast_oracle
 from conftest import random_valid_params
 
 
@@ -113,6 +114,16 @@ class TestOptimalSpreads:
                 assert sum(optimal_spreads(t, k, I)) == pytest.approx(
                     base, rel=1e-12)
 
+    def test_inventory_array_matches_scalars(self, bench_params_joint):
+        t = backward_pass(bench_params_joint)
+        I = np.random.default_rng(4).uniform(-1e4, 1e4, size=50)
+        for k in (0, 17, bench_params_joint.grid.last_index):
+            for shift in (0.0, 0.3):
+                Lp, Lm = optimal_spreads(t, k, I, shift)
+                pairs = [optimal_spreads(t, k, float(x), shift) for x in I]
+                np.testing.assert_array_equal(Lp, [lp for lp, _ in pairs])
+                np.testing.assert_array_equal(Lm, [lm for _, lm in pairs])
+
     def test_quotes_decreasing_in_inventory(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -126,7 +137,7 @@ class TestForecastSpreads:
     def test_zero_forecast_is_identity(self, bench_params):
         t = backward_pass(bench_params)
         f = ForecastVector(k=3, deltas=np.zeros(5))
-        assert optimal_spreads_with_forecasts(t, 3, 7.0, f) == \
+        assert optimal_spreads(t, 3, 7.0, forecast_shift(t, 3, f)) == \
             optimal_spreads(t, 3, 7.0)
 
     def test_shift_coefficient_terminal(self, bench_params):
@@ -138,7 +149,7 @@ class TestForecastSpreads:
         shift = t.beta_plus[N] / (2 * t.gamma[N]) * forecast_shift(t, N, f)
         assert shift == pytest.approx(420.0 / 882.0, rel=1e-12)
         Lp0, Lm0 = optimal_spreads(t, N, 2.0)
-        Lp, Lm = optimal_spreads_with_forecasts(t, N, 2.0, f)
+        Lp, Lm = optimal_spreads(t, N, 2.0, forecast_shift(t, N, f))
         assert Lp - Lp0 == pytest.approx(shift, rel=1e-12)
         assert Lm - Lm0 == pytest.approx(-shift, rel=1e-12)
 
@@ -148,7 +159,7 @@ class TestForecastSpreads:
         t = backward_pass(p)
         f = ForecastVector(k=4, deltas=np.array([0.3]))
         Lp0, Lm0 = optimal_spreads(t, 4, 0.0)
-        Lp, Lm = optimal_spreads_with_forecasts(t, 4, 0.0, f)
+        Lp, Lm = optimal_spreads(t, 4, 0.0, forecast_shift(t, 4, f))
         assert Lp - Lp0 == pytest.approx(0.15, rel=1e-12)
         assert Lm - Lm0 == pytest.approx(-0.15, rel=1e-12)
 
@@ -163,7 +174,7 @@ class TestForecastSpreads:
                                deltas=rng.uniform(-1, 1, size=n - k))
             I = float(rng.uniform(-1e4, 1e4))
             base = sum(optimal_spreads(t, k, 0.0))
-            got = sum(optimal_spreads_with_forecasts(t, k, I, f))
+            got = sum(optimal_spreads(t, k, I, forecast_shift(t, k, f)))
             assert got == pytest.approx(base, rel=1e-11)
 
 
@@ -223,6 +234,51 @@ class TestNonMartingaleAdjustments:
         f = ForecastVector(k=k, deltas=np.array([delta]))
         h_tilde, _ = nonmartingale_value_adjustments(t, k, f, bench_params)
         assert h_tilde == pytest.approx(t.h[k] + t.xi[k] * delta, rel=1e-12)
+
+
+class TestForecastRecursionOracle:
+    """The O(n) recursion F_j = Delta_j + xi_{j+1} F_{j+1} against the xi
+    products of ``tests/forecast_oracle.py`` summed term by term."""
+
+    @staticmethod
+    def _forecast(rng, n, k):
+        start = int(rng.integers(max(k - 3, 0), k + 1))
+        length = int(rng.integers(1, n - start + 3))
+        return ForecastVector(k=start, deltas=rng.normal(0.0, 0.5, length))
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            n = int(rng.integers(1, 30)) if trial % 3 else 300
+            p = random_valid_params(rng, n_steps=n)
+            t = backward_pass(p)
+            k = int(rng.integers(0, n))
+            f = self._forecast(rng, n, k)
+            assert forecast_shift(t, k, f) == pytest.approx(
+                forecast_oracle.forecast_shift(t, k, f), rel=1e-12)
+            got = nonmartingale_value_adjustments(t, k, f, p)
+            want = forecast_oracle.nonmartingale_value_adjustments(t, k, f, p)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_long_day(self):
+        p = true_market_params(SyntheticDayConfig())
+        t = backward_pass(p)
+        n = p.grid.n_steps
+        assert n == 19_800
+        rng = np.random.default_rng(9)
+        f = ForecastVector(k=0, deltas=rng.normal(0.0, 0.01, n))
+        for k in (0, 7_000, n - 1):
+            assert forecast_shift(t, k, f) == pytest.approx(
+                forecast_oracle.forecast_shift(t, k, f), rel=1e-12)
+        # the term-by-term g sweep is quadratic in the horizon: check the
+        # full adjustment near the close and h_tilde from the open
+        h0, _ = nonmartingale_value_adjustments(t, 0, f, p)
+        assert h0 == pytest.approx(forecast_oracle.h_tilde(t, 0, f),
+                                   rel=1e-12)
+        k = n - 300
+        assert nonmartingale_value_adjustments(t, k, f, p) == pytest.approx(
+            forecast_oracle.nonmartingale_value_adjustments(t, k, f, p),
+            rel=1e-12)
 
 
 class TestClosedFormSpread:

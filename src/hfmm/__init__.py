@@ -4,7 +4,7 @@ Submodules: ``model`` (parameter containers and validation), ``solver``
 (backward-induction policy coefficients and closed forms), ``simulator``
 (Monte-Carlo market and policy evaluation), ``lob`` (event ingestion, book
 reconstruction, fill measurement), ``estimation`` (rolling calibration),
-``backtest`` (day replay and strategy comparison), ``synthetic``
+``backtest`` (quoting policies, day replay, reports), ``synthetic``
 (ground-truth event-stream generator), ``cli`` (command-line entry point).
 """
 

@@ -17,21 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import drift_forecast_series
-from .lob import (BookError, ReplayResult, fill_quantity, liquidate,
-                  midprice, replay)
+from .lob import ReplayResult, fill_quantity, liquidate, midprice, replay
 from .model import MarketParams
 from .solver import CoefficientTable, optimal_spreads, quote_prices
 
 __all__ = [
     "Policy",
     "DayResult",
-    "optimal_martingale_policy",
-    "optimal_forecast_policy",
-    "fixed_level_policy",
     "run_day",
     "aggregate",
     "subsample_bootstrap_ci",
-    "compare_strategies",
     "summarize",
     "report_to_csv",
     "report_to_json",
@@ -42,32 +37,37 @@ DEFAULT_ORDER_VOLUME = 500
 
 @dataclass(frozen=True)
 class Policy:
-    kind: str                     # optimal_martingale | optimal_forecast | fixed_level
-    name: str
+    """One quoting rule of the study: the optimal spreads of ``table``
+    under a martingale price or (``forecast``) with the local drift
+    forecast, or, for ``level`` >= 1, the price of that book level."""
+
     table: CoefficientTable | None = None
     level: int = 0
-    order_volume: int = DEFAULT_ORDER_VOLUME
-    min_spread_ticks: int = 1
+    forecast: bool = False
 
+    @property
+    def name(self) -> str:
+        if self.level:
+            return f"fixed_level_{self.level}"
+        return "optimal_forecast" if self.forecast else "optimal_martingale"
 
-def optimal_martingale_policy(table: CoefficientTable,
-                              order_volume: int = DEFAULT_ORDER_VOLUME) -> Policy:
-    return Policy(kind="optimal_martingale", name="optimal_martingale",
-                  table=table, order_volume=order_volume)
+    @classmethod
+    def named(cls, name: str, table: CoefficientTable | None = None):
+        """The rule a report name stands for; the optimal rules quote from
+        ``table``."""
+        if name in ("optimal_martingale", "optimal_forecast"):
+            return cls(table=table, forecast=name == "optimal_forecast")
+        prefix, _, level = name.rpartition("_")
+        if prefix != "fixed_level" or not level.isdecimal():
+            raise ValueError(f"unknown policy {name!r}")
+        if int(level) < 1:
+            raise ValueError(f"policy {name!r}: level must be >= 1")
+        return cls(level=int(level))
 
-
-def optimal_forecast_policy(table: CoefficientTable,
-                            order_volume: int = DEFAULT_ORDER_VOLUME) -> Policy:
-    return Policy(kind="optimal_forecast", name="optimal_forecast",
-                  table=table, order_volume=order_volume)
-
-
-def fixed_level_policy(level: int,
-                       order_volume: int = DEFAULT_ORDER_VOLUME) -> Policy:
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return Policy(kind="fixed_level", name=f"fixed_level_{level}",
-                  level=level, order_volume=order_volume)
+    def spreads(self, k: int, S, I, shift=0.0):
+        """Optimal spreads (L+, L-) at step k for inventory I; ``shift`` is
+        the forecast aggregate (0 for a martingale price)."""
+        return optimal_spreads(self.table, k, I, shift)
 
 
 @dataclass
@@ -95,18 +95,19 @@ def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float,
 
 
 def run_day(params: MarketParams, policy: Policy, events_or_replay,
-            day_id=None, K: int = 20) -> DayResult:
-    """Replay one session under one policy. Deterministic."""
+            day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
+            ) -> DayResult:
+    """Replay one session under one policy, resting ``order_volume`` shares
+    on each side at every step. Deterministic."""
     tick = params.tick_size
     if isinstance(events_or_replay, ReplayResult):
         rep = events_or_replay
     else:
-        rep = replay(events_or_replay, params.grid, K=K, tick_size=tick)
+        rep = replay(events_or_replay, params.grid, tick_size=tick)
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
-    table = policy.table
-    drifts = (drift_forecast_series(mids)[0]
-              if policy.kind == "optimal_forecast" else np.zeros(n))
+    drifts = (drift_forecast_series(mids)[0] if policy.forecast
+              else np.zeros(n))
 
     W = 0.0
     I = 0.0
@@ -114,21 +115,20 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     flags = []
     for k in range(n):
         S = mids[k]
-        if policy.kind == "fixed_level":
+        if policy.level:
             snap = rep.snapshots[k]
             ask_ticks, ask_fb = snap.occupied_price("ask", policy.level)
             bid_ticks, bid_fb = snap.occupied_price("bid", policy.level)
             if ask_fb or bid_fb:
                 flags.append(f"level fallback at step {k}")
         else:
-            Lp, Lm = optimal_spreads(table, k, I, drifts[k])
+            Lp, Lm = policy.spreads(k, S, I, drifts[k])
             ask, bid = quote_prices(S, Lp, Lm, tick)
             ask_ticks = int(round(ask / tick))
             bid_ticks = int(round(bid / tick))
-        ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick,
-                                             policy.min_spread_ticks)
-        Qp = fill_quantity(ask_ticks, policy.order_volume, "ask", rep.flows[k])
-        Qm = fill_quantity(bid_ticks, policy.order_volume, "bid", rep.flows[k])
+        ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
+        Qp = fill_quantity(ask_ticks, order_volume, "ask", rep.flows[k])
+        Qm = fill_quantity(bid_ticks, order_volume, "bid", rep.flows[k])
         if Qp:
             W += ask_ticks * tick * Qp
             I -= Qp
@@ -207,26 +207,6 @@ def subsample_bootstrap_ci(values, level: float = 0.95, m: int | None = None,
     q = float(np.quantile(np.abs(roots), level))
     half = q / math.sqrt(n)
     return (theta - half, theta + half)
-
-
-def compare_strategies(day_params, policies, day_replays, day_ids=None,
-                       excluded_days=(), bootstrap_seed: int = 0):
-    """Run every policy over every day and ``summarize`` the results; a
-    day the book or the parameters reject counts as incomplete.
-    ``day_params`` holds each day's calibrated MarketParams (a list
-    parallel to ``day_replays``)."""
-    day_ids = range(len(day_replays)) if day_ids is None else day_ids
-    by_policy = {}
-    for policy in policies:
-        results = by_policy[policy.name] = []
-        for params, rep, day_id in zip(day_params, day_replays, day_ids):
-            try:
-                results.append(run_day(params, policy, rep, day_id=day_id))
-            except (BookError, ValueError, ArithmeticError) as exc:
-                results.append(DayResult(day_id, *[np.nan] * 5, fills=0,
-                                         incomplete=True,
-                                         flags=[f"error: {exc}"]))
-    return summarize(by_policy, excluded_days, bootstrap_seed)
 
 
 def summarize(by_policy, excluded_days=(), bootstrap_seed: int = 0):

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,7 @@ from .lob import read_events_binary, read_events_csv, replay
 from .model import (MarketParams, TimeGrid, load_params, save_params,
                     validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
-                        TwoPointIndependent, make_table_policy,
-                        monte_carlo_value, run_episode)
+                        TwoPointIndependent, monte_carlo_value, run_episode)
 from .solver import backward_pass, optimal_spreads, table_to_csv
 
 DEFAULT_SEED = 12345
@@ -118,16 +118,6 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _make_policy(name: str, table, order_volume: int) -> bt.Policy:
-    if name == "optimal_martingale":
-        return bt.optimal_martingale_policy(table, order_volume)
-    if name == "optimal_forecast":
-        return bt.optimal_forecast_policy(table, order_volume)
-    if name.startswith("fixed_level_"):
-        return bt.fixed_level_policy(int(name.rsplit("_", 1)[1]), order_volume)
-    raise ValueError(f"unknown policy {name!r}")
-
-
 def _read_events(path: Path):
     if path.suffix == ".csv":
         return read_events_csv(path)
@@ -201,7 +191,7 @@ def cmd_simulate(cfg) -> int:
             mom.minus.mu_p, mom.minus.mu_p2 - mom.minus.mu_p ** 2))
     market = SimMarket(params=p, demand=demand,
                        price=PriceModel(S0=float(cfg.get("S0", 100.0))))
-    policy = make_table_policy(table)
+    policy = bt.Policy.named("optimal_martingale", table)
     n_paths = int(cfg["n_paths"])
     seed = int(cfg["seed"])
     (mean, se) = monte_carlo_value(policy, market, n_paths, seed,
@@ -217,7 +207,8 @@ def cmd_simulate(cfg) -> int:
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    ep = run_episode(policy, market, seed)
+    # the sample episode is path 0 of the run summarised above
+    ep = run_episode(policy, market, np.random.SeedSequence(seed).spawn(1)[0])
     with open(out / "episode0.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["k", "S", "W", "I", "L_plus", "L_minus",
@@ -285,26 +276,27 @@ def cmd_estimate(cfg) -> int:
 
 
 def _backtest_one_day(task):
-    """Worker: (day, params file, events file, ...) -> (day, rows, error);
-    a failed day gets an incomplete row per policy, in any process."""
-    day_idx, params_path, events_path, policy_names, order_volume = task
+    """Worker: (day, params file, events file, policies, order volume) ->
+    (day, rows, error); the optimal policies quote from the day's solved
+    params, and a failed day gets an incomplete row per policy, in any
+    process."""
+    day_idx, params_path, events_path, policies, order_volume = task
     try:
         p = load_params(params_path)
         events = _read_events(Path(events_path))
         rep = replay(events, p.grid, tick_size=p.tick_size)
-        table = None
+        table = (backward_pass(p) if any(not pol.level for pol in policies)
+                 else None)
         rows = []
-        for name in policy_names:
-            if name.startswith("optimal") and table is None:
-                table = backward_pass(p)
-            pol = _make_policy(name, table, order_volume)
-            r = bt.run_day(p, pol, rep, day_id=day_idx)
-            rows.append([day_idx, name, r.objective, r.liquidation_value,
+        for pol in policies:
+            r = bt.run_day(p, replace(pol, table=table), rep, day_id=day_idx,
+                           order_volume=order_volume)
+            rows.append([day_idx, pol.name, r.objective, r.liquidation_value,
                          r.W_T, r.I_T, r.S_T, r.fills, int(r.incomplete)])
     except Exception as exc:  # one bad day must not end the sweep
         nan = float("nan")
-        return day_idx, [[day_idx, name, nan, nan, nan, nan, nan, 0, 1]
-                         for name in policy_names], repr(exc)
+        return day_idx, [[day_idx, pol.name, nan, nan, nan, nan, nan, 0, 1]
+                         for pol in policies], repr(exc)
     return day_idx, rows, None
 
 
@@ -314,13 +306,18 @@ def cmd_backtest(cfg) -> int:
     if not events_dir.is_dir() or not params_dir.is_dir():
         print("backtest needs events and params directories", file=sys.stderr)
         return EXIT_MISSING_PARAMS
+    try:
+        policies = [bt.Policy.named(name) for name in cfg["policies"]]
+    except ValueError as exc:
+        print(f"invalid policies: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     out = _outdir(cfg)
     files = _day_files(events_dir)
     tasks = []
     for i, path in enumerate(files):
         pp = params_dir / f"params_day_{i:04d}.yaml"
         if pp.exists():
-            tasks.append((i, str(pp), str(path), list(cfg["policies"]),
+            tasks.append((i, str(pp), str(path), policies,
                           int(cfg["order_volume"])))
     if not tasks:
         print("no days with calibrated parameters", file=sys.stderr)

@@ -25,7 +25,6 @@ __all__ = [
     "estimate_day",
     "daily_moments",
     "rolling_params",
-    "drift_forecast",
     "drift_forecast_series",
     "structural_break_flags",
     "nearest_rank_quantile",
@@ -117,18 +116,10 @@ def fit_arrival_curves(ind_plus_days, ind_minus_days) -> ArrivalSchedule:
     return ArrivalSchedule(pi_plus=pi_p, pi_minus=pi_m, pi_joint=clipped)
 
 
-def _level_weights(distances: np.ndarray, tick_size: float,
-                   scheme: str) -> np.ndarray:
-    if scheme == "inverse":
-        return 1.0 / (1.0 + distances / tick_size)
-    if scheme == "uniform":
-        return np.ones_like(distances)
-    raise ValueError(f"unknown weight scheme {scheme!r}")
-
-
 def _regress_side(side: str, snapshot, flow: IntervalFlow, S: float,
-                  level_depth: int, tick_size: float, weight_scheme: str):
-    """Weighted linear fit of measured demand against placement distance.
+                  level_depth: int, tick_size: float):
+    """Weighted linear fit of measured demand against placement distance,
+    each level weighted by the inverse of 1 + its distance in ticks.
 
     Returns (c, p, valid). Demand at distance l follows D(l) = c (p - l)
     where it is positive; zero-fill levels are censored and excluded.
@@ -148,7 +139,7 @@ def _regress_side(side: str, snapshot, flow: IntervalFlow, S: float,
         return 0.0, 0.0, False
     x = dist[keep]
     y = fills[keep]
-    w = _level_weights(x, tick_size, weight_scheme)
+    w = 1.0 / (1.0 + x / tick_size)
     X = np.column_stack([np.ones_like(x), x])
     Wm = X * w[:, None]
     coef, *_ = np.linalg.lstsq(Wm, y * w, rcond=None)
@@ -163,22 +154,20 @@ def _regress_side(side: str, snapshot, flow: IntervalFlow, S: float,
 
 
 def estimate_demand_interval(snapshot, flow: IntervalFlow, S: float,
-                             level_depth: int = 10, tick_size: float = 1.0,
-                             weight_scheme: str = "inverse"):
+                             level_depth: int = 10, tick_size: float = 1.0):
     """Per-side demand parameters for one interval.
 
     Returns (c_plus, p_plus, c_minus, p_minus, (valid_plus, valid_minus)).
     """
     cp, ppr, vp = _regress_side("ask", snapshot, flow, S, level_depth,
-                                tick_size, weight_scheme)
+                                tick_size)
     cm, pmr, vm = _regress_side("bid", snapshot, flow, S, level_depth,
-                                tick_size, weight_scheme)
+                                tick_size)
     return cp, ppr, cm, pmr, (vp, vm)
 
 
 def estimate_day(rep: ReplayResult, day_id, level_depth: int = 10,
-                 tick_size: float = 1.0,
-                 weight_scheme: str = "inverse") -> DayEstimates:
+                 tick_size: float = 1.0) -> DayEstimates:
     """Full single-day pass: indicators plus per-interval regressions."""
     n = len(rep.flows)
     ind_p, ind_m = arrival_indicators(rep.flows)
@@ -193,8 +182,7 @@ def estimate_day(rep: ReplayResult, day_id, level_depth: int = 10,
             continue
         cp, ppr, cm, pmr, (vp, vm) = estimate_demand_interval(
             rep.snapshots[k], rep.flows[k], float(rep.midprices[k]),
-            level_depth=level_depth, tick_size=tick_size,
-            weight_scheme=weight_scheme)
+            level_depth=level_depth, tick_size=tick_size)
         c_p[k], p_p[k], v_p[k] = cp, ppr, vp
         c_m[k], p_m[k], v_m[k] = cm, pmr, vm
     return DayEstimates(day_id=day_id, ind_plus=ind_p, ind_minus=ind_m,
@@ -255,17 +243,10 @@ def rolling_params(day_index: int, store, window: int = 20,
                         lam=lam, tick_size=tick_size)
 
 
-def drift_forecast(midprices) -> float:
-    """Average of the last five midprice increments; zero during warm-up."""
-    m = np.asarray(midprices, dtype=float)
-    if len(m) < _DRIFT_LAG + 1:
-        return 0.0
-    return float((m[-1] - m[-1 - _DRIFT_LAG]) / _DRIFT_LAG)
-
-
 def drift_forecast_series(midprices):
-    """Per-step forecasts with a warm-up mask (True where history was too
-    short and the forecast defaulted to zero)."""
+    """Per-step forecasts, each the average of the last five midprice
+    increments up to that step, with a warm-up mask (True where history was
+    too short and the forecast defaulted to zero)."""
     m = np.asarray(midprices, dtype=float)
     n = len(m)
     out = np.zeros(n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DemandMoments, MarketParams, SideMoments
-from .solver import CoefficientTable, optimal_spreads
+from .solver import CoefficientTable
 
 __all__ = [
     "SideDistribution",
@@ -38,9 +38,6 @@ __all__ = [
     "monte_carlo_values",
     "brute_force_value_small",
     "one_step_objective",
-    "make_table_policy",
-    "make_fixed_spread_policy",
-    "perturb_policy",
 ]
 
 _SAMPLE_FLOOR = 1e-9
@@ -286,9 +283,10 @@ def _path_draws(seed_seq, n: int):
 
 def _steps(policy, market: SimMarket, u, z):
     """Advance len(z) paths together through the model's step dynamics from
-    S0 with no cash or inventory. After step k it yields the state (S, W, I)
-    and the step's (L+, L-, Q+, Q-, arrival indicators), all arrays over
-    the paths; W and I are updated in place, so read them before resuming.
+    S0 with no cash or inventory, quoting ``policy.spreads(k, S, I)`` (a
+    ``backtest.Policy``). After step k it yields the state (S, W, I) and
+    the step's (L+, L-, Q+, Q-, arrival indicators), all arrays over the
+    paths; W and I are updated in place, so read them before resuming.
 
     Fills follow the linear demand rule verbatim: they are negative when a
     quote lies beyond the taker's reservation price.
@@ -381,40 +379,6 @@ def monte_carlo_value(policy, market: SimMarket, n_paths: int, base_seed: int,
     (stats,), _ = monte_carlo_values([policy], market, n_paths, base_seed,
                                      chunk_size=chunk_size)
     return stats
-
-
-# ---------------------------------------------------------------------------
-# Simulation policies
-# ---------------------------------------------------------------------------
-
-def make_table_policy(table: CoefficientTable):
-    """Quoting policy driven by solver coefficients (martingale price)."""
-
-    class _TablePolicy:
-        def spreads(self, k, S, I):
-            return optimal_spreads(table, k, I)
-
-    return _TablePolicy()
-
-
-def make_fixed_spread_policy(L_plus: float, L_minus: float):
-    class _FixedPolicy:
-        def spreads(self, k, S, I):
-            return (np.broadcast_to(L_plus, np.shape(I)),
-                    np.broadcast_to(L_minus, np.shape(I)))
-
-    return _FixedPolicy()
-
-
-def perturb_policy(base, eps: float):
-    """Shift both quoted spreads of another policy by a constant."""
-
-    class _Perturbed:
-        def spreads(self, k, S, I):
-            Lp, Lm = base.spreads(k, S, I)
-            return Lp + eps, Lm + eps
-
-    return _Perturbed()
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,9 @@ def nonmartingale_value_adjustments(table: CoefficientTable, k: int,
         ed_m = a * mom_m.mu_c2 - mom_m.mu_c
         A2p = table.beta_plus[j] * hn / (2 * gam)
         A2m = table.beta_minus[j] * hn / (2 * gam)
-        A3p = (table.A3_plus[j]
-               + (pm * ed_m * (pp * d_j * mom_p.mu_c)
-                  + pj * a * mom_p.mu_c * mom_m.mu_c * (-pm * d_j * mom_m.mu_c))
-               / (2 * gam))
-        A3m = (table.A3_minus[j]
-               + (pp * ed_p * (-pm * d_j * mom_m.mu_c)
-                  + pj * a * mom_p.mu_c * mom_m.mu_c * (pp * d_j * mom_p.mu_c))
-               / (2 * gam))
+        # the table's A3 plus the term optimal_spreads adds for a shift d_j
+        A3p = table.A3_plus[j] + table.beta_plus[j] * d_j / (2 * gam)
+        A3m = table.A3_minus[j] - table.beta_minus[j] * d_j / (2 * gam)
 
         g_tilde = _g_step(g_tilde, pp, pm, pj, a, mom_p, mom_m,
                           ed_p, ed_m, A2p, A2m, A3p, A3m, hn, d_j)

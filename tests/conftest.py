@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,27 @@ def random_valid_params(rng, n_steps=None, force_pi_joint=None,
         moments=DemandMoments(plus=side(), minus=side()),
         lam=lam if lam is not None else float(rng.uniform(0.0, 0.01)),
     )
+
+
+@dataclass(frozen=True)
+class FixedSpreadPolicy:
+    """Simulation policy quoting the same spreads at every step."""
+
+    L_plus: float
+    L_minus: float
+
+    def spreads(self, k, S, I):
+        return (np.broadcast_to(self.L_plus, np.shape(I)),
+                np.broadcast_to(self.L_minus, np.shape(I)))
+
+
+@dataclass(frozen=True)
+class PerturbedPolicy:
+    """Another policy's spreads, both shifted by ``eps``."""
+
+    base: object
+    eps: float
+
+    def spreads(self, k, S, I):
+        Lp, Lm = self.base.spreads(k, S, I)
+        return Lp + self.eps, Lm + self.eps

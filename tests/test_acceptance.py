@@ -8,22 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from hfmm.backtest import (fixed_level_policy, optimal_forecast_policy,
-                           optimal_martingale_policy, run_day,
-                           subsample_bootstrap_ci)
+from hfmm.backtest import Policy, run_day, subsample_bootstrap_ci
 from hfmm.estimation import daily_moments, estimate_day, rolling_params
 from hfmm.lob import replay, write_events_binary
 from hfmm.model import (DemandMoments, MarketParams, symmetric_params)
 from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
                             TwoPointIndependent, brute_force_value_small,
-                            make_table_policy, monte_carlo_values,
-                            perturb_policy)
+                            monte_carlo_values)
 from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
                          inventory_threshold, optimal_spreads)
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
-from conftest import random_valid_params
+from conftest import PerturbedPolicy, random_valid_params
 
 _MOMENT_FIELDS = ("mu_c", "mu_c2", "mu_cp", "mu_c2p", "mu_c2p2",
                   "mu_p", "mu_p2")
@@ -151,8 +148,9 @@ def test_criterion_05_monte_carlo_matches_value_recursion():
     start = time.monotonic()
     params, market = benchmark_market(n_steps=50)
     table = backward_pass(params)
-    (stats, _) = monte_carlo_values([make_table_policy(table)], market,
-                                    100_000, base_seed=2024)
+    (stats, _) = monte_carlo_values(
+        [Policy.named("optimal_martingale", table)], market, 100_000,
+        base_seed=2024)
     mean, se = stats[0]
     g0 = float(table.g[0])
     elapsed = time.monotonic() - start
@@ -198,9 +196,9 @@ def test_criterion_06_brute_force_two_step():
 def test_criterion_07_uniform_perturbations_lose():
     params, market = benchmark_market(n_steps=50)
     table = backward_pass(params)
-    base = make_table_policy(table)
+    base = Policy.named("optimal_martingale", table)
     eps_list = [0.05, -0.05, 0.1, -0.1, 0.5, -0.5]
-    policies = [base] + [perturb_policy(base, e) for e in eps_list]
+    policies = [base] + [PerturbedPolicy(base, e) for e in eps_list]
     _, objectives = monte_carlo_values(policies, market, 100_000,
                                        base_seed=7)
     lines = []
@@ -276,10 +274,7 @@ def test_criterion_09_synthetic_year_ordering_and_cis():
                                 tick_size=cfg.tick_size,
                                 session_start_ns=10 ** 9)
         table = backward_pass(params)
-        policies = [optimal_forecast_policy(table),
-                    optimal_martingale_policy(table)] + \
-            [fixed_level_policy(level) for level in (1, 2, 3, 4)]
-        for pol in policies:
+        for pol in (Policy.named(name, table) for name in names):
             objs[pol.name].append(
                 run_day(params, pol, replays[d], day_id=d).objective)
     arr = {k: np.asarray(v) for k, v in objs.items()}
@@ -335,7 +330,7 @@ def test_criterion_10_full_day_performance_and_determinism(tmp_path):
     events, truth = generate_day(cfg, seed=77)
     assert len(events) > 900_000
     table = backward_pass(truth.params)
-    policy = optimal_martingale_policy(table)
+    policy = Policy.named("optimal_martingale", table)
     start = time.monotonic()
     rep = replay(events, truth.params.grid, tick_size=cfg.tick_size)
     first = run_day(truth.params, policy, rep, day_id=0)

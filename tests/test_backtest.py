@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hfmm.backtest import (DayResult, aggregate, compare_strategies,
-                           fixed_level_policy, optimal_forecast_policy,
-                           optimal_martingale_policy, report_to_csv,
-                           report_to_json, run_day, subsample_bootstrap_ci)
+from hfmm.backtest import (DayResult, Policy, aggregate, report_to_csv,
+                           report_to_json, run_day, subsample_bootstrap_ci,
+                           summarize)
 from hfmm.backtest import _clamp_quotes
-from hfmm.lob import BookEvent, replay
+from hfmm.lob import BookError, BookEvent, replay
 from hfmm.model import TimeGrid, symmetric_params
-from hfmm.solver import backward_pass
+from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
@@ -65,13 +64,36 @@ class TestClampQuotes:
         assert _clamp_quotes(10001, 10000, 10000.5, 1.0, 3) == (10003, 9998)
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("name", ["optimal_forecast", "optimal_martingale",
+                                      "fixed_level_1", "fixed_level_12"])
+    def test_name_round_trip(self, name):
+        assert Policy.named(name).name == name
+
+    @pytest.mark.parametrize("name", ["fixed_level_0", "fixed_level_-1",
+                                      "fixed_level_x", "fixed_level_",
+                                      "optimal", "level_2"])
+    def test_unknown_or_bad_level_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            Policy.named(name)
+
+    def test_spreads_are_the_solver_rule(self):
+        table = backward_pass(symmetric_params(100.0, 5.0, 0.2, 0.05,
+                                               0.0005, 10))
+        I = np.array([-300.0, 0.0, 120.0])
+        for name in ("optimal_forecast", "optimal_martingale"):
+            got = Policy.named(name, table).spreads(3, 100.0, I, 0.02)
+            want = optimal_spreads(table, 3, I, 0.02)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestRunDay:
     def test_quiet_day_zero_everything(self):
         params = one_step_params()
         table = backward_pass(params)
-        for policy in (optimal_martingale_policy(table),
-                       optimal_forecast_policy(table),
-                       fixed_level_policy(1)):
+        for name in ("optimal_martingale", "optimal_forecast",
+                     "fixed_level_1"):
+            policy = Policy.named(name, table)
             res = run_day(params, policy, quiet_day_events())
             assert res.W_T == 0.0
             assert res.I_T == 0.0
@@ -81,7 +103,8 @@ class TestRunDay:
 
     def test_single_fill_arithmetic(self):
         params = one_step_params()
-        res = run_day(params, fixed_level_policy(2), single_mo_events())
+        res = run_day(params, Policy.named("fixed_level_2"),
+                      single_mo_events())
         # placed at the 2nd ask level 10002; 200 shares priced better
         assert res.I_T == -400.0
         assert res.W_T == pytest.approx(400 * 10002.0)
@@ -95,7 +118,8 @@ class TestRunDay:
 
     def test_accounting_identity(self):
         params = one_step_params()
-        res = run_day(params, fixed_level_policy(2), single_mo_events())
+        res = run_day(params, Policy.named("fixed_level_2"),
+                      single_mo_events())
         avg = (100 * 10002 + 300 * 10003) / 400
         lhs = res.objective - res.liquidation_value
         rhs = (res.S_T - params.lam * res.I_T) * res.I_T - avg * res.I_T
@@ -104,15 +128,17 @@ class TestRunDay:
     def test_fixed_level_fallback_flagged(self):
         # only two ask levels, policy wants the 5th
         params = one_step_params()
-        res = run_day(params, fixed_level_policy(5), quiet_day_events())
+        res = run_day(params, Policy.named("fixed_level_5"),
+                      quiet_day_events())
         assert any("fallback" in f for f in res.flags)
 
     def test_determinism(self):
         cfg = SyntheticDayConfig(n_steps=200)
         events, truth = generate_day(cfg, seed=1)
         table = backward_pass(truth.params)
-        a = run_day(truth.params, optimal_forecast_policy(table), events)
-        b = run_day(truth.params, optimal_forecast_policy(table), events)
+        policy = Policy.named("optimal_forecast", table)
+        a = run_day(truth.params, policy, events)
+        b = run_day(truth.params, policy, events)
         assert (a.W_T, a.I_T, a.objective, a.liquidation_value, a.fills) == \
                (b.W_T, b.I_T, b.objective, b.liquidation_value, b.fills)
 
@@ -121,8 +147,9 @@ class TestRunDay:
         events, truth = generate_day(cfg, seed=2)
         table = backward_pass(truth.params)
         rep = replay(events, truth.params.grid, tick_size=cfg.tick_size)
-        a = run_day(truth.params, optimal_martingale_policy(table), events)
-        b = run_day(truth.params, optimal_martingale_policy(table), rep)
+        policy = Policy.named("optimal_martingale", table)
+        a = run_day(truth.params, policy, events)
+        b = run_day(truth.params, policy, rep)
         assert a.objective == b.objective
 
 
@@ -185,47 +212,57 @@ class TestSubsampleBootstrap:
         assert w_big < w_small
 
 
-class TestCompareStrategies:
-    def _quiet_setup(self, n_days=6):
-        params = one_step_params()
-        table = backward_pass(params)
-        days = [quiet_day_events() for _ in range(n_days)]
-        policies = [optimal_martingale_policy(table), fixed_level_policy(1)]
-        return params, policies, days
+def quiet_policies(n_days):
+    params = one_step_params()
+    table = backward_pass(params)
+    policies = [Policy.named("optimal_martingale", table),
+                Policy.named("fixed_level_1")]
+    return params, policies, [quiet_day_events() for _ in range(n_days)]
 
+
+def sweep(params, policies, days):
+    """Each policy's DayResults over the days, as ``cmd_backtest`` runs
+    them."""
+    return {pol.name: [run_day(params, pol, day, day_id=d)
+                       for d, day in enumerate(days)] for pol in policies}
+
+
+class TestCompareStrategies:
     def test_quiet_days_tie_at_zero(self):
-        params, policies, days = self._quiet_setup()
-        rep = compare_strategies([params] * len(days), policies, days)
+        params, policies, days = quiet_policies(6)
+        rep = summarize(sweep(params, policies, days))
         for entry in rep["policies"].values():
             assert entry["all"]["objective_mean"] == 0.0
             assert entry["all"]["n_days"] == len(days)
             assert entry["all"]["ci_bootstrap"] == [0.0, 0.0]
 
     def test_excluded_days_only_affect_filtered(self):
-        params, policies, days = self._quiet_setup(6)
-        rep = compare_strategies([params] * 6, policies, days,
-                                 excluded_days=[0, 3])
+        params, policies, days = quiet_policies(6)
+        rep = summarize(sweep(params, policies, days), excluded_days=[0, 3])
         assert rep["n_excluded"] == 2
         entry = rep["policies"]["fixed_level_1"]
         assert entry["all"]["n_days"] == 6
         assert entry["filtered"]["n_days"] == 4
 
     def test_failing_day_does_not_abort(self):
-        params, policies, days = self._quiet_setup(3)
+        # run_day raises on a day the book rejects; the CLI records it as
+        # an incomplete row, which summarize counts but does not average
+        params, policies, days = quiet_policies(3)
         days[1] = [ev(5, "add", "bid", 10000, 10, 1),
                    ev(4, "add", "ask", 10001, 10, 2)]  # out of order
-        rep = compare_strategies([params] * 3, policies, days)
+        with pytest.raises(BookError):
+            run_day(params, policies[1], days[1])
+        failed = DayResult(1, *[np.nan] * 5, fills=0, incomplete=True)
+        rep = summarize({pol.name: [run_day(params, pol, days[0], day_id=0),
+                                    failed,
+                                    run_day(params, pol, days[2], day_id=2)]
+                         for pol in policies})
+        assert rep["n_days"] == 3
         assert rep["policies"]["fixed_level_1"]["all"]["n_days"] == 2
 
-    def test_programming_error_is_not_an_incomplete_day(self):
-        params, policies, days = self._quiet_setup(3)
-        days[1] = 42  # not an event stream: a caller's bug, not a bad day
-        with pytest.raises(TypeError):
-            compare_strategies([params] * 3, policies, days)
-
     def test_single_day_count(self):
-        params, policies, days = self._quiet_setup(1)
-        rep = compare_strategies([params], policies, days)
+        params, policies, days = quiet_policies(1)
+        rep = summarize(sweep(params, policies, days))
         block = rep["policies"]["optimal_martingale"]["all"]
         assert block["n_days"] == 1
         assert "ci_bootstrap" not in block
@@ -233,11 +270,8 @@ class TestCompareStrategies:
 
 class TestReportSerialization:
     def test_csv_and_json(self, tmp_path):
-        params = one_step_params()
-        table = backward_pass(params)
-        policies = [optimal_martingale_policy(table), fixed_level_policy(1)]
-        days = [quiet_day_events() for _ in range(5)]
-        rep = compare_strategies([params] * 5, policies, days)
+        params, policies, days = quiet_policies(5)
+        rep = summarize(sweep(params, policies, days))
         csv_path = tmp_path / "report.csv"
         json_path = tmp_path / "report.json"
         report_to_csv(rep, csv_path)
@@ -264,7 +298,7 @@ class TestSyntheticDays:
         cfg = SyntheticDayConfig(n_steps=400)
         replays, truth = self._days(cfg, 9, seed0=300)
         table = backward_pass(truth.params)
-        policy = optimal_martingale_policy(table)
+        policy = Policy.named("optimal_martingale", table)
         gaps = []
         for rep in replays:
             r = run_day(truth.params, policy, rep)
@@ -279,7 +313,7 @@ class TestSyntheticDays:
         cfg = SyntheticDayConfig(n_steps=400, lam=0.0)
         replays, truth = self._days(cfg, 40, seed0=500)
         table = backward_pass(truth.params)
-        policy = optimal_martingale_policy(table)
+        policy = Policy.named("optimal_martingale", table)
         objs = np.array([run_day(truth.params, policy, rep).objective
                          for rep in replays])
         g0 = float(table.g[0])

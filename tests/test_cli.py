@@ -128,6 +128,24 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["se"] is None and summary["z"] is None
 
+    def test_episode_is_monte_carlo_path_zero(self, tmp_path, params_file):
+        # one path: summary.json's mean is that path's terminal objective
+        out = tmp_path / "sim1"
+        cfgp = write_config(tmp_path, n_paths=1)
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(out), "--config", str(cfgp)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "episode0.csv") as fh:
+            row = list(csv.DictReader(fh))[-1]
+        last = {k: float(v) for k, v in row.items()}
+        S = last["S"]  # the CLI's price path is constant
+        W = (last["W"] + (S + last["L_plus"]) * last["Q_plus"]
+             - (S - last["L_minus"]) * last["Q_minus"])
+        I = last["I"] + last["Q_minus"] - last["Q_plus"]
+        objective = W + S * I - 0.0005 * I ** 2
+        assert objective == pytest.approx(summary["mean_objective"],
+                                          rel=1e-9)
+
     def test_env_seed_and_flag_precedence(self, tmp_path, params_file,
                                           monkeypatch):
         monkeypatch.setenv("HFMM_SEED", "999")
@@ -256,6 +274,26 @@ class TestFailedDays:
                      "--params", str(params_dir), "--out",
                      str(tmp_path / "bt3"), "--workers", "2",
                      "--config", str(write_config(tmp_path))]) == 1
+
+    def test_unknown_policy_rejected_before_any_day(self, tmp_path, capsys,
+                                                    monkeypatch):
+        events_dir = make_days(tmp_path, 1)
+        params_dir = tmp_path / "calib"
+        params_dir.mkdir()
+        save_params(symmetric_params(100.0, 5.0, 0.2, 0.0, 0.0005, N_STEPS),
+                    params_dir / "params_day_0000.yaml")
+
+        def no_reads(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("hfmm.cli._read_events", no_reads)
+        out = tmp_path / "bt"
+        assert main(["backtest", "--events", str(events_dir),
+                     "--params", str(params_dir), "--out", str(out),
+                     "--policies", "optimal_martingale,fixed_level_0",
+                     "--config", str(write_config(tmp_path))]) == 1
+        assert "fixed_level_0" in capsys.readouterr().err
+        assert not (out / "day_results.csv").exists()
 
     def test_report_counts_only_excluded_days_it_has(self, tmp_path):
         out = tmp_path / "bt"

@@ -3,10 +3,10 @@ import pytest
 
 from hfmm.estimation import (DayEstimates, arrival_indicators,
                              compute_break_errors, daily_moments,
-                             drift_forecast, drift_forecast_series,
-                             estimate_day, estimate_demand_interval,
-                             fit_arrival_curves, nearest_rank_quantile,
-                             rolling_params, structural_break_flags)
+                             drift_forecast_series, estimate_day,
+                             estimate_demand_interval, fit_arrival_curves,
+                             nearest_rank_quantile, rolling_params,
+                             structural_break_flags)
 from hfmm.estimation import _fit_quadratic
 from hfmm.lob import BookState, IntervalFlow, MORecord, replay
 from hfmm.model import TimeGrid, validate_params
@@ -119,13 +119,6 @@ class TestEstimateDemandInterval:
             snapshot, tiny, S=10000.5)
         assert not vp and not vm
 
-    def test_uniform_weights_same_on_exact_data(self):
-        snapshot, flow = linear_demand_flow()
-        cp, pp, *_ = estimate_demand_interval(snapshot, flow, S=10000.5,
-                                              weight_scheme="uniform")
-        assert cp == pytest.approx(100.0, abs=1e-9)
-        assert pp == pytest.approx(5.0, abs=1e-10)
-
     def test_noisy_levels_fit_between_extremes(self):
         # jittered ladder sizes: the fit lands near, not on, the base curve
         rng = np.random.default_rng(3)
@@ -231,28 +224,35 @@ class TestRollingParams:
         assert validate_params(params).valid
 
 
+def last_forecast(m):
+    """The drift forecast after the last midprice of ``m``."""
+    return drift_forecast_series(m)[0][-1]
+
+
 class TestDriftForecast:
     def test_linear_trend(self):
         m = 10000.5 + 0.01 * np.arange(30)
-        assert drift_forecast(m) == pytest.approx(0.01)
+        assert last_forecast(m) == pytest.approx(0.01)
 
     def test_constant_series_and_warmup(self):
-        assert drift_forecast(np.full(30, 10000.5)) == 0.0
-        assert drift_forecast(np.full(5, 10000.5)) == 0.0
+        assert last_forecast(np.full(30, 10000.5)) == 0.0
+        assert last_forecast(np.full(5, 10000.5)) == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)
         m = 10000.5 + np.cumsum(rng.normal(size=50))
-        assert drift_forecast(m + 123.0) == pytest.approx(drift_forecast(m))
+        assert last_forecast(m + 123.0) == pytest.approx(last_forecast(m))
 
     def test_series_matches_scalar(self):
+        # step k's forecast uses the midprices up to k and no later one
         rng = np.random.default_rng(6)
         m = 10000.5 + np.cumsum(rng.normal(size=40))
         out, warmup = drift_forecast_series(m)
         assert warmup[:5].all() and not warmup[5:].any()
         np.testing.assert_allclose(out[:5], 0.0)
         for k in range(5, 40):
-            assert out[k] == pytest.approx(drift_forecast(m[:k + 1]))
+            assert out[k] == pytest.approx(last_forecast(m[:k + 1]))
+            assert out[k] == pytest.approx((m[k] - m[k - 5]) / 5)
 
 
 class TestNearestRankQuantile:

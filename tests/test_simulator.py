@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid, symmetric_params)
 from hfmm.simulator import (DemandDistribution, GaussianCopulaLognormal,
                             LognormalIndependent, PointMass, PriceModel,
                             SimMarket, TwoPointIndependent, _arrivals_vec,
-                            brute_force_value_small, make_fixed_spread_policy,
-                            make_table_policy, monte_carlo_value,
+                            brute_force_value_small, monte_carlo_value,
                             monte_carlo_values, one_step_objective,
-                            perturb_policy, run_episode)
+                            run_episode)
 from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
                          optimal_spreads)
+
+from conftest import FixedSpreadPolicy, PerturbedPolicy
 
 
 def point_market(p, c=100.0, pv=5.0, **price_kwargs):
@@ -60,7 +62,7 @@ class TestStepDynamics:
         # a buy fill at step 0 leaves cash and inventory that a step with
         # no arrivals carries over unchanged
         market = sure_arrivals_market([1.0, 0.0], [0.0, 0.0])
-        ep = run_episode(make_fixed_spread_policy(2.5, 2.5), market, 0)
+        ep = run_episode(FixedSpreadPolicy(2.5, 2.5), market, 0)
         assert (ep.Q_plus[1], ep.Q_minus[1]) == (0.0, 0.0)
         assert (ep.W[2], ep.I[2]) == (ep.W[1], ep.I[1])
         assert ep.I[1] == -250.0
@@ -68,21 +70,21 @@ class TestStepDynamics:
 
     def test_buy_side_fill(self):
         market = sure_arrivals_market([1.0], [0.0])
-        ep = run_episode(make_fixed_spread_policy(2.5, 2.5), market, 0)
+        ep = run_episode(FixedSpreadPolicy(2.5, 2.5), market, 0)
         assert ep.Q_plus[0] == 250.0
         assert ep.W[1] == pytest.approx(250 * 102.5)
         assert ep.I[1] == -250.0
 
     def test_boundary_reservation_price(self):
         market = sure_arrivals_market([0.0], [1.0])
-        ep = run_episode(make_fixed_spread_policy(2.5, 5.0), market, 0)
+        ep = run_episode(FixedSpreadPolicy(2.5, 5.0), market, 0)
         assert ep.Q_minus[0] == 0.0
         assert ep.W[1] == 0.0
         assert ep.I[1] == 0.0
 
     def test_negative_fill_untruncated(self):
         market = sure_arrivals_market([1.0], [0.0])
-        ep = run_episode(make_fixed_spread_policy(6.0, 2.5), market, 0)
+        ep = run_episode(FixedSpreadPolicy(6.0, 2.5), market, 0)
         assert ep.Q_plus[0] == pytest.approx(-100.0)  # Q+ = 100*(5-6)
         assert ep.I[1] == pytest.approx(100.0)
 
@@ -95,13 +97,13 @@ class TestRunEpisode:
             demand=DemandDistribution(plus=PointMass(1e-9, 5.0),
                                       minus=PointMass(1e-9, 5.0)),
             price=PriceModel(S0=100.0))
-        ep = run_episode(make_fixed_spread_policy(2.5, 2.5), market, 0)
+        ep = run_episode(FixedSpreadPolicy(2.5, 2.5), market, 0)
         assert ep.terminal_objective == pytest.approx(0.0, abs=1e-5)
 
     def test_one_step_hand_case(self):
         p = symmetric_params(1, 4, 1.0, 1.0, 0.0, 1)
         market = point_market(p, c=1.0, pv=4.0)
-        ep = run_episode(make_fixed_spread_policy(2.0, 2.0), market, 0)
+        ep = run_episode(FixedSpreadPolicy(2.0, 2.0), market, 0)
         assert ep.Q_plus[0] == pytest.approx(2.0)
         assert ep.Q_minus[0] == pytest.approx(2.0)
         assert ep.terminal_objective == pytest.approx(8.0)
@@ -115,8 +117,8 @@ class TestRunEpisode:
                 plus=TwoPointIndependent((80, 120), (4, 6)),
                 minus=TwoPointIndependent((80, 120), (4, 6))),
             price=PriceModel(S0=100.0, vol=0.01))
-        e1 = run_episode(make_table_policy(t), market, 42)
-        e2 = run_episode(make_table_policy(t), market, 42)
+        e1 = run_episode(Policy.named("optimal_martingale", t), market, 42)
+        e2 = run_episode(Policy.named("optimal_martingale", t), market, 42)
         np.testing.assert_array_equal(e1.W, e2.W)
         np.testing.assert_array_equal(e1.S, e2.S)
 
@@ -129,7 +131,7 @@ class TestRunEpisode:
                 plus=TwoPointIndependent((80, 120), (4, 6)),
                 minus=TwoPointIndependent((80, 120), (4, 6))),
             price=PriceModel(S0=100.0, vol=0.02))
-        ep = run_episode(make_table_policy(t), market, 9)
+        ep = run_episode(Policy.named("optimal_martingale", t), market, 9)
         asks = ep.S[:-1] + ep.L_plus
         bids = ep.S[:-1] - ep.L_minus
         W_T = np.sum(asks * ep.Q_plus - bids * ep.Q_minus)
@@ -150,7 +152,7 @@ class TestRunEpisode:
             demand=DemandDistribution(
                 plus=TwoPointIndependent((80, 120), (4, 6)), minus=minus),
             price=PriceModel(S0=100.0, drift=0.01, vol=0.05))
-        pol = make_table_policy(backward_pass(p))
+        pol = Policy.named("optimal_martingale", backward_pass(p))
         n_paths, seed = 150, 31
         _, (objectives,) = monte_carlo_values([pol], market, n_paths, seed,
                                               chunk_size=64)
@@ -205,7 +207,8 @@ class TestMonteCarlo:
                          moments=DemandMoments(plus=side, minus=side),
                          lam=p.lam)
         t = backward_pass(p)
-        mean, se = monte_carlo_value(make_table_policy(t), market, 20000, 1)
+        mean, se = monte_carlo_value(Policy.named("optimal_martingale", t),
+                                     market, 20000, 1)
         assert abs(mean - t.g[0]) < 4 * se
 
     def test_determinism(self):
@@ -215,7 +218,7 @@ class TestMonteCarlo:
             moments=DemandMoments(plus=market.demand.plus.side_moments(),
                                   minus=market.demand.minus.side_moments()),
             lam=p.lam))
-        pol = make_table_policy(t)
+        pol = Policy.named("optimal_martingale", t)
         assert monte_carlo_value(pol, market, 4000, 5) == \
             monte_carlo_value(pol, market, 4000, 5)
 
@@ -225,8 +228,8 @@ class TestMonteCarlo:
         t = backward_pass(MarketParams(
             grid=p.grid, arrivals=p.arrivals,
             moments=DemandMoments(plus=side, minus=side), lam=p.lam))
-        base = make_table_policy(t)
-        policies = [base] + [perturb_policy(base, e)
+        base = Policy.named("optimal_martingale", t)
+        policies = [base] + [PerturbedPolicy(base, e)
                              for e in (-0.5, -0.1, 0.1, 0.5)]
         stats, objs = monte_carlo_values(policies, market, 40000, 3)
         opt = objs[0]

@@ -6,7 +6,7 @@ randomness in a run flows from the single configured seed, so repeated runs
 with identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 invalid inputs or total failure, 2 missing
-parameter/config file, 3 empty report.
+parameter/config file or event files, 3 empty report.
 """
 
 from __future__ import annotations
@@ -100,7 +100,11 @@ def _load_params_or_exit(cfg) -> MarketParams:
     if not path or not Path(path).exists():
         print(f"parameter file not found: {path!r}", file=sys.stderr)
         sys.exit(EXIT_MISSING_PARAMS)
-    p = load_params(path)
+    try:
+        p = load_params(path)
+    except ValueError as exc:
+        print(f"invalid params: {exc}", file=sys.stderr)
+        sys.exit(EXIT_FAILURE)
     if "lambda" in cfg:
         p = MarketParams(grid=p.grid, arrivals=p.arrivals, moments=p.moments,
                          lam=float(cfg["lambda"]), tick_size=p.tick_size)
@@ -125,11 +129,8 @@ def _read_events(path: Path):
 
 
 def _day_files(events_dir: Path):
-    files = sorted(p for p in events_dir.iterdir()
-                   if p.suffix in (".bin", ".csv"))
-    if not files:
-        raise FileNotFoundError(f"no event files in {events_dir}")
-    return files
+    return sorted(p for p in events_dir.iterdir()
+                  if p.suffix in (".bin", ".csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +157,17 @@ def cmd_solve(cfg) -> int:
                                pi_joint=pj),
             moments=p.moments, lam=p.lam, tick_size=p.tick_size)
         tables.append(backward_pass(variant))
+    columns = []
+    for t in tables:
+        for I in inv_grid:
+            Lp, Lm = optimal_spreads(t, slice(None), I)
+            columns.append([f"{x:.10f}" for x in (Lp + Lm).tolist()])
     with open(out / "spread_surface.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         header = ["k"] + [f"spread_pi11_{pi11}_I_{I}"
                           for pi11 in pi11_grid for I in inv_grid]
         w.writerow(header)
-        for k in range(p.grid.n_steps):
-            row = [k]
-            for t in tables:
-                for I in inv_grid:
-                    Lp, Lm = optimal_spreads(t, k, I)
-                    row.append(f"{Lp + Lm:.10f}")
-            w.writerow(row)
+        w.writerows(zip(range(p.grid.n_steps), *columns))
     print(f"wrote {out / 'coefficients.csv'} and {out / 'spread_surface.csv'}")
     return EXIT_OK
 
@@ -225,6 +225,10 @@ def cmd_estimate(cfg) -> int:
     if not events_dir.is_dir():
         print(f"event directory not found: {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
+    files = _day_files(events_dir)
+    if not files:
+        print(f"no event files in {events_dir}", file=sys.stderr)
+        return EXIT_MISSING_PARAMS
     n_steps = int(cfg.get("n_steps", 0))
     if not n_steps:
         print("config must set n_steps", file=sys.stderr)
@@ -237,7 +241,6 @@ def cmd_estimate(cfg) -> int:
     window = int(cfg["window"])
     store = []
     failures = 0
-    files = _day_files(events_dir)
     for i, path in enumerate(files):
         try:
             rep = replay(_read_events(path), grid, tick_size=tick)
@@ -311,8 +314,11 @@ def cmd_backtest(cfg) -> int:
     except ValueError as exc:
         print(f"invalid policies: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    out = _outdir(cfg)
     files = _day_files(events_dir)
+    if not files:
+        print(f"no event files in {events_dir}", file=sys.stderr)
+        return EXIT_MISSING_PARAMS
+    out = _outdir(cfg)
     tasks = []
     for i, path in enumerate(files):
         pp = params_dir / f"params_day_{i:04d}.yaml"

@@ -287,6 +287,12 @@ def params_to_dict(p: MarketParams) -> dict:
 def load_params(path) -> MarketParams:
     with open(path) as fh:
         doc = yaml.load(fh, Loader=_LOADER)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: parameter file is not a mapping")
+    for section in ("grid", "arrivals", "moments"):
+        if not isinstance(doc.get(section), dict):
+            raise ValueError(f"{path}: section {section!r} is missing or "
+                             "not a mapping")
     return params_from_dict(doc)
 
 

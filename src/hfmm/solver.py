@@ -92,103 +92,97 @@ class CoefficientTable:
         return self.n_steps - 1
 
 
-def _step_coefficients(pp: float, pm: float, pj: float, mp: SideMoments,
-                       mm: SideMoments, a: float, h_next: float):
-    """One backward step: returns (gamma, beta+, beta-, A1±, A2±, A3±)
-    given alpha and h at the next time index."""
-    ed_p = a * mp.mu_c2 - mp.mu_c
-    ed_m = a * mm.mu_c2 - mm.mu_c
-    gamma = (pj * a * mp.mu_c * mm.mu_c) ** 2 - pp * pm * ed_p * ed_m
-    if abs(gamma) < _GAMMA_FLOOR:
-        raise ArithmeticError(f"gamma vanished ({gamma}); invalid parameters")
-    beta_p = pp * pm * mp.mu_c * ed_m - pm * pj * a * mp.mu_c * mm.mu_c ** 2
-    beta_m = pp * pm * mm.mu_c * ed_p - pp * pj * a * mm.mu_c * mp.mu_c ** 2
-
-    A1p = beta_p * a / gamma
-    A1m = beta_m * a / gamma
-    A2p = beta_p * h_next / (2 * gamma)
-    A2m = beta_m * h_next / (2 * gamma)
-    A3p = (pm * ed_m * (pp * (mp.mu_cp - 2 * a * mp.mu_c2p)
-                        + 2 * a * pj * mp.mu_c * mm.mu_cp)
-           + pj * a * mp.mu_c * mm.mu_c
-           * (pm * (mm.mu_cp - 2 * a * mm.mu_c2p)
-              + 2 * a * pj * mm.mu_c * mp.mu_cp)) / (2 * gamma)
-    A3m = (pp * ed_p * (pm * (mm.mu_cp - 2 * a * mm.mu_c2p)
-                        + 2 * a * pj * mm.mu_c * mp.mu_cp)
-           + pj * a * mp.mu_c * mm.mu_c
-           * (pp * (mp.mu_cp - 2 * a * mp.mu_c2p)
-              + 2 * a * pj * mp.mu_c * mm.mu_cp)) / (2 * gamma)
-    return gamma, beta_p, beta_m, A1p, A1m, A2p, A2m, A3p, A3m
-
-
 def backward_pass(p: MarketParams) -> CoefficientTable:
     """Run the full reverse sweep k = N..0 from the terminal conditions
-    alpha = -lambda, h = g = 0."""
+    alpha = -lambda, h = g = 0.
+
+    Only alpha and h carry from one step to the next, so one loop over
+    Python floats computes them with each step's gamma, beta, A1, A2 and
+    A3; xi and g feed no recursion of the sweep and are then built
+    elementwise over the grid.
+    """
     n = p.grid.n_steps
     mom_p, mom_m = p.moments.plus, p.moments.minus
+    c_p, c2_p, cp_p, c2p_p = (float(mom_p.mu_c), float(mom_p.mu_c2),
+                              float(mom_p.mu_cp), float(mom_p.mu_c2p))
+    c_m, c2_m, cp_m, c2p_m = (float(mom_m.mu_c), float(mom_m.mu_c2),
+                              float(mom_m.mu_cp), float(mom_m.mu_c2p))
+    c_p_sq, c_m_sq = c_p ** 2, c_m ** 2
+    r_p, r_m = cp_p / c_p, cp_m / c_m
+    pi_p = p.arrivals.pi_plus.tolist()
+    pi_m = p.arrivals.pi_minus.tolist()
+    pi_j = p.arrivals.pi_joint.tolist()
 
-    gamma = np.empty(n)
-    beta_p = np.empty(n)
-    beta_m = np.empty(n)
-    A1p = np.empty(n)
-    A1m = np.empty(n)
-    A2p = np.empty(n)
-    A2m = np.empty(n)
-    A3p = np.empty(n)
-    A3m = np.empty(n)
-    xi = np.empty(n)
-    alpha = np.empty(n + 1)
-    h = np.empty(n + 1)
-    g = np.empty(n + 1)
-    alpha[n] = -p.lam
-    h[n] = 0.0
-    g[n] = 0.0
-
-    pi_p = p.arrivals.pi_plus
-    pi_m = p.arrivals.pi_minus
-    pi_j = p.arrivals.pi_joint
+    gamma, beta_p, beta_m = [0.0] * n, [0.0] * n, [0.0] * n
+    A1p, A1m, A2p, A2m = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    A3p, A3m = [0.0] * n, [0.0] * n
+    alpha, h = [0.0] * (n + 1), [0.0] * (n + 1)
+    a = alpha[n] = float(-p.lam)
+    hn = 0.0
 
     for k in range(n - 1, -1, -1):
         pp, pm, pj = pi_p[k], pi_m[k], pi_j[k]
-        a, hn = alpha[k + 1], h[k + 1]
-        (gamma[k], beta_p[k], beta_m[k],
-         A1p[k], A1m[k], A2p[k], A2m[k], A3p[k], A3m[k]) = _step_coefficients(
-            pp, pm, pj, mom_p, mom_m, a, hn)
+        a2 = 2 * a
+        ed_p = a * c2_p - c_p
+        ed_m = a * c2_m - c_m
+        joint = pj * a * c_p * c_m
+        gam = joint ** 2 - pp * pm * ed_p * ed_m
+        if abs(gam) < _GAMMA_FLOOR:
+            raise ArithmeticError(
+                f"gamma vanished at step k={k} ({gam}); invalid parameters")
+        bp = pp * pm * c_p * ed_m - pm * pj * a * c_p * c_m_sq
+        bm = pp * pm * c_m * ed_p - pp * pj * a * c_m * c_p_sq
+        a1p = bp * a / gam
+        a1m = bm * a / gam
+        a2p = bp * hn / (2 * gam)
+        a2m = bm * hn / (2 * gam)
+        u_p = pp * (cp_p - a2 * c2p_p) + a2 * pj * c_p * cp_m
+        u_m = pm * (cp_m - a2 * c2p_m) + a2 * pj * c_m * cp_p
+        a3p = (pm * ed_m * u_p + joint * u_m) / (2 * gam)
+        a3m = (pp * ed_p * u_m + joint * u_p) / (2 * gam)
 
-        ed_p = a * mom_p.mu_c2 - mom_p.mu_c
-        ed_m = a * mom_m.mu_c2 - mom_m.mu_c
-
+        cross = a2 * pj * c_p * c_m
         alpha[k] = (a
-                    + pp * (ed_p * A1p[k] ** 2 + 2 * a * mom_p.mu_c * A1p[k])
-                    + pm * (ed_m * A1m[k] ** 2 + 2 * a * mom_m.mu_c * A1m[k])
-                    + 2 * a * pj * mom_p.mu_c * mom_m.mu_c * A1p[k] * A1m[k])
+                    + pp * (ed_p * a1p ** 2 + a2 * c_p * a1p)
+                    + pm * (ed_m * a1m ** 2 + a2 * c_m * a1m)
+                    + cross * a1p * a1m)
+        # the two sides of the h update, with delta = +1 and delta = -1
+        da_p = a3p + a2p
+        da_m = a2m - a3m
+        h[k] = (hn
+                + (pp * (2 * ed_p * a1p * da_p + a2 * c_p * da_p - a2 * cp_p
+                         + a1p * (cp_p + hn * c_p - a2 * c2p_p))
+                   + pm * (2 * ed_m * a1m * da_m + a2 * c_m * da_m + a2 * cp_m
+                           - a1m * (cp_m - hn * c_m - a2 * c2p_m)))
+                - cross * (a1p * (a3m - a2m) - a1m * (a2p + a3p)
+                           + r_p * a1m - r_m * a1p))
 
-        h_sum = 0.0
-        for delta, pi_d, m, ed, A1, A2, A3 in (
-                (1.0, pp, mom_p, ed_p, A1p[k], A2p[k], A3p[k]),
-                (-1.0, pm, mom_m, ed_m, A1m[k], A2m[k], A3m[k])):
-            da = delta * A3 + A2
-            h_sum += pi_d * (2 * ed * A1 * da
-                             + 2 * a * m.mu_c * da
-                             - 2 * a * delta * m.mu_cp
-                             + delta * A1 * (m.mu_cp + delta * hn * m.mu_c
-                                             - 2 * a * m.mu_c2p))
-        h[k] = (hn + h_sum
-                - 2 * a * pj * mom_p.mu_c * mom_m.mu_c
-                * (A1p[k] * (A3m[k] - A2m[k])
-                   - A1m[k] * (A2p[k] + A3p[k])
-                   + mom_p.mu_cp / mom_p.mu_c * A1m[k]
-                   - mom_m.mu_cp / mom_m.mu_c * A1p[k]))
+        gamma[k], beta_p[k], beta_m[k] = gam, bp, bm
+        A1p[k], A1m[k], A2p[k], A2m[k], A3p[k], A3m[k] = (
+            a1p, a1m, a2p, a2m, a3p, a3m)
+        a, hn = alpha[k], h[k]
 
-        g[k] = _g_step(g[k + 1], pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
-                       A2p[k], A2m[k], A3p[k], A3m[k], hn, 0.0)
+    gamma, beta_p, beta_m = np.array(gamma), np.array(beta_p), np.array(beta_m)
+    A1p, A1m, A2p, A2m = (np.array(A1p), np.array(A1m), np.array(A2p),
+                          np.array(A2m))
+    A3p, A3m = np.array(A3p), np.array(A3m)
+    alpha, h = np.array(alpha), np.array(h)
 
-        xi[k] = (1.0
-                 + a / gamma[k]
-                 * (pp * beta_p[k] * (beta_p[k] / gamma[k] * ed_p + 2 * mom_p.mu_c)
-                    + pm * beta_m[k] * (beta_m[k] / gamma[k] * ed_m + 2 * mom_m.mu_c))
-                 + 2 * a ** 2 / gamma[k] ** 2
-                 * pj * mom_p.mu_c * mom_m.mu_c * beta_p[k] * beta_m[k])
+    a = alpha[1:]
+    arr = p.arrivals
+    ed_p = a * c2_p - c_p
+    ed_m = a * c2_m - c_m
+    # float_power squares through the C library's pow, as ** does on the
+    # sweep's scalars; an array's ** 2 multiplies, which can differ in the
+    # last bit
+    xi = (1.0
+          + a / gamma
+          * (arr.pi_plus * beta_p * (beta_p / gamma * ed_p + 2 * c_p)
+             + arr.pi_minus * beta_m * (beta_m / gamma * ed_m + 2 * c_m))
+          + 2 * np.float_power(a, 2) / np.float_power(gamma, 2)
+          * arr.pi_joint * c_p * c_m * beta_p * beta_m)
+    g = np.array(_constant_term(arr.pi_plus, arr.pi_minus, arr.pi_joint, a,
+                                mom_p, mom_m, A2p, A2m, A3p, A3m, h[1:], 0.0))
 
     return CoefficientTable(gamma=gamma, beta_plus=beta_p, beta_minus=beta_m,
                             A1_plus=A1p, A1_minus=A1m, A2_plus=A2p,
@@ -196,10 +190,11 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
                             xi=xi, alpha=alpha, h=h, g=g, lam=p.lam)
 
 
-def optimal_spreads(table: CoefficientTable, k: int, I, shift=0.0):
+def optimal_spreads(table: CoefficientTable, k, I, shift=0.0):
     """Optimal spreads (L+, L-) at step k for inventory I, a scalar or an
-    array. ``shift`` is the forecast aggregate F_k (``forecast_shift``);
-    0 gives the martingale-price spreads."""
+    array; k may also be an index array or a slice, giving the spreads of
+    those steps. ``shift`` is the forecast aggregate F_k
+    (``forecast_shift``); 0 gives the martingale-price spreads."""
     L_plus = (table.A1_plus[k] * I + table.A2_plus[k] + table.A3_plus[k]
               + table.beta_plus[k] / (2 * table.gamma[k]) * shift)
     L_minus = (-table.A1_minus[k] * I - table.A2_minus[k] + table.A3_minus[k]
@@ -254,43 +249,43 @@ def nonmartingale_value_adjustments(table: CoefficientTable, k: int,
     h_tilde = np.append(table.h[k:n] + table.xi[k:] * _forecast_aggregates(
         table, k, f), table.h[n])
 
-    mom_p, mom_m = p.moments.plus, p.moments.minus
-    g_tilde = 0.0  # value at step j+1, starting from the terminal condition
-    # rebuild g tilde backward from N to k with forecast-adjusted A2/A3
-    for j in range(n - 1, k - 1, -1):
-        pp = p.arrivals.pi_plus[j]
-        pm = p.arrivals.pi_minus[j]
-        pj = p.arrivals.pi_joint[j]
-        a = table.alpha[j + 1]
-        gam = table.gamma[j]
-        d_j = f.delta(j)
-        hn = h_tilde[j + 1 - k]
-
-        ed_p = a * mom_p.mu_c2 - mom_p.mu_c
-        ed_m = a * mom_m.mu_c2 - mom_m.mu_c
-        A2p = table.beta_plus[j] * hn / (2 * gam)
-        A2m = table.beta_minus[j] * hn / (2 * gam)
-        # the table's A3 plus the term optimal_spreads adds for a shift d_j
-        A3p = table.A3_plus[j] + table.beta_plus[j] * d_j / (2 * gam)
-        A3m = table.A3_minus[j] - table.beta_minus[j] * d_j / (2 * gam)
-
-        g_tilde = _g_step(g_tilde, pp, pm, pj, a, mom_p, mom_m,
-                          ed_p, ed_m, A2p, A2m, A3p, A3m, hn, d_j)
+    hn = h_tilde[1:]
+    gam = table.gamma[k:]
+    beta_p, beta_m = table.beta_plus[k:], table.beta_minus[k:]
+    d = np.array([f.delta(j) for j in range(k, n)])
+    A2p = beta_p * hn / (2 * gam)
+    A2m = beta_m * hn / (2 * gam)
+    # the table's A3 plus the term optimal_spreads adds for a shift d_j
+    A3p = table.A3_plus[k:] + beta_p * d / (2 * gam)
+    A3m = table.A3_minus[k:] - beta_m * d / (2 * gam)
+    g_tilde = _constant_term(
+        p.arrivals.pi_plus[k:], p.arrivals.pi_minus[k:],
+        p.arrivals.pi_joint[k:], table.alpha[k + 1:], p.moments.plus,
+        p.moments.minus, A2p, A2m, A3p, A3m, hn, d)[0]
 
     return float(h_tilde[0]), float(g_tilde - table.g[k])
 
 
-def _g_step(g_next, pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
-            A2p, A2m, A3p, A3m, hn, d_j) -> float:
-    """One backward update of the constant value term with explicit
-    A2/A3 inputs, shared by the martingale (d_j = 0) and forecast-adjusted
-    sweeps."""
+def _constant_term(pp, pm, pj, a, mom_p, mom_m, A2p, A2m, A3p, A3m, hn,
+                   d) -> list:
+    """The constant value term g_j for j = 0..M, swept back from g_M = 0
+    by g_j = g_{j+1} + side sum + cross term + drift, shared by the
+    martingale (d = 0) and forecast-adjusted sweeps.
+
+    Step j's inputs are entry j of arrays over j < M: the arrival
+    probabilities, a = alpha_{j+1}, the A2/A3 coefficients, hn = h_{j+1}
+    and the price drift d. The three terms are built elementwise (squares
+    through ``np.float_power``, as in ``backward_pass``); only the sum,
+    taken in the order above, runs step by step.
+    """
+    ed_p = a * mom_p.mu_c2 - mom_p.mu_c
+    ed_m = a * mom_m.mu_c2 - mom_m.mu_c
     g_sum = 0.0
     for delta, pi_d, m, ed, A2, A3 in (
             (1.0, pp, mom_p, ed_p, A2p, A3p),
             (-1.0, pm, mom_m, ed_m, A2m, A3m)):
         da = A3 + delta * A2
-        g_sum += pi_d * (ed * da ** 2 + a * m.mu_c2p2
+        g_sum += pi_d * (ed * np.float_power(da, 2) + a * m.mu_c2p2
                          - delta * hn * m.mu_cp
                          + (m.mu_cp + delta * hn * m.mu_c
                             - 2 * a * m.mu_c2p) * da)
@@ -299,10 +294,14 @@ def _g_step(g_next, pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
                 - mom_p.mu_cp / mom_p.mu_c * (A3m - A2m)
                 - mom_m.mu_cp / mom_m.mu_c * (A2p + A3p)
                 + mom_p.mu_cp * mom_m.mu_cp / (mom_p.mu_c * mom_m.mu_c)))
-    drift = d_j * ((A3p + A2p) * pp * mom_p.mu_c
-                   - (A3m - A2m) * pm * mom_m.mu_c
-                   - pp * mom_p.mu_cp + pm * mom_m.mu_cp)
-    return g_next + g_sum + cross + drift
+    drift = d * ((A3p + A2p) * pp * mom_p.mu_c
+                 - (A3m - A2m) * pm * mom_m.mu_c
+                 - pp * mom_p.mu_cp + pm * mom_m.mu_cp)
+    s, c, dr = g_sum.tolist(), cross.tolist(), drift.tolist()
+    g = [0.0] * (len(s) + 1)
+    for j in range(len(s) - 1, -1, -1):
+        g[j] = g[j + 1] + s[j] + c[j] + dr[j]
+    return g
 
 
 def _require_symmetric(p: MarketParams, need_independence: bool = True,

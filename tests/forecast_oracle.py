@@ -11,7 +11,7 @@ double-precision significance, which keeps the loops usable at 19,800 steps.
 
 from __future__ import annotations
 
-from hfmm.solver import _g_step
+from solver_oracle import _g_step
 
 XI_PRODUCT_FLOOR = 1e-15
 

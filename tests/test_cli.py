@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ import hfmm
 from hfmm.cli import main
 from hfmm.estimation import estimate_day, rolling_params
 from hfmm.lob import read_events_binary, replay, write_events_binary
-from hfmm.model import TimeGrid, save_params, symmetric_params
+from hfmm.model import (ArrivalSchedule, MarketParams, TimeGrid, load_params,
+                        save_params, symmetric_params)
+from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
 N_STEPS = 60
@@ -70,6 +73,35 @@ class TestExitCodes:
     def test_report_without_results(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 3
 
+    def test_empty_events_dir_estimate(self, tmp_path, capsys):
+        events = tmp_path / "events"
+        events.mkdir()
+        assert main(["estimate", "--events", str(events),
+                     "--out", str(tmp_path / "out"),
+                     "--config", str(write_config(tmp_path))]) == 2
+        assert str(events) in capsys.readouterr().err
+
+    def test_empty_events_dir_backtest(self, tmp_path, capsys):
+        events, params = tmp_path / "events", tmp_path / "params"
+        events.mkdir()
+        params.mkdir()
+        assert main(["backtest", "--events", str(events),
+                     "--params", str(params),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert str(events) in capsys.readouterr().err
+
+    def test_non_mapping_params_file(self, tmp_path):
+        bad = tmp_path / "list.yaml"
+        bad.write_text("[1, 2]\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hfmm.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "hfmm.cli", "solve", "--params", str(bad),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert str(bad) in out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+
     def test_invalid_params_rejected(self, tmp_path, params_file):
         text = params_file.read_text().replace("0.2", "1.7")
         bad = tmp_path / "bad.yaml"
@@ -97,6 +129,37 @@ class TestSolve:
                      "--out", str(out), "--lambda", "0"]) == 0
         _, data = read_surface(out / "spread_surface.csv")
         assert np.ptp(data, axis=0).max() == 0.0
+
+    def test_spread_surface_matches_row_by_row(self, tmp_path, params_file):
+        pi11_grid, inv_grid = [0.0, 0.1, 0.3], [-40.0, 0.0, 25.5]
+        out = tmp_path / "out"
+        assert main(["solve", "--params", str(params_file), "--out", str(out),
+                     "--config", str(write_config(
+                         tmp_path, pi11_grid=pi11_grid,
+                         inventory_grid=inv_grid))]) == 0
+        p = load_params(params_file)
+        arr = p.arrivals
+        tables = [backward_pass(MarketParams(
+            grid=p.grid, moments=p.moments, lam=p.lam,
+            arrivals=ArrivalSchedule(
+                pi_plus=arr.pi_plus, pi_minus=arr.pi_minus,
+                pi_joint=np.clip(pi11, np.maximum(
+                    arr.pi_plus + arr.pi_minus - 1.0, 0.0),
+                    np.minimum(arr.pi_plus, arr.pi_minus)))))
+            for pi11 in pi11_grid]
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["k"] + [f"spread_pi11_{pi11}_I_{I}"
+                            for pi11 in pi11_grid for I in inv_grid])
+        for k in range(p.grid.n_steps):
+            row = [k]
+            for t in tables:
+                for I in inv_grid:
+                    Lp, Lm = optimal_spreads(t, k, I)
+                    row.append(f"{Lp + Lm:.10f}")
+            w.writerow(row)
+        assert (out / "spread_surface.csv").read_bytes() == \
+            want.getvalue().encode()
 
     def test_idempotent_reruns(self, tmp_path, params_file):
         out = tmp_path / "out"

@@ -16,6 +16,7 @@ from hfmm.solver import (CoefficientTable, ForecastVector, MarketState,
 from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
 import forecast_oracle
+import solver_oracle
 from conftest import random_valid_params
 
 
@@ -279,6 +280,51 @@ class TestForecastRecursionOracle:
         assert nonmartingale_value_adjustments(t, k, f, p) == pytest.approx(
             forecast_oracle.nonmartingale_value_adjustments(t, k, f, p),
             rel=1e-12)
+
+
+class TestSweepOracle:
+    """The scalar-float sweep against the step-by-step loop of
+    ``tests/solver_oracle.py``: every array of the table, bit for bit."""
+
+    FIELDS = ("gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",
+              "A2_plus", "A2_minus", "A3_plus", "A3_minus", "xi", "alpha",
+              "h", "g")
+
+    def assert_same(self, p):
+        got, want = backward_pass(p), solver_oracle.backward_pass(p)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+
+    def test_random_tables(self):
+        # asymmetric moments, pi_joint anywhere inside the Frechet bounds
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            self.assert_same(random_valid_params(
+                rng, n_steps=int(rng.integers(1, 401)),
+                lam=float(rng.uniform(1e-5, 1e-2))))
+
+    def test_long_day(self):
+        self.assert_same(true_market_params(SyntheticDayConfig()))
+
+    def test_fixtures(self, bench_params, bench_params_joint):
+        self.assert_same(bench_params)
+        self.assert_same(bench_params_joint)
+
+    def test_gamma_floor_names_the_step(self, bench_params):
+        # no arrival on the ask side at step 3: pi+ = pi11 = 0 there
+        arr = bench_params.arrivals
+        pi_plus, pi_joint = arr.pi_plus.copy(), arr.pi_joint.copy()
+        pi_plus[3] = pi_joint[3] = 0.0
+        p = MarketParams(grid=bench_params.grid,
+                         arrivals=ArrivalSchedule(pi_plus=pi_plus,
+                                                  pi_minus=arr.pi_minus,
+                                                  pi_joint=pi_joint),
+                         moments=bench_params.moments, lam=bench_params.lam)
+        with pytest.raises(ArithmeticError, match=r"\bk=3\b"):
+            backward_pass(p)
+        with pytest.raises(ArithmeticError):
+            solver_oracle.backward_pass(p)
 
 
 class TestClosedFormSpread:

@@ -27,7 +27,7 @@ import yaml
 from . import backtest as bt
 from .estimation import (compute_break_errors, estimate_day, rolling_params,
                          structural_break_flags)
-from .lob import read_events_binary, read_events_csv, replay
+from .lob import BookError, read_events_binary, read_events_csv, replay
 from .model import (MarketParams, TimeGrid, load_params, save_params,
                     validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
@@ -41,6 +41,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_MISSING_PARAMS = 2
 EXIT_EMPTY_REPORT = 3
+
+# What a bad day raises: a malformed event or params file, a degenerate
+# calibration or solve, an unreadable file. Anything else is a programming
+# error and ends the run, under any --workers.
+_DAY_ERRORS = (BookError, ValueError, ArithmeticError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def cmd_estimate(cfg) -> int:
             store.append(estimate_day(rep, i,
                                       level_depth=int(cfg["level_depth"]),
                                       tick_size=tick))
-        except Exception as exc:
+        except _DAY_ERRORS as exc:
             print(f"day {path.name} failed: {exc}", file=sys.stderr)
             failures += 1
     if not store:
@@ -296,7 +301,7 @@ def _backtest_one_day(task):
                            order_volume=order_volume)
             rows.append([day_idx, pol.name, r.objective, r.liquidation_value,
                          r.W_T, r.I_T, r.S_T, r.fills, int(r.incomplete)])
-    except Exception as exc:  # one bad day must not end the sweep
+    except _DAY_ERRORS as exc:  # one bad day must not end the sweep
         nan = float("nan")
         return day_idx, [[day_idx, pol.name, nan, nan, nan, nan, nan, 0, 1]
                          for pol in policies], repr(exc)

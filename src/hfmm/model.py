@@ -7,6 +7,7 @@ dataclasses and safe to share across threads after construction.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,17 +148,23 @@ def validate_params(p: MarketParams) -> ValidationReport:
     if len(p.arrivals) != n:
         rep.add(f"arrival arrays have length {len(p.arrivals)}, grid expects {n}")
     pp, pm, pj = p.arrivals.pi_plus, p.arrivals.pi_minus, p.arrivals.pi_joint
-    for k in range(len(p.arrivals)):
-        if not 0 < pp[k] <= 1:
+    # the Frechet bounds as max(pp + pm - 1, 0) and min(pp, pm) take them,
+    # NaN included; messages are built only for the steps that break a rule
+    lo = pp + pm - 1.0
+    lo = np.where(0.0 > lo, 0.0, lo)
+    hi = np.where(pm < pp, pm, pp)
+    bad_p = ~((0 < pp) & (pp <= 1))
+    bad_m = ~((0 < pm) & (pm <= 1))
+    below, above = pj < lo, pj > hi
+    for k in np.flatnonzero(bad_p | bad_m | below | above).tolist():
+        if bad_p[k]:
             rep.add(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
-        if not 0 < pm[k] <= 1:
+        if bad_m[k]:
             rep.add(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
-        lo = max(pp[k] + pm[k] - 1.0, 0.0)
-        hi = min(pp[k], pm[k])
-        if pj[k] < lo:
-            rep.add(f"pi_joint[{k}] below Frechet lower bound ({pj[k]} < {lo})")
-        if pj[k] > hi:
-            rep.add(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi})")
+        if below[k]:
+            rep.add(f"pi_joint[{k}] below Frechet lower bound ({pj[k]} < {lo[k]})")
+        if above[k]:
+            rep.add(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi[k]})")
     _check_side(rep, p.moments.plus, "plus")
     _check_side(rep, p.moments.minus, "minus")
     if p.lam < 0:
@@ -207,9 +214,27 @@ def symmetric_params(mu_c: float, mu_p: float, pi: float, pi_joint: float,
 # coefficients {a0, a1, a2} expanded on the step index at load time. With
 # libyaml, files are parsed and emitted in C, several times faster, through
 # the same safe constructor and representer.
+#
+# PyYAML still builds one Python event per scalar, so the dense arrays, one
+# entry per step, go around it: save_params writes them with PyYAML's float
+# rule, and load_params cuts the blocks in exactly that layout out of the text
+# and converts them with numpy. Every other layout is parsed by YAML whole.
 # ---------------------------------------------------------------------------
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 _DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+_ARRIVAL_KEYS = ("pi_plus", "pi_minus", "pi_joint")
+# The arrivals section as save_params writes it, up to the next top-level
+# key; each block must then hold only "  - <float>" lines. Both patterns
+# repeat single characters or single lines, so the regex engine keeps no
+# backtracking state per line (a 19,800-line repeated group keeps ~8 MB).
+_ARRIVAL_BLOCKS = re.compile(
+    "^arrivals:\n"
+    + "".join(rf"  {key}:\n([-+.0-9e \n]+)" for key in _ARRIVAL_KEYS)
+    + r"(?=[^\s#-]|\Z)", re.M)
+_NOT_AN_ITEM = re.compile(r"^(?!  - -?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?\n|\Z)",
+                          re.M)
+_ARRIVAL_STUB = {key: [] for key in _ARRIVAL_KEYS}
 
 
 def _expand_array(spec, n: int) -> np.ndarray:
@@ -273,29 +298,67 @@ def params_to_dict(p: MarketParams) -> dict:
             "step_seconds": float(p.grid.step_seconds),
             "session_start_ns": int(p.grid.session_start_ns),
         },
-        "arrivals": {
-            "pi_plus": [float(x) for x in p.arrivals.pi_plus],
-            "pi_minus": [float(x) for x in p.arrivals.pi_minus],
-            "pi_joint": [float(x) for x in p.arrivals.pi_joint],
-        },
+        "arrivals": {key: getattr(p.arrivals, key).tolist()
+                     for key in _ARRIVAL_KEYS},
         "moments": {"plus": side(p.moments.plus), "minus": side(p.moments.minus)},
         "lambda": float(p.lam),
         "tick_size": float(p.tick_size),
     }
 
 
+def _parse_params_text(text: str):
+    """The document yaml.load makes of ``text``, except that arrival arrays
+    in save_params' layout come back as float arrays."""
+    m = _ARRIVAL_BLOCKS.search(text)
+    if m and not any(_NOT_AN_ITEM.search(block) for block in m.groups()):
+        rest = (text[:m.start()] + f"arrivals: {_ARRIVAL_STUB}\n"
+                + text[m.end():])
+        try:
+            doc = yaml.load(rest, Loader=_LOADER)
+        except yaml.YAMLError:
+            doc = None
+        if isinstance(doc, dict) and doc.get("arrivals") == _ARRIVAL_STUB:
+            doc["arrivals"] = {key: np.array(m.group(i).split()[1::2], float)
+                               for i, key in enumerate(_ARRIVAL_KEYS, 1)}
+            return doc
+    return yaml.load(text, Loader=_LOADER)
+
+
 def load_params(path) -> MarketParams:
-    with open(path) as fh:
-        doc = yaml.load(fh, Loader=_LOADER)
+    """Read a parameter file; ValueError names the file and what is wrong."""
+    try:
+        with open(path) as fh:
+            doc = _parse_params_text(fh.read())
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a readable YAML file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: parameter file is not a mapping")
     for section in ("grid", "arrivals", "moments"):
         if not isinstance(doc.get(section), dict):
             raise ValueError(f"{path}: section {section!r} is missing or "
                              "not a mapping")
-    return params_from_dict(doc)
+    try:
+        return params_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_params(p: MarketParams, path) -> None:
+    """Write ``yaml.dump``'s bytes; finite arrival arrays are formatted here,
+    with the float rule of PyYAML's representer, and spliced in."""
+    doc = params_to_dict(p)
+    arrays = [getattr(p.arrivals, key) for key in _ARRIVAL_KEYS]
+    if not all(len(a) and np.isfinite(a).all() for a in arrays):
+        with open(path, "w") as fh:
+            yaml.dump(doc, fh, Dumper=_DUMPER, sort_keys=False)
+        return
+    blocks = "".join(f"  {key}:\n  - " + "\n  - ".join(map(repr, values))
+                     + "\n" for key, values in doc["arrivals"].items())
+    # repr(1e+17) has no '.', which YAML's float needs: 1.0e+17
+    blocks = re.sub(r"^(  - -?[0-9]+)e", r"\1.0e", blocks, flags=re.M)
+    doc["arrivals"] = {}
+    text = yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
     with open(path, "w") as fh:
-        yaml.dump(params_to_dict(p), fh, Dumper=_DUMPER, sort_keys=False)
+        fh.write(text.replace("\narrivals: {}\n", "\narrivals:\n" + blocks, 1))

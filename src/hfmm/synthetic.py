@@ -85,16 +85,11 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
     n = cfg.n_steps
     params = true_market_params(cfg)
     grid = params.grid
-    step_ns = int(round(cfg.step_seconds * 1e9))
 
     # price regimes and moves
     switches = rng.random(n) < cfg.regime_switch_prob
-    regimes = np.empty(n, dtype=np.int8)
-    r = 1 if rng.random() < 0.5 else -1
-    for k in range(n):
-        if switches[k]:
-            r = -r
-        regimes[k] = r
+    r0 = 1 if rng.random() < 0.5 else -1
+    regimes = np.where(np.cumsum(switches) % 2 == 1, -r0, r0).astype(np.int8)
     moves = (rng.random(n) < cfg.move_prob).astype(np.int64) * regimes
     X = cfg.start_price_ticks + np.concatenate([[0], np.cumsum(moves[:-1])])
 
@@ -108,66 +103,62 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
     c_m = rng.choice(cfg.c_values, size=n)
     p_m = rng.choice(cfg.p_values, size=n)
 
-    events = []
-    add = events.append
-    live = {}          # ref -> remaining size
-    next_ref = 1
+    # Each step k owns one row of 6*depth + 2 event slots, in stream order:
+    # the cancels of step k-1's ladder, the adds of step k's ladder (ask and
+    # bid interleaved by level), then per side the market order and its
+    # executes. Slots that hold no event are masked out at the end.
     depth = cfg.depth
+    ladder = 2 * depth
+    step_ns = int(round(cfg.step_seconds * 1e9))
+    t = grid.session_start_ns + np.rint(
+        np.arange(n) * cfg.step_seconds * 1e9).astype(np.int64)
+    rebuild_ts = (t - 100_000)[:, None]
+    x = X[:, None]
+    level = np.arange(depth)
+    refs = 1 + ladder * np.arange(n)[:, None] + np.arange(ladder)
+    ev = np.zeros((n, 6 * depth + 2), dtype=EVENT_DTYPE)
+    keep = np.zeros(ev.shape, dtype=bool)
 
-    for k in range(n):
-        t_k = grid.action_time_ns(k)
-        rebuild_ts = t_k - 100_000
-        # clear the previous ladder
-        for ref, (side_code, price, remaining) in live.items():
-            if remaining > 0:
-                add((rebuild_ts, 1, side_code, 0, price, remaining, ref, 0))
-        live = {}
-        x = int(X[k])
-        vol_ask = int(round(c_p[k])) if ind_p[k] else cfg.default_volume
-        vol_bid = int(round(c_m[k])) if ind_m[k] else cfg.default_volume
-        ask_refs = []
-        bid_refs = []
-        for j in range(depth):
-            ref = next_ref
-            next_ref += 1
-            add((rebuild_ts, 0, 1, 0, x + 1 + j, vol_ask, ref, 0))
-            live[ref] = (1, x + 1 + j, vol_ask)
-            ask_refs.append(ref)
-            ref = next_ref
-            next_ref += 1
-            add((rebuild_ts, 0, 0, 0, x - j, vol_bid, ref, 0))
-            live[ref] = (0, x - j, vol_bid)
-            bid_refs.append(ref)
+    def fill(cols, mask, ts, kind, side, price, size, ref=0,
+             rows=slice(None)):
+        block = ev[rows, cols]
+        block["ts_ns"], block["kind"], block["side"] = ts, kind, side
+        block["price_ticks"], block["size"] = price, size
+        block["order_ref"] = ref
+        keep[rows, cols] = mask
 
-        # market orders: volume c*(p - l_1) with l_1 = 0.5 ticks
-        if ind_p[k]:
-            vol = int(round(c_p[k] * (p_p[k] - 0.5)))
-            ts = t_k + step_ns // 3
-            add((ts, 3, 1, 0, x + 1, vol, 0, 0))
-            left = vol
-            for ref in ask_refs:
-                if left <= 0:
-                    break
-                side_code, price, remaining = live[ref]
-                take = min(remaining, left)
-                add((ts, 2, 1, 0, price, take, ref, 0))
-                live[ref] = (side_code, price, remaining - take)
-                left -= take
-        if ind_m[k]:
-            vol = int(round(c_m[k] * (p_m[k] - 0.5)))
-            ts = t_k + 2 * step_ns // 3
-            add((ts, 3, 0, 0, x, vol, 0, 0))
-            left = vol
-            for ref in bid_refs:
-                if left <= 0:
-                    break
-                side_code, price, remaining = live[ref]
-                take = min(remaining, left)
-                add((ts, 2, 0, 0, price, take, ref, 0))
-                live[ref] = (side_code, price, remaining - take)
-                left -= take
+    price = np.empty((n, ladder), dtype=np.int64)
+    size = np.empty_like(price)
+    rest = np.empty_like(price)
+    col = 2 * ladder
+    for side, ind, c, p, ts, touch in (
+            (1, ind_p, c_p, p_p, t + step_ns // 3, x + 1 + level),
+            (0, ind_m, c_m, p_m, t + 2 * step_ns // 3, x - level)):
+        # every level holds vol; a market order of mo = c*(p - l_1) with
+        # l_1 = 0.5 ticks takes min(vol, mo - j*vol) from level j while
+        # mo - j*vol > 0
+        vol = np.where(ind, np.rint(c), cfg.default_volume).astype(
+            np.int64)[:, None]
+        mo = np.rint(c * (p - 0.5)).astype(np.int64)[:, None]
+        left = mo - level * vol
+        hit = ind[:, None] & (mo > 0) & (left > 0)
+        take = np.minimum(vol, left)
+        slots = slice(1 - side, None, 2)
+        price[:, slots] = touch
+        size[:, slots] = vol
+        rest[:, slots] = np.where(hit, vol - take, vol)
+        fill(slice(col, col + 1), ind[:, None], ts[:, None], 3, side,
+             x + side, mo)
+        fill(slice(col + 1, col + 1 + depth), hit, ts[:, None], 2, side,
+             touch, take, refs[:, slots])
+        col += 1 + depth
+    sides = np.tile([1, 0], depth)
+    fill(slice(0, ladder), rest[:-1] > 0, rebuild_ts[1:], 1, sides,
+         price[:-1], rest[:-1], refs[:-1], rows=slice(1, None))
+    fill(slice(ladder, 2 * ladder), True, rebuild_ts, 0, sides, price, size,
+         refs)
 
-    arr = np.array(events, dtype=EVENT_DTYPE)
+    arr = ev[keep]
     truth = SyntheticTruth(config=cfg, params=params, mid_ticks=X,
                            regimes=regimes,
                            ind_plus=ind_p.astype(np.int8),

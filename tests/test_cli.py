@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import hfmm
+from hfmm import backtest as bt
 from hfmm.cli import main
 from hfmm.estimation import estimate_day, rolling_params
 from hfmm.lob import read_events_binary, replay, write_events_binary
@@ -282,6 +283,14 @@ class TestPipeline:
             assert len(list(csv.reader(fh))) == 11  # header + 5 x 2
 
 
+class NotAPolicy:
+    """Passes for a Policy until the backtest calls dataclasses.replace on
+    it, which raises TypeError: a stand-in for a programming error."""
+
+    def __init__(self, name):
+        self.name, self.level = name, 0
+
+
 def scramble(path):
     """Rewrite an event file in reverse time order, which replay rejects."""
     write_events_binary(read_events_binary(path)[::-1], path)
@@ -337,6 +346,46 @@ class TestFailedDays:
                      "--params", str(params_dir), "--out",
                      str(tmp_path / "bt3"), "--workers", "2",
                      "--config", str(write_config(tmp_path))]) == 1
+
+    def test_broken_params_file_gives_incomplete_row(self, tmp_path, capsys):
+        events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)
+        broken = params_dir / "params_day_0021.yaml"
+        broken.write_text(broken.read_text().replace("  n_steps:", "  steps:"))
+        out = tmp_path / "bt"
+        assert main(["backtest", "--events", str(events_dir),
+                     "--params", str(params_dir), "--out", str(out),
+                     "--config", str(write_config(tmp_path))]) == 0
+        err = capsys.readouterr().err
+        assert "day 21 failed" in err and "missing key 'n_steps'" in err
+        with open(out / "day_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["day"]: r["incomplete"] for r in rows} == {"20": "0",
+                                                             "21": "1"}
+
+    def test_programming_error_ends_backtest_under_any_workers(
+            self, tmp_path, monkeypatch):
+        events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)
+        monkeypatch.setattr(bt.Policy, "named", NotAPolicy)
+        for workers in ("1", "2"):
+            out = tmp_path / f"bt{workers}"
+            with pytest.raises(TypeError, match="dataclass"):
+                main(["backtest", "--events", str(events_dir),
+                      "--params", str(params_dir), "--out", str(out),
+                      "--workers", workers,
+                      "--config", str(write_config(tmp_path))])
+            assert not (out / "day_results.csv").exists()
+
+    def test_programming_error_ends_estimate(self, tmp_path, monkeypatch):
+        events_dir = make_days(tmp_path, 2)
+
+        def broken(*args, **kwargs):
+            raise TypeError("not a day error")
+
+        monkeypatch.setattr("hfmm.cli.estimate_day", broken)
+        with pytest.raises(TypeError, match="not a day error"):
+            main(["estimate", "--events", str(events_dir),
+                  "--out", str(tmp_path / "calib"),
+                  "--config", str(write_config(tmp_path))])
 
     def test_unknown_policy_rejected_before_any_day(self, tmp_path, capsys,
                                                     monkeypatch):

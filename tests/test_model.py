@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -153,3 +155,277 @@ class TestSerialization:
             assert a.tobytes() == b.tobytes()
             assert a.tobytes() == getattr(p.arrivals, name).tobytes()
         assert pure.moments == fast.moments == p.moments
+
+
+def _validate_per_step(p: MarketParams) -> list[str]:
+    """validate_params' arrival checks as a loop over the steps, the way
+    they were written before the array masks."""
+    out = []
+    n = p.grid.n_steps
+    if len(p.arrivals) != n:
+        out.append(f"arrival arrays have length {len(p.arrivals)}, "
+                   f"grid expects {n}")
+    pp, pm, pj = p.arrivals.pi_plus, p.arrivals.pi_minus, p.arrivals.pi_joint
+    for k in range(len(p.arrivals)):
+        if not 0 < pp[k] <= 1:
+            out.append(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
+        if not 0 < pm[k] <= 1:
+            out.append(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
+        lo = max(pp[k] + pm[k] - 1.0, 0.0)
+        hi = min(pp[k], pm[k])
+        if pj[k] < lo:
+            out.append(f"pi_joint[{k}] below Frechet lower bound "
+                       f"({pj[k]} < {lo})")
+        if pj[k] > hi:
+            out.append(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi})")
+    return out
+
+
+class TestValidateMatchesPerStep:
+    def test_planted_violations(self):
+        rng = np.random.default_rng(11)
+        plants = [("pi_plus", 0.0), ("pi_plus", 1.5), ("pi_minus", -0.1),
+                  ("pi_minus", np.nan), ("pi_plus", np.inf),
+                  ("pi_joint", -1e-3), ("pi_joint", 0.99),
+                  ("pi_joint", np.nan)]
+        rules = ("grid expects", "not in (0,1]", "below Frechet",
+                 "exceeds min marginal")
+        seen = set()
+        for trial in range(40):
+            p = random_valid_params(rng, n_steps=int(rng.integers(1, 40)))
+            arrays = {k: getattr(p.arrivals, k).copy()
+                      for k in ("pi_plus", "pi_minus", "pi_joint")}
+            n = len(arrays["pi_plus"])
+            for _ in range(int(rng.integers(0, 6))):
+                key, value = plants[int(rng.integers(len(plants)))]
+                arrays[key][int(rng.integers(n))] = value
+            # marginals summing past 1, the joint under their lower bound
+            k = int(rng.integers(n))
+            arrays["pi_plus"][k], arrays["pi_minus"][k] = 0.9, 0.8
+            arrays["pi_joint"][k] = 0.6
+            q = MarketParams(grid=TimeGrid(n_steps=n + (trial % 3 == 0)),
+                             arrivals=ArrivalSchedule(**arrays),
+                             moments=p.moments, lam=p.lam)
+            violations = validate_params(q).violations
+            assert violations == _validate_per_step(q)
+            seen.update(rule for rule in rules for v in violations
+                        if rule in v)
+        assert seen == set(rules)
+
+    def test_each_rule_reported_in_step_order(self):
+        p = _const_params(0.2, 0.2, 0.05, n=5)
+        arr = {k: getattr(p.arrivals, k).copy()
+               for k in ("pi_plus", "pi_minus", "pi_joint")}
+        arr["pi_joint"][1] = 0.3
+        arr["pi_plus"][3] = 0.0
+        arr["pi_plus"][4], arr["pi_minus"][4], arr["pi_joint"][4] = \
+            0.75, 0.75, 0.25
+        # min(0.2, nan) is 0.2 and max(nan, 0.0) is nan, as the loop had it
+        arr["pi_minus"][2], arr["pi_joint"][2] = np.nan, 0.3
+        q = MarketParams(grid=TimeGrid(n_steps=6),
+                         arrivals=ArrivalSchedule(**arr), moments=p.moments)
+        assert validate_params(q).violations == [
+            "arrival arrays have length 5, grid expects 6",
+            "pi_joint[1] exceeds min marginal (0.3 > 0.2)",
+            "pi_minus[2] not in (0,1]: nan",
+            "pi_joint[2] exceeds min marginal (0.3 > 0.2)",
+            "pi_plus[3] not in (0,1]: 0.0",
+            "pi_joint[3] exceeds min marginal (0.05 > 0.0)",
+            "pi_joint[4] below Frechet lower bound (0.25 < 0.5)",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Params files: the array fast paths against plain YAML
+# ---------------------------------------------------------------------------
+ARRIVAL_KEYS = ("pi_plus", "pi_minus", "pi_joint")
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e17,
+                  -1.5e17, 1e-07, 123456789.125, 0.1, 1.0, 2.5e+300]
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(SPECIAL_FLOATS))
+
+
+def load_by_yaml(path) -> MarketParams:
+    with open(path) as fh:
+        return params_from_dict(yaml.load(fh, Loader=yaml.SafeLoader))
+
+
+def assert_same_params(a: MarketParams, b: MarketParams):
+    for key in ARRIVAL_KEYS:
+        assert getattr(a.arrivals, key).tobytes() == \
+            getattr(b.arrivals, key).tobytes()
+    assert (a.grid, a.moments, a.lam, a.tick_size) == \
+        (b.grid, b.moments, b.lam, b.tick_size)
+
+
+def params_with_arrays(arrays, seed=0) -> MarketParams:
+    p = random_valid_params(np.random.default_rng(seed), n_steps=1)
+    return MarketParams(grid=TimeGrid(n_steps=max(len(arrays[0]), 1)),
+                        arrivals=ArrivalSchedule(*map(np.array, arrays)),
+                        moments=p.moments, lam=p.lam, tick_size=p.tick_size)
+
+
+@st.composite
+def arrival_arrays(draw, elements=finite_floats):
+    n = draw(st.integers(1, 12))
+    return [draw(st.lists(elements, min_size=n, max_size=n))
+            for _ in ARRIVAL_KEYS]
+
+
+def canonical_text(p: MarketParams) -> str:
+    return yaml.dump(params_to_dict(p), Dumper=yaml.SafeDumper,
+                     sort_keys=False)
+
+
+def _replace_item(text, n, new):
+    """Replace the n-th arrival item line's value with ``new``."""
+    lines = text.split("\n")
+    items = [i for i, line in enumerate(lines) if line.startswith("  - ")]
+    i = items[n % len(items)]
+    lines[i] = new(lines[i])
+    return "\n".join(lines)
+
+
+# Every variant is a params document in a layout save_params does not write.
+VARIANTS = {
+    "flow": lambda p, t, n: yaml.dump(params_to_dict(p),
+                                      Dumper=yaml.SafeDumper,
+                                      default_flow_style=True),
+    "inf": lambda p, t, n: _replace_item(t, n, lambda s: "  - .inf"),
+    "nan": lambda p, t, n: _replace_item(t, n, lambda s: "  - .nan"),
+    "minus_inf": lambda p, t, n: _replace_item(t, n, lambda s: "  - -.inf"),
+    "yaml_string": lambda p, t, n: _replace_item(t, n, lambda s: "  - -.nan"),
+    "item_comment": lambda p, t, n: _replace_item(t, n,
+                                                  lambda s: s + " # note"),
+    "line_comment": lambda p, t, n: t.replace("  pi_minus:\n",
+                                              "# note\n  pi_minus:\n"),
+    "end_comment": lambda p, t, n: t.replace("moments:\n",
+                                             "# note\nmoments:\n"),
+    "scalar": lambda p, t, n: t.replace("  pi_minus:\n",
+                                        "  pi_minus: 0.25\n  old:\n"),
+    "quadratic": lambda p, t, n: t.replace(
+        "  pi_joint:\n", "  pi_joint: {a0: 0.01, a1: 0.001}\n  old:\n"),
+    "upper_e": lambda p, t, n: _replace_item(t, n, lambda s: "  - 1.5E+3"),
+    "plus_sign": lambda p, t, n: _replace_item(t, n, lambda s: "  - +0.5"),
+    "bare_dot": lambda p, t, n: _replace_item(t, n, lambda s: "  - .5"),
+    "int_item": lambda p, t, n: _replace_item(t, n, lambda s: "  - 1"),
+    "octal_item": lambda p, t, n: _replace_item(t, n, lambda s: "  - 010"),
+    "minus_zero_int": lambda p, t, n: _replace_item(t, n, lambda s: "  - -0"),
+    "underscore": lambda p, t, n: _replace_item(t, n, lambda s: "  - 1_0.5"),
+    "trailing_space": lambda p, t, n: _replace_item(t, n, lambda s: s + " "),
+    "crlf": lambda p, t, n: t.replace("\n", "\r\n"),
+    "extra_key": lambda p, t, n: t.replace("moments:\n",
+                                           "  note: x\nmoments:\n"),
+    "reordered": lambda p, t, n: t.replace("pi_plus:", "pi_tmp:").replace(
+        "pi_minus:", "pi_plus:").replace("pi_tmp:", "pi_minus:"),
+    "anchor": lambda p, t, n: t.replace("  pi_plus:\n", "  pi_plus: &a\n")
+    .replace("  pi_joint:\n", "  pi_joint: *a\n  old:\n"),
+    "indented_items": lambda p, t, n: t.replace("  - ", "    - "),
+    # YAML keeps the last of two equal keys
+    "duplicate_section": lambda p, t, n: t + (
+        "arrivals: {pi_plus: 0.5, pi_minus: 0.25, pi_joint: 0.125}\n"),
+}
+
+
+class TestParamsFileFastPath:
+    @given(arrival_arrays(), st.sampled_from(["canonical"] + sorted(VARIANTS)),
+           st.integers(0, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_load_matches_yaml(self, tmp_path_factory, arrays, variant, n):
+        p = params_with_arrays(arrays)
+        text = canonical_text(p)
+        if variant != "canonical":
+            text = VARIANTS[variant](p, text, n)
+        path = tmp_path_factory.mktemp("params") / "params.yaml"
+        path.write_bytes(text.encode())
+        try:
+            expected = load_by_yaml(path)
+        except ValueError:  # "-.nan" is a YAML string
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_params(path)
+        else:
+            assert_same_params(load_params(path), expected)
+
+    @given(arrival_arrays(st.one_of(finite_floats,
+                                    st.floats(allow_subnormal=True))))
+    @settings(max_examples=300, deadline=None)
+    def test_save_writes_yaml_dump_bytes(self, tmp_path_factory, arrays):
+        p = params_with_arrays(arrays)
+        path = tmp_path_factory.mktemp("params") / "params.yaml"
+        save_params(p, path)
+        assert path.read_bytes().decode() == canonical_text(p)
+
+    def test_canonical_arrays_skip_yaml(self, tmp_path, monkeypatch):
+        p = random_valid_params(np.random.default_rng(4), n_steps=50)
+        path = tmp_path / "params.yaml"
+        save_params(p, path)
+        parsed = []
+        real_load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda text, Loader: parsed.append(
+            text) or real_load(text, Loader=Loader))
+        q = load_params(path)
+        assert len(parsed) == 1 and "  - " not in parsed[0]
+        assert_same_params(q, p)
+        path.write_text(path.read_text().replace("\n  pi_minus",
+                                                 " # c\n  pi_minus"))
+        parsed.clear()
+        assert_same_params(load_params(path), p)
+        assert parsed[-1] == path.read_text()
+
+    def test_non_finite_and_empty_arrays_go_through_yaml_dump(self,
+                                                               tmp_path):
+        for arrays in ([[0.2, np.inf], [0.2, 0.2], [0.0, 0.0]],
+                       [[np.nan], [0.2], [-np.inf]], [[], [], []]):
+            p = params_with_arrays(arrays)
+            path = tmp_path / "params.yaml"
+            save_params(p, path)
+            assert path.read_text() == canonical_text(p)
+
+
+BROKEN_PARAMS = {
+    "grid": ("grid: {}\n", "'n_steps'"),
+    "arrivals": ("arrivals: {}\n", "'pi_plus'"),
+    "moments": ("moments: {plus: {}, minus: {}}\n", "'mu_c'"),
+}
+
+
+class TestBrokenParamsFile:
+    def _write(self, tmp_path, section):
+        text, _ = BROKEN_PARAMS[section]
+        doc = params_to_dict(symmetric_params(100, 5, 0.2, 0.0, 0.0005, 5))
+        del doc[section]
+        path = tmp_path / f"{section}.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False) + text)
+        return path
+
+    @pytest.mark.parametrize("section", sorted(BROKEN_PARAMS))
+    def test_missing_key_names_file_and_key(self, tmp_path, section):
+        path = self._write(tmp_path, section)
+        with pytest.raises(ValueError) as exc:
+            load_params(path)
+        assert str(path) in str(exc.value)
+        assert f"missing key {BROKEN_PARAMS[section][1]}" in str(exc.value)
+
+    def test_unparseable_file_names_file(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("grid: {n_steps: 5\narrivals: [\n")
+        with pytest.raises(ValueError) as exc:
+            load_params(path)
+        assert str(path) in str(exc.value)
+        assert "YAML" in str(exc.value)
+
+    @pytest.mark.parametrize("section", sorted(BROKEN_PARAMS) + ["syntax"])
+    def test_solve_exits_1_naming_the_file(self, tmp_path, capsys, section):
+        from hfmm.cli import main
+        if section == "syntax":
+            path = tmp_path / "syntax.yaml"
+            path.write_text("grid: {n_steps: 5\narrivals: [\n")
+        else:
+            path = self._write(tmp_path, section)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--params", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"invalid params: {path}" in err
+        assert "Traceback" not in err

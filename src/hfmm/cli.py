@@ -78,8 +78,15 @@ def load_run_config(args) -> dict:
     if config_path:
         if not Path(config_path).exists():
             raise FileNotFoundError(config_path)
-        with open(config_path) as fh:
-            cfg.update(yaml.safe_load(fh) or {})
+        try:
+            with open(config_path) as fh:
+                doc = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{config_path}: not a readable YAML file: "
+                             f"{exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{config_path}: config file is not a mapping")
+        cfg.update(doc)
     for key, cast in [("seed", int), ("out", str), ("workers", int),
                       ("window", int), ("lambda", float), ("params", str),
                       ("events", str)]:
@@ -178,6 +185,11 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
+    for key, least in (("n_paths", 1), ("chunk_size", 1), ("seed", 0)):
+        if not (isinstance(cfg[key], int) and cfg[key] >= least):
+            print(f"simulate needs an integer {key} >= {least}, not "
+                  f"{cfg[key]!r}", file=sys.stderr)
+            return EXIT_FAILURE
     p = _load_params_or_exit(cfg)
     out = _outdir(cfg)
     table = backward_pass(p)
@@ -423,6 +435,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"config file not found: {exc}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
+    except ValueError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     handler = {
         "solve": cmd_solve,
         "simulate": cmd_simulate,

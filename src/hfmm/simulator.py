@@ -7,15 +7,16 @@ paths with it, and ``run_episode`` records one path of it step by step.
 Small brute-force dynamic programs serve as independent oracles for the
 closed-form solver.
 
-Reproducibility: every path draws from its own substream spawned from the
-base seed, so path i is identical regardless of path count, chunking, or
-worker layout. Each step consumes a fixed channel layout
-(u_arrival, u_c+, u_p+, u_c-, u_p-, z_price).
+Reproducibility: path i draws exactly what
+``Generator(PCG64(SeedSequence(seed).spawn(n_paths)[i]))`` would, so it is
+identical regardless of path count, chunking, or worker layout. Each step
+consumes a fixed channel layout (u_arrival, u_c+, u_p+, u_c-, u_p-, z_price).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +277,88 @@ def _arrivals_vec(pp, pm, pj, u):
     return ind_p, ind_m
 
 
-def _path_draws(seed_seq, n: int):
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    return rng.random((n, 5)), rng.standard_normal(n)
+# SeedSequence's hashing and PCG64's seeding, as numpy defines them (both
+# fixed by its stream-compatibility policy).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(const, mult):
+    """SeedSequence's running hash constant: each hash xors its value with
+    the current constant and multiplies it by the next one."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value, chain):
+    xor, mult = next(chain)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> np.uint32(16))
+
+
+def _path_state_words(seed, n_paths: int) -> np.ndarray:
+    """Row i is ``SeedSequence(seed).spawn(n_paths)[i].generate_state(4,
+    np.uint64)``, computed for all children at once.
+
+    A child's entropy is the seed's little-endian 32-bit words, zero-padded
+    to the pool size, then its spawn index (one word: n_paths is far below
+    2**32 for any array that fits in memory). SeedSequence mixes them through
+    a chain of hash constants that does not depend on the values, so uint32
+    array arithmetic, which wraps as SeedSequence's does, runs that mixing
+    over every child in one pass.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(n_paths, w, np.uint32) for w in words]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
+
+    chain = _hash_chain(_INIT_A, _MULT_A)
+    pool = [_hashmix(e, chain) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(e, chain))
+
+    chain = _hash_chain(_INIT_B, _MULT_B)
+    state = np.empty((n_paths, 8), "<u4")
+    for j in range(8):
+        state[:, j] = _hashmix(pool[j % _POOL_SIZE], chain)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _path_draws(words, rng, u, z):
+    """Fill one path's uniforms u (n, 5) and normals z (n,) from ``rng``,
+    reseeded from the path's 4 state words (Python ints) by PCG64's own
+    seeding rule: the draws are those of a fresh PCG64 seeded with them."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    rng.random(out=u)
+    rng.standard_normal(out=z)
 
 
 def _steps(policy, market: SimMarket, u, z):
@@ -325,11 +405,13 @@ def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
     n = market.params.grid.n_steps
     seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
            else np.random.SeedSequence(rng_seed))
-    u, z = _path_draws(seq, n)
+    u, z = np.empty((1, n, 5)), np.empty((1, n))
+    _path_draws(seq.generate_state(4, np.uint64).tolist(),
+                np.random.Generator(np.random.PCG64(0)), u[0], z[0])
 
     states = [(market.price.S0, 0.0, 0.0)]
     logs = []
-    for S, W, I, step in _steps(policy, market, u[None], z[None]):
+    for S, W, I, step in _steps(policy, market, u, z):
         states.append((S[0], W[0], I[0]))
         logs.append([np.ravel(x)[0] for x in step])
     S_log, W_log, I_log = np.array(states).T
@@ -348,16 +430,18 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     per-policy objective arrays for further analysis.
     """
     n = market.params.grid.n_steps
-    children = np.random.SeedSequence(base_seed).spawn(n_paths)
+    words = _path_state_words(base_seed, n_paths)
+    rng = np.random.Generator(np.random.PCG64(0))
 
     objectives = [np.empty(n_paths) for _ in policies]
+    u_buf = np.empty((min(chunk_size, n_paths), n, 5))
+    z_buf = np.empty((min(chunk_size, n_paths), n))
     for start in range(0, n_paths, chunk_size):
         stop = min(start + chunk_size, n_paths)
         m = stop - start
-        u = np.empty((m, n, 5))
-        z = np.empty((m, n))
-        for i, child in enumerate(children[start:stop]):
-            u[i], z[i] = _path_draws(child, n)
+        u, z = u_buf[:m], z_buf[:m]
+        for i, path_words in enumerate(words[start:stop].tolist()):
+            _path_draws(path_words, rng, u[i], z[i])
 
         for pol_idx, policy in enumerate(policies):
             for S, W, I, _ in _steps(policy, market, u, z):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarketParams, SideMoments
+from .model import MarketParams
 
 __all__ = [
     "CoefficientTable",
@@ -356,27 +356,6 @@ def inventory_threshold(p: MarketParams):
 # ---------------------------------------------------------------------------
 # Closed forms for the zero-joint-arrival case, used as independent checks.
 # ---------------------------------------------------------------------------
-
-def pi0_inventory_coef(m: SideMoments, alpha_next: float) -> float:
-    """Inventory coefficient of the quote when joint arrivals never happen."""
-    return alpha_next * m.mu_c / (m.mu_c - alpha_next * m.mu_c2)
-
-
-def pi0_half_spread(m: SideMoments, alpha_next: float) -> float:
-    """Baseline one-side spread when joint arrivals never happen."""
-    return (m.mu_cp - 2 * alpha_next * m.mu_c2p) / (
-        2 * (m.mu_c - alpha_next * m.mu_c2))
-
-
-def pi0_alpha_step(pp: float, pm: float, mp: SideMoments, mm: SideMoments,
-                   alpha_next: float) -> float:
-    """One backward step of the inventory-cost recursion with no joint
-    arrivals."""
-    a = alpha_next
-    return (a
-            + pp * (a * mp.mu_c) ** 2 / (mp.mu_c - a * mp.mu_c2)
-            + pm * (a * mm.mu_c) ** 2 / (mm.mu_c - a * mm.mu_c2))
-
 
 def table_to_csv(table: CoefficientTable, path) -> None:
     """Columnar export (one row per action time; terminal row carries only

@@ -4,7 +4,9 @@ helper call per step for the coefficients and for the constant term.
 ``hfmm.solver.backward_pass`` must produce the same CoefficientTable, bit for
 bit, and raise ArithmeticError on the same parameters when gamma vanishes.
 
-``_g_step`` is also the constant-term update of ``forecast_oracle``.
+``_g_step`` is also the constant-term update of ``forecast_oracle``. The
+``pi0_*`` closed forms, the sweep with no joint arrivals, check it on such
+markets.
 """
 
 from __future__ import annotations
@@ -144,3 +146,26 @@ def _g_step(g_next, pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,
                    - (A3m - A2m) * pm * mom_m.mu_c
                    - pp * mom_p.mu_cp + pm * mom_m.mu_cp)
     return g_next + g_sum + cross + drift
+
+
+# Closed forms of the sweep when joint arrivals never happen (pi11 = 0).
+
+def pi0_inventory_coef(m: SideMoments, alpha_next: float) -> float:
+    """Inventory coefficient of the quote when joint arrivals never happen."""
+    return alpha_next * m.mu_c / (m.mu_c - alpha_next * m.mu_c2)
+
+
+def pi0_half_spread(m: SideMoments, alpha_next: float) -> float:
+    """Baseline one-side spread when joint arrivals never happen."""
+    return (m.mu_cp - 2 * alpha_next * m.mu_c2p) / (
+        2 * (m.mu_c - alpha_next * m.mu_c2))
+
+
+def pi0_alpha_step(pp: float, pm: float, mp: SideMoments, mm: SideMoments,
+                   alpha_next: float) -> float:
+    """One backward step of the inventory-cost recursion with no joint
+    arrivals."""
+    a = alpha_next
+    return (a
+            + pp * (a * mp.mu_c) ** 2 / (mp.mu_c - a * mp.mu_c2)
+            + pm * (a * mm.mu_c) ** 2 / (mm.mu_c - a * mm.mu_c2))

@@ -103,6 +103,34 @@ class TestExitCodes:
         assert str(bad) in out.stderr
         assert "Traceback" not in out.stdout + out.stderr
 
+    def test_config_not_yaml(self, tmp_path, params_file, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: [1\n")
+        assert main(["solve", "--params", str(params_file),
+                     "--out", str(tmp_path / "out"),
+                     "--config", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_config_not_a_mapping(self, tmp_path, params_file, capsys):
+        bad = tmp_path / "list.yaml"
+        bad.write_text("- 1\n")
+        assert main(["solve", "--params", str(params_file),
+                     "--out", str(tmp_path / "out"),
+                     "--config", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("n_paths", 0), ("n_paths", -3),
+                                           ("chunk_size", 0),
+                                           ("n_paths", "many"), ("seed", -1)])
+    def test_simulate_bad_count_or_seed(self, tmp_path, params_file, capsys,
+                                        key, value):
+        out = tmp_path / "out"
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(out), "--config",
+                     str(write_config(tmp_path, **{key: value}))]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything was solved
+
     def test_invalid_params_rejected(self, tmp_path, params_file):
         text = params_file.read_text().replace("0.2", "1.7")
         bad = tmp_path / "bad.yaml"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
@@ -7,12 +9,14 @@ from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
 from hfmm.simulator import (DemandDistribution, GaussianCopulaLognormal,
                             LognormalIndependent, PointMass, PriceModel,
                             SimMarket, TwoPointIndependent, _arrivals_vec,
+                            _path_draws, _path_state_words,
                             brute_force_value_small, monte_carlo_value,
                             monte_carlo_values, one_step_objective,
                             run_episode)
 from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
                          optimal_spreads)
 
+import mc_oracle
 from conftest import FixedSpreadPolicy, PerturbedPolicy
 
 
@@ -237,6 +241,95 @@ class TestMonteCarlo:
             diff = opt - objs[i]
             se = np.std(diff, ddof=1) / np.sqrt(len(diff))
             assert np.mean(diff) > 3 * se
+
+
+def spawned_words(seed, n_paths):
+    return np.array([child.generate_state(4, np.uint64) for child in
+                     np.random.SeedSequence(seed).spawn(n_paths)])
+
+
+def two_point_market(n_steps=12, pi_joint=0.05, **price_kwargs):
+    p = symmetric_params(100, 5, 0.3, pi_joint, 0.001, n_steps)
+    return SimMarket(
+        params=p,
+        demand=DemandDistribution(
+            plus=TwoPointIndependent((80, 120), (4, 6)),
+            minus=TwoPointIndependent((60, 140), (3, 7))),
+        price=PriceModel(S0=100.0, **price_kwargs))
+
+
+class TestPathSeeding:
+    """The array-pass seeding against per-path ``SeedSequence`` children
+    (``mc_oracle``): the same state words, draws and objectives."""
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 8193])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3, 2 ** 128 - 1])
+    def test_state_words_named_seeds(self, seed, n_paths):
+        words = _path_state_words(seed, n_paths)
+        assert words.dtype == np.uint64 and words.shape == (n_paths, 4)
+        assert np.array_equal(words, spawned_words(seed, n_paths))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 130 - 1), n_paths=st.integers(1, 40))
+    def test_state_words_random_seeds(self, seed, n_paths):
+        assert np.array_equal(_path_state_words(seed, n_paths),
+                              spawned_words(seed, n_paths))
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(_path_state_words(np.int64(7), 3),
+                              spawned_words(7, 3))
+
+    def test_negative_seed_rejected_as_seed_sequence_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            _path_state_words(-1, 4)
+        market = two_point_market()
+        with pytest.raises(ValueError):
+            monte_carlo_values([FixedSpreadPolicy(2.0, 2.0)], market, 4, -3)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 + 3])
+    def test_path_draws_equal_oracle(self, seed):
+        n, n_paths = 37, 300
+        rng = np.random.Generator(np.random.PCG64(0))
+        children = np.random.SeedSequence(seed).spawn(n_paths)
+        for i, words in enumerate(
+                _path_state_words(seed, n_paths).tolist()):
+            u, z = np.empty((n, 5)), np.empty(n)
+            _path_draws(words, rng, u, z)
+            u_ref, z_ref = mc_oracle._path_draws(children[i], n)
+            assert np.array_equal(u, u_ref) and np.array_equal(z, z_ref)
+
+    @pytest.mark.parametrize("n_paths,chunk_size", [
+        (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100)])
+    def test_objectives_equal_oracle(self, n_paths, chunk_size):
+        market = two_point_market(drift=0.01, vol=0.05)
+        t = backward_pass(market.params)
+        policies = [Policy.named("optimal_martingale", t),
+                    FixedSpreadPolicy(2.0, 3.0)]
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
+                                         chunk_size=chunk_size)
+        stats_ref, objs_ref = mc_oracle.monte_carlo_values(
+            policies, market, n_paths, 17, chunk_size=chunk_size)
+        for obj, obj_ref in zip(objs, objs_ref):
+            assert np.array_equal(obj, obj_ref)
+        np.testing.assert_array_equal(stats, stats_ref)
+
+    def test_int_seed_episode_draws_from_seed_sequence(self):
+        # an int seed is SeedSequence(seed) itself, not a spawned child
+        market = two_point_market(n_steps=30, drift=0.02, vol=0.1)
+        ep = run_episode(FixedSpreadPolicy(2.0, 3.0), market, 2024)
+        u, z = mc_oracle._path_draws(np.random.SeedSequence(2024), 30)
+        S = [market.price.S0]
+        for k in range(30):
+            S.append(S[-1] + 0.02 + 0.1 * z[k])
+        assert ep.S.tolist() == S
+        a = market.params.arrivals
+        ind_p, ind_m = _arrivals_vec(a.pi_plus, a.pi_minus, a.pi_joint,
+                                     u[:, 0])
+        assert np.array_equal(ep.ind_plus, ind_p.astype(int))
+        assert np.array_equal(ep.ind_minus, ind_m.astype(int))
 
 
 class TestOneStepObjective:

@@ -11,13 +11,13 @@ from hfmm.solver import (CoefficientTable, ForecastVector, MarketState,
                          backward_pass, closed_form_spread_symmetric,
                          forecast_shift, inventory_threshold,
                          nonmartingale_value_adjustments, optimal_spreads,
-                         pi0_alpha_step, pi0_half_spread, pi0_inventory_coef,
                          quote_prices, table_to_csv, value_function)
 from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
 import forecast_oracle
 import solver_oracle
 from conftest import random_valid_params
+from solver_oracle import pi0_alpha_step, pi0_half_spread, pi0_inventory_coef
 
 
 def independent_symmetric_c_params(rng, n_steps=None, lam=None,

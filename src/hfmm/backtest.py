@@ -94,11 +94,57 @@ def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float,
     return ask_ticks, bid_ticks
 
 
+def _quote(policy: Policy, rep: ReplayResult, k: int, S: float, I: float,
+           shift: float, tick: float):
+    """The step's (ask, bid) quote in ticks, kept a tick off the mid; a
+    fixed level falls back to the deepest one the snapshot has."""
+    if policy.level:
+        snap = rep.snapshots[k]
+        ask_ticks = snap.occupied_price("ask", policy.level)[0]
+        bid_ticks = snap.occupied_price("bid", policy.level)[0]
+    else:
+        Lp, Lm = policy.spreads(k, S, I, shift)
+        ask, bid = quote_prices(S, Lp, Lm, tick)
+        ask_ticks = int(round(ask / tick))
+        bid_ticks = int(round(bid / tick))
+    return _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
+
+
+def _raise_first_failed_quote(policy: Policy, rep: ReplayResult, mids,
+                              drifts, depth, quoted, held, stop: int,
+                              tick: float) -> None:
+    """Quote steps 0..stop-1 in one array pass, each at the inventory
+    ``held`` after the ``quoted`` steps before it, then re-quote through
+    ``_quote``, in step order, each step whose quote may not be finite, so
+    that the first one that fails raises what ``_quote`` raises there."""
+    S = mids[:stop]
+    inventory = np.array(held)[np.searchsorted(quoted, np.arange(stop))]
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(S / tick)
+        if policy.level:
+            bad |= depth[:stop] == 0
+        else:
+            Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
+                                    drifts[:stop])
+            ask = np.ceil((S + Lp) / tick - 1e-9) * tick / tick
+            bid = np.floor((S - Lm) / tick + 1e-9) * tick / tick
+            bad |= ~np.isfinite(ask) | ~np.isfinite(bid) | (not tick > 0)
+    for k in np.flatnonzero(bad).tolist():
+        _quote(policy, rep, k, mids[k], inventory[k], drifts[k], tick)
+
+
 def run_day(params: MarketParams, policy: Policy, events_or_replay,
             day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
             ) -> DayResult:
     """Replay one session under one policy, resting ``order_volume`` shares
-    on each side at every step. Deterministic."""
+    on each side at every step. Deterministic.
+
+    Only the steps whose interval holds a market order are quoted one by
+    one: at any other step nothing fills, so cash, inventory and the fill
+    count stay as they are. What quoting does there is still taken at
+    every step, in array passes: a fixed level's fallback flag, and a quote
+    that cannot be formed (a non-finite spread, a one-sided snapshot),
+    which ends the day with the error it raises at the first such step."""
     tick = params.tick_size
     if isinstance(events_or_replay, ReplayResult):
         rep = events_or_replay
@@ -108,35 +154,38 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     mids = np.asarray(rep.midprices, dtype=float)
     drifts = (drift_forecast_series(mids)[0] if policy.forecast
               else np.zeros(n))
+    depth = (np.array([min(len(s.asks), len(s.bids))
+                       for s in rep.snapshots[:n]]) if policy.level else None)
+    quoted = [k for k in range(n) if rep.flows[k].mos]
 
     W = 0.0
     I = 0.0
     fills = 0
-    flags = []
-    for k in range(n):
-        S = mids[k]
-        if policy.level:
-            snap = rep.snapshots[k]
-            ask_ticks, ask_fb = snap.occupied_price("ask", policy.level)
-            bid_ticks, bid_fb = snap.occupied_price("bid", policy.level)
-            if ask_fb or bid_fb:
-                flags.append(f"level fallback at step {k}")
-        else:
-            Lp, Lm = policy.spreads(k, S, I, drifts[k])
-            ask, bid = quote_prices(S, Lp, Lm, tick)
-            ask_ticks = int(round(ask / tick))
-            bid_ticks = int(round(bid / tick))
-        ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
-        Qp = fill_quantity(ask_ticks, order_volume, "ask", rep.flows[k])
-        Qm = fill_quantity(bid_ticks, order_volume, "bid", rep.flows[k])
-        if Qp:
-            W += ask_ticks * tick * Qp
-            I -= Qp
-            fills += 1
-        if Qm:
-            W -= bid_ticks * tick * Qm
-            I += Qm
-            fills += 1
+    held = [I]  # inventory before the first quoted step and after each
+    try:
+        for k in quoted:
+            ask_ticks, bid_ticks = _quote(policy, rep, k, mids[k], I,
+                                          drifts[k], tick)
+            Qp = fill_quantity(ask_ticks, order_volume, "ask", rep.flows[k])
+            Qm = fill_quantity(bid_ticks, order_volume, "bid", rep.flows[k])
+            if Qp:
+                W += ask_ticks * tick * Qp
+                I -= Qp
+                fills += 1
+            if Qm:
+                W -= bid_ticks * tick * Qm
+                I += Qm
+                fills += 1
+            held.append(I)
+    except (ValueError, ArithmeticError):  # unless a step before k failed
+        _raise_first_failed_quote(policy, rep, mids, drifts, depth, quoted,
+                                  held, k, tick)
+        raise
+    _raise_first_failed_quote(policy, rep, mids, drifts, depth, quoted, held,
+                              n, tick)
+    flags = ([] if not policy.level else
+             [f"level fallback at step {k}"
+              for k in np.flatnonzero(depth < policy.level).tolist()])
 
     try:
         S_T = midprice(rep.terminal_book, tick)

@@ -53,8 +53,15 @@ _DAY_ERRORS = (BookError, ValueError, ArithmeticError, OSError)
 # ---------------------------------------------------------------------------
 
 def _env(name, cast=str):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    return None if raw is None else cast(raw)
+    var = ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
+    if raw is None:
+        return None
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{var}={raw!r} is not a valid "
+                         f"{cast.__name__}") from None
 
 
 def load_run_config(args) -> dict:
@@ -157,18 +164,22 @@ def cmd_solve(cfg) -> int:
 
     pi11_grid = [float(x) for x in cfg["pi11_grid"]]
     inv_grid = [float(x) for x in cfg["inventory_grid"]]
+    # the variants differ from p only in pi_joint: one sweep per distinct one
+    solved = {p.arrivals.pi_joint.tobytes(): table}
     tables = []
     for pi11 in pi11_grid:
         arr = p.arrivals
         lo = np.maximum(arr.pi_plus + arr.pi_minus - 1.0, 0.0)
         hi = np.minimum(arr.pi_plus, arr.pi_minus)
         pj = np.clip(np.full_like(arr.pi_plus, pi11), lo, hi)
-        variant = MarketParams(
-            grid=p.grid,
-            arrivals=type(arr)(pi_plus=arr.pi_plus, pi_minus=arr.pi_minus,
-                               pi_joint=pj),
-            moments=p.moments, lam=p.lam, tick_size=p.tick_size)
-        tables.append(backward_pass(variant))
+        if pj.tobytes() not in solved:
+            variant = MarketParams(
+                grid=p.grid,
+                arrivals=type(arr)(pi_plus=arr.pi_plus,
+                                   pi_minus=arr.pi_minus, pi_joint=pj),
+                moments=p.moments, lam=p.lam, tick_size=p.tick_size)
+            solved[pj.tobytes()] = backward_pass(variant)
+        tables.append(solved[pj.tobytes()])
     columns = []
     for t in tables:
         for I in inv_grid:

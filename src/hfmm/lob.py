@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv as _csv
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import neg
 
 import numpy as np
 
@@ -103,24 +105,29 @@ class BookState:
 @dataclass(frozen=True)
 class MORecord:
     """One market order plus the consumed side's ladder profile at arrival:
-    prices best-first with the cumulative standing volume."""
+    prices best-first with the cumulative standing volume, as int tuples."""
 
     side: str
     volume: int
-    prices: np.ndarray    # best-first
-    cum_sizes: np.ndarray
+    prices: tuple    # best-first
+    cum_sizes: tuple
 
     def better_priced_volume(self, placed_price_ticks):
         """Standing volume at strictly better prices than the placement;
         elementwise for an array of placements."""
+        if isinstance(placed_price_ticks, np.ndarray):
+            prices = np.array(self.prices, dtype=np.int64)
+            # better = lower ask price / higher bid price, best-first
+            i = (np.searchsorted(prices, placed_price_ticks)
+                 if self.side == "ask" else
+                 np.searchsorted(-prices, np.negative(placed_price_ticks)))
+            cum = np.array(self.cum_sizes, dtype=np.int64)
+            return (cum[i - 1] if len(cum) else 0) * (i > 0)
         if self.side == "ask":
-            # better = lower price; prices ascending
-            i = np.searchsorted(self.prices, placed_price_ticks)
+            i = bisect_left(self.prices, placed_price_ticks)
         else:
-            # better = higher price; prices descending
-            i = np.searchsorted(-self.prices, np.negative(placed_price_ticks))
-        cum = self.cum_sizes
-        return (cum[i - 1] if len(cum) else 0) * (i > 0)
+            i = bisect_left(self.prices, -placed_price_ticks, key=neg)
+        return self.cum_sizes[i - 1] if i else 0
 
 
 @dataclass
@@ -160,7 +167,7 @@ def fill_quantity(placed_price_ticks: int, placed_size: int, side: str,
     q = 0
     for mo in flow.mos:
         if mo.side == side:
-            take = mo.volume - int(mo.better_priced_volume(placed_price_ticks))
+            take = mo.volume - mo.better_priced_volume(placed_price_ticks)
             if take > 0:
                 q += take
     return q if q <= placed_size else max(placed_size, 0)
@@ -382,7 +389,8 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
             a, b = starts[2 * i + mo_side[t]], starts[2 * i + mo_side[t] + 1]
             flows[interval[t]].mos.append(
                 MORecord(side=SIDE_NAMES[mo_side[t]], volume=mo_volume[t],
-                         prices=px[a:b], cum_sizes=cum[a:b]))
+                         prices=tuple(px[a:b].tolist()),
+                         cum_sizes=tuple(cum[a:b].tolist())))
     if error is not None:
         raise BookError(error[1], error[0])
     return ReplayResult(snapshots=snapshots, midprices=mids, flows=flows,

@@ -72,9 +72,9 @@ def oracle_replay(events, grid, K=20, tick_size=1.0):
                 del orders[ref]
         elif next_k > 0 and ts < times[n]:  # trade marker inside the session
             lv = levels[side]
-            prices = np.array(sorted(lv, reverse=not side), dtype=np.int64)
-            cum = np.cumsum([lv[p] for p in prices.tolist()],
-                            dtype=np.int64)
+            prices = tuple(sorted(lv, reverse=not side))
+            cum = tuple(np.cumsum([lv[p] for p in prices],
+                                  dtype=np.int64).tolist())
             flows[next_k - 1].mos.append(
                 MORecord(side=SIDE_NAMES[side], volume=size, prices=prices,
                          cum_sizes=cum))
@@ -95,8 +95,9 @@ def sequential_fill(placed_price_ticks, placed_size, side, flow):
         if mo.side != side or remaining <= 0:
             continue
         sizes = np.diff(mo.cum_sizes, prepend=0)
-        better = (mo.prices < placed_price_ticks if side == "ask"
-                  else mo.prices > placed_price_ticks)
+        prices = np.array(mo.prices, dtype=np.int64)
+        better = (prices < placed_price_ticks if side == "ask"
+                  else prices > placed_price_ticks)
         q = mo.volume - int(sizes[better].sum())
         if q > 0:
             take = min(q, remaining)

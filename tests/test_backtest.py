@@ -16,6 +16,8 @@ from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
+import backtest_oracle
+
 
 def ev(ts, kind, side, price, size, ref):
     return BookEvent(ts_ns=ts, kind=kind, side=side, price_ticks=price,
@@ -151,6 +153,93 @@ class TestRunDay:
         a = run_day(truth.params, policy, events)
         b = run_day(truth.params, policy, rep)
         assert a.objective == b.objective
+
+
+def outcome(fn, *args, **kwargs):
+    """The DayResult, or the raised error's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRunDayMatchesOracle:
+    """run_day quotes only the steps with a market order; the per-step
+    loop it replaced must give the same DayResult or the same error."""
+
+    NAMES = ("optimal_forecast", "optimal_martingale", "fixed_level_1",
+             "fixed_level_2", "fixed_level_3", "fixed_level_25")
+
+    def same(self, params, policy, rep, **kwargs):
+        got = outcome(run_day, params, policy, rep, day_id=7, **kwargs)
+        want = outcome(backtest_oracle.run_day, params, policy, rep,
+                       day_id=7, **kwargs)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("depth", [2, 4, 12])
+    @pytest.mark.parametrize("tick", [1.0, 0.5, 0.01])
+    def test_synthetic_days(self, tick, depth):
+        cfg = SyntheticDayConfig(n_steps=300, tick_size=tick, depth=depth)
+        events, truth = generate_day(cfg, seed=11)
+        rep = replay(events, truth.params.grid, tick_size=tick)
+        table = backward_pass(truth.params)
+        flags = set()
+        for name in self.NAMES:
+            for volume in (1, 37, 500, 10 ** 6):
+                r = self.same(truth.params, Policy.named(name, table), rep,
+                              order_volume=volume)
+                flags.update(f.split(" at ")[0] for f in r.flags)
+        # depth 2 falls back from level 3 and runs out of book to liquidate
+        assert depth > 2 or flags == {"level fallback",
+                                      "liquidation exhausted visible depth"}
+
+    def quiet_steps(self, n_steps=200, seed=4):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=n_steps),
+                                     seed=seed)
+        rep = replay(events, truth.params.grid)
+        quiet = [k for k in range(n_steps) if not rep.flows[k].mos]
+        return truth.params, rep, backward_pass(truth.params), quiet
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad,error", [(np.nan, ValueError),
+                                           (np.inf, OverflowError)])
+    def test_non_finite_spread_without_mo_ends_day(self, bad, error):
+        # the other non-finite value at a later MO step raises the other
+        # error, but the step without an MO fails first
+        params, rep, table, quiet = self.quiet_steps()
+        k = quiet[len(quiet) // 2]
+        A2 = table.A2_plus.copy()
+        A2[k] = bad
+        A2[next(j for j in range(k, 200) if rep.flows[j].mos)] = (
+            np.inf if np.isnan(bad) else np.nan)
+        for name in ("optimal_forecast", "optimal_martingale"):
+            policy = Policy.named(name, replace(table, A2_plus=A2))
+            assert self.same(params, policy, rep)[0] is error
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spread_overflowing_at_the_held_inventory(self):
+        # A1 = 1e308 overflows the spread only where the inventory held
+        # before the step's fills is nonzero, that is after the first fill
+        params, rep, table, _ = self.quiet_steps()
+        outcomes = []
+        for k in range(8):
+            A1 = table.A1_plus.copy()
+            A1[k] = 1e308
+            policy = Policy.named("optimal_martingale",
+                                  replace(table, A1_plus=A1))
+            outcomes.append(isinstance(self.same(params, policy, rep),
+                                       DayResult))
+        assert True in outcomes and False in outcomes
+
+    def test_one_sided_snapshot_without_mo_ends_day(self):
+        params, rep, table, quiet = self.quiet_steps()
+        snapshots = list(rep.snapshots)
+        snapshots[quiet[3]] = replace(snapshots[quiet[3]], asks=())
+        rep = replace(rep, snapshots=snapshots)
+        for name in self.NAMES:
+            got = self.same(params, Policy.named(name, table), rep)
+            assert isinstance(got, DayResult) != bool(Policy.named(name).level)
 
 
 class TestAggregate:

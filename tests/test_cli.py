@@ -131,6 +131,16 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()  # rejected before anything was solved
 
+    @pytest.mark.parametrize("var,value", [("HFMM_SEED", "abc"),
+                                           ("HFMM_LAMBDA", "1e"),
+                                           ("HFMM_WORKERS", "2.5")])
+    def test_bad_env_value_named(self, tmp_path, params_file, capsys,
+                                 monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"{var}={value!r}" in capsys.readouterr().err
+
     def test_invalid_params_rejected(self, tmp_path, params_file):
         text = params_file.read_text().replace("0.2", "1.7")
         bad = tmp_path / "bad.yaml"
@@ -189,6 +199,25 @@ class TestSolve:
             w.writerow(row)
         assert (out / "spread_surface.csv").read_bytes() == \
             want.getvalue().encode()
+
+    def test_each_distinct_pi_joint_solved_once(self, tmp_path, params_file,
+                                                monkeypatch):
+        # the file's pi_joint is 0; 0.3, 0.5 and 0.2 all clip to
+        # min(pi_plus, pi_minus) = 0.2
+        calls = []
+
+        def counted(p):
+            calls.append(p.arrivals.pi_joint[0])
+            return backward_pass(p)
+
+        monkeypatch.setattr("hfmm.cli.backward_pass", counted)
+        out = tmp_path / "out"
+        assert main(["solve", "--params", str(params_file), "--out", str(out),
+                     "--config", str(write_config(
+                         tmp_path, pi11_grid=[0.0, 0.3, 0.5, 0.2]))]) == 0
+        assert calls == [0.0, 0.2]
+        _, data = read_surface(out / "spread_surface.csv")
+        assert (data[:, 2:] == data[:, [1]]).all()
 
     def test_idempotent_reruns(self, tmp_path, params_file):
         out = tmp_path / "out"

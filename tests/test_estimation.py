@@ -14,8 +14,8 @@ from hfmm.synthetic import SyntheticDayConfig, generate_day
 
 
 def mo(side, volume, levels):
-    prices = np.array([p for p, _ in levels], dtype=np.int64)
-    cum = np.cumsum([s for _, s in levels]).astype(np.int64)
+    prices = tuple(p for p, _ in levels)
+    cum = tuple(np.cumsum([s for _, s in levels], dtype=np.int64).tolist())
     return MORecord(side=side, volume=volume, prices=prices, cum_sizes=cum)
 
 

@@ -21,8 +21,8 @@ def ev(ts, kind, side, price, size, ref):
 
 def mo(side, volume, levels):
     """levels: (price, size) best-first."""
-    prices = np.array([p for p, _ in levels], dtype=np.int64)
-    cum = np.cumsum([s for _, s in levels]).astype(np.int64)
+    prices = tuple(p for p, _ in levels)
+    cum = tuple(np.cumsum([s for _, s in levels], dtype=np.int64).tolist())
     return MORecord(side=side, volume=volume, prices=prices, cum_sizes=cum)
 
 
@@ -292,7 +292,8 @@ def assert_same_replay(a, b):
         for x, y in zip(fa.mos, fb.mos):
             assert (x.side, x.volume) == (y.side, y.volume)
             for u, v in ((x.prices, y.prices), (x.cum_sizes, y.cum_sizes)):
-                assert u.dtype == v.dtype and np.array_equal(u, v)
+                assert type(u) is type(v) is tuple and u == v
+                assert all(type(e) is int for e in u + v)
 
 
 def outcome(fn, *args, **kwargs):
@@ -390,6 +391,27 @@ def random_stream(data):
     for i, (ts, kind, side, price, size, ref) in enumerate(rows):
         arr[i] = (ts, kind, side, 0, price, size, ref, 0)
     return arr
+
+
+class TestBetterPricedVolume:
+    # asks 101 x 5, 103 x 7, 104 x 2; bids the mirror image
+    ASK = mo("ask", 10, [(101, 5), (103, 7), (104, 2)])
+    BID = mo("bid", 10, [(99, 5), (97, 7), (96, 2)])
+    WANT = [0, 0, 5, 5, 12, 14, 14]
+
+    def test_scalar(self):
+        for placed, want in zip(range(100, 107), self.WANT):
+            assert self.ASK.better_priced_volume(placed) == want
+            assert self.BID.better_priced_volume(200 - placed) == want
+        assert mo("ask", 10, []).better_priced_volume(101) == 0
+
+    def test_array(self):
+        placed = np.arange(100, 107)
+        assert self.ASK.better_priced_volume(placed).tolist() == self.WANT
+        assert self.BID.better_priced_volume(200 - placed).tolist() == \
+            self.WANT
+        assert mo("bid", 10, []).better_priced_volume(placed).tolist() == \
+            [0] * 7
 
 
 class TestClosedFormFills:

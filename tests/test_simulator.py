@@ -10,14 +10,14 @@ from hfmm.simulator import (DemandDistribution, GaussianCopulaLognormal,
                             LognormalIndependent, PointMass, PriceModel,
                             SimMarket, TwoPointIndependent, _arrivals_vec,
                             _path_draws, _path_state_words,
-                            brute_force_value_small, monte_carlo_value,
-                            monte_carlo_values, one_step_objective,
+                            monte_carlo_value, monte_carlo_values,
                             run_episode)
 from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
                          optimal_spreads)
 
 import mc_oracle
 from conftest import FixedSpreadPolicy, PerturbedPolicy
+from sim_oracle import brute_force_value_small, one_step_objective
 
 
 def point_market(p, c=100.0, pv=5.0, **price_kwargs):

@@ -110,29 +110,6 @@ def _quote(policy: Policy, rep: ReplayResult, k: int, S: float, I: float,
     return _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
 
 
-def _raise_first_failed_quote(policy: Policy, rep: ReplayResult, mids,
-                              drifts, depth, quoted, held, stop: int,
-                              tick: float) -> None:
-    """Quote steps 0..stop-1 in one array pass, each at the inventory
-    ``held`` after the ``quoted`` steps before it, then re-quote through
-    ``_quote``, in step order, each step whose quote may not be finite, so
-    that the first one that fails raises what ``_quote`` raises there."""
-    S = mids[:stop]
-    inventory = np.array(held)[np.searchsorted(quoted, np.arange(stop))]
-    with np.errstate(all="ignore"):
-        bad = ~np.isfinite(S / tick)
-        if policy.level:
-            bad |= depth[:stop] == 0
-        else:
-            Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
-                                    drifts[:stop])
-            ask = np.ceil((S + Lp) / tick - 1e-9) * tick / tick
-            bid = np.floor((S - Lm) / tick + 1e-9) * tick / tick
-            bad |= ~np.isfinite(ask) | ~np.isfinite(bid) | (not tick > 0)
-    for k in np.flatnonzero(bad).tolist():
-        _quote(policy, rep, k, mids[k], inventory[k], drifts[k], tick)
-
-
 def run_day(params: MarketParams, policy: Policy, events_or_replay,
             day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
             ) -> DayResult:
@@ -162,6 +139,27 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     I = 0.0
     fills = 0
     held = [I]  # inventory before the first quoted step and after each
+
+    def raise_first_failed_quote(stop):
+        """Quote steps 0..stop-1 in one array pass, each at the inventory
+        ``held`` after the ``quoted`` steps before it, then re-quote through
+        ``_quote``, in step order, each step whose quote may not be finite,
+        so that the first one that fails raises what it raises there."""
+        S = mids[:stop]
+        inventory = np.array(held)[np.searchsorted(quoted, np.arange(stop))]
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(S / tick)
+            if policy.level:
+                bad |= depth[:stop] == 0
+            else:
+                Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
+                                        drifts[:stop])
+                ask = np.ceil((S + Lp) / tick - 1e-9) * tick / tick
+                bid = np.floor((S - Lm) / tick + 1e-9) * tick / tick
+                bad |= ~np.isfinite(ask) | ~np.isfinite(bid) | (not tick > 0)
+        for k in np.flatnonzero(bad).tolist():
+            _quote(policy, rep, k, mids[k], inventory[k], drifts[k], tick)
+
     try:
         for k in quoted:
             ask_ticks, bid_ticks = _quote(policy, rep, k, mids[k], I,
@@ -178,11 +176,9 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
                 fills += 1
             held.append(I)
     except (ValueError, ArithmeticError):  # unless a step before k failed
-        _raise_first_failed_quote(policy, rep, mids, drifts, depth, quoted,
-                                  held, k, tick)
+        raise_first_failed_quote(k)
         raise
-    _raise_first_failed_quote(policy, rep, mids, drifts, depth, quoted, held,
-                              n, tick)
+    raise_first_failed_quote(n)
     flags = ([] if not policy.level else
              [f"level fallback at step {k}"
               for k in np.flatnonzero(depth < policy.level).tolist()])

@@ -202,14 +202,15 @@ def cmd_simulate(cfg) -> int:
                   f"{cfg[key]!r}", file=sys.stderr)
             return EXIT_FAILURE
     p = _load_params_or_exit(cfg)
+    mom = p.moments
+    for name, side in (("plus", mom.plus), ("minus", mom.minus)):
+        for key in ("mu_p", "mu_p2"):
+            if getattr(side, key) is None:
+                print(f"simulate needs moments.{name}.{key} in the "
+                      f"parameter file {cfg['params']}", file=sys.stderr)
+                return EXIT_FAILURE
     out = _outdir(cfg)
     table = backward_pass(p)
-    mom = p.moments
-    for side in (mom.plus, mom.minus):
-        if side.mu_p is None:
-            print("simulate requires mu_p/mu_p2 in the parameter file",
-                  file=sys.stderr)
-            return EXIT_FAILURE
     demand = DemandDistribution(
         plus=TwoPointIndependent.from_mean_var(
             mom.plus.mu_c, mom.plus.mu_c2 - mom.plus.mu_c ** 2,

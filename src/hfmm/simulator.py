@@ -9,6 +9,7 @@ Reproducibility: path i draws exactly what
 ``Generator(PCG64(SeedSequence(seed).spawn(n_paths)[i]))`` would, so it is
 identical regardless of path count, chunking, or worker layout. Each step
 consumes a fixed channel layout (u_arrival, u_c+, u_p+, u_c-, u_p-, z_price).
+The step loop reads those draws step-major, one contiguous row per channel.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from .model import DemandMoments, MarketParams, SideMoments
 
 __all__ = [
     "SideDistribution",
-    "PointMass",
     "TwoPointIndependent",
-    "LognormalIndependent",
-    "GaussianCopulaLognormal",
     "DemandDistribution",
     "PriceModel",
     "SimMarket",
@@ -37,6 +35,9 @@ __all__ = [
 ]
 
 _SAMPLE_FLOOR = 1e-9
+# Paths drawn per path-major block before the copy into a step-major chunk:
+# 256 paths of 200 steps are 2.4 MB of draws, which stay in cache.
+_BLOCK_PATHS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +75,6 @@ def _moments_from_atoms(atoms) -> SideMoments:
 
 
 @dataclass(frozen=True)
-class PointMass(SideDistribution):
-    c: float
-    p: float
-
-    def sample(self, u_c, u_p):
-        shape = np.shape(u_c)
-        return np.full(shape, self.c), np.full(shape, self.p)
-
-    def side_moments(self) -> SideMoments:
-        return _moments_from_atoms(self.atoms())
-
-    def atoms(self):
-        return [(self.c, self.p, 1.0)]
-
-
-@dataclass(frozen=True)
 class TwoPointIndependent(SideDistribution):
     """c and p each take two values independently."""
 
@@ -118,99 +103,6 @@ class TwoPointIndependent(SideDistribution):
             for p, wp in zip(self.p_values, (self.p_prob_low, 1 - self.p_prob_low)):
                 out.append((max(c, _SAMPLE_FLOOR), max(p, _SAMPLE_FLOOR), wc * wp))
         return out
-
-
-def _lognormal_moment(m, s, order):
-    return math.exp(order * m + 0.5 * (order * s) ** 2)
-
-
-@dataclass(frozen=True)
-class LognormalIndependent(SideDistribution):
-    """Independent lognormal c and p (log-mean/log-std parameterization)."""
-
-    m_c: float
-    s_c: float
-    m_p: float
-    s_p: float
-
-    @classmethod
-    def from_moments(cls, mu_c, mu_c2, mu_p, mu_p2) -> "LognormalIndependent":
-        if mu_c2 <= mu_c ** 2 or mu_p2 <= mu_p ** 2:
-            raise ValueError("second moments must exceed squared means")
-        s_c = math.sqrt(math.log(mu_c2 / mu_c ** 2))
-        s_p = math.sqrt(math.log(mu_p2 / mu_p ** 2))
-        return cls(math.log(mu_c) - s_c ** 2 / 2, s_c,
-                   math.log(mu_p) - s_p ** 2 / 2, s_p)
-
-    def sample(self, u_c, u_p):
-        from scipy.special import ndtri  # lazily: scipy is slow to import
-
-        c = np.exp(self.m_c + self.s_c * ndtri(u_c))
-        p = np.exp(self.m_p + self.s_p * ndtri(u_p))
-        return np.maximum(c, _SAMPLE_FLOOR), np.maximum(p, _SAMPLE_FLOOR)
-
-    def side_moments(self) -> SideMoments:
-        ec = _lognormal_moment(self.m_c, self.s_c, 1)
-        ec2 = _lognormal_moment(self.m_c, self.s_c, 2)
-        ep = _lognormal_moment(self.m_p, self.s_p, 1)
-        ep2 = _lognormal_moment(self.m_p, self.s_p, 2)
-        return SideMoments(mu_c=ec, mu_c2=ec2, mu_cp=ec * ep,
-                           mu_c2p=ec2 * ep, mu_c2p2=ec2 * ep2,
-                           mu_p=ep, mu_p2=ep2)
-
-
-@dataclass(frozen=True)
-class GaussianCopulaLognormal(SideDistribution):
-    """Jointly lognormal (c, p): their logs are bivariate normal with
-    correlation rho, which induces positive (or negative) Cov(c, p)."""
-
-    m_c: float
-    s_c: float
-    m_p: float
-    s_p: float
-    rho: float
-
-    @classmethod
-    def from_moments(cls, mu_c, mu_c2, mu_p, mu_p2,
-                     mu_cp) -> "GaussianCopulaLognormal":
-        """Match marginal moments exactly, then bisect rho until the cross
-        moment E[cp] hits mu_cp."""
-        base = LognormalIndependent.from_moments(mu_c, mu_c2, mu_p, mu_p2)
-
-        def cross(rho):
-            return mu_c * mu_p * math.exp(rho * base.s_c * base.s_p)
-
-        lo, hi = -0.999999, 0.999999
-        if not cross(lo) <= mu_cp <= cross(hi):
-            raise ValueError(f"mu_cp={mu_cp} unreachable for these marginals")
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if cross(mid) < mu_cp:
-                lo = mid
-            else:
-                hi = mid
-        return cls(base.m_c, base.s_c, base.m_p, base.s_p, (lo + hi) / 2)
-
-    def sample(self, u_c, u_p):
-        from scipy.special import ndtri  # lazily: scipy is slow to import
-
-        z1 = ndtri(u_c)
-        z2 = self.rho * z1 + math.sqrt(1 - self.rho ** 2) * ndtri(u_p)
-        c = np.exp(self.m_c + self.s_c * z1)
-        p = np.exp(self.m_p + self.s_p * z2)
-        return np.maximum(c, _SAMPLE_FLOOR), np.maximum(p, _SAMPLE_FLOOR)
-
-    def side_moments(self) -> SideMoments:
-        def mom(a, b):
-            return math.exp(a * self.m_c + b * self.m_p
-                            + 0.5 * (a ** 2 * self.s_c ** 2
-                                     + b ** 2 * self.s_p ** 2
-                                     + 2 * a * b * self.rho
-                                     * self.s_c * self.s_p))
-
-        return SideMoments(mu_c=mom(1, 0), mu_c2=mom(2, 0), mu_cp=mom(1, 1),
-                           mu_c2p=mom(2, 1), mu_c2p2=mom(2, 2),
-                           mu_p=mom(0, 1), mu_p2=mom(0, 2))
 
 
 @dataclass(frozen=True)
@@ -357,14 +249,17 @@ def _path_draws(words, rng, u, z):
 
 
 def _steps(policy, market: SimMarket, u, z):
-    """Advance len(z) paths together through the model's step dynamics from
-    S0 with no cash or inventory, quoting ``policy.spreads(k, S, I)`` (a
+    """Advance m paths together through the model's step dynamics from S0
+    with no cash or inventory, quoting ``policy.spreads(k, S, I)`` (a
     ``backtest.Policy``). After step k it yields the state (S, W, I) and
     the step's (L+, L-, Q+, Q-, arrival indicators), all arrays over the
     paths; W and I are updated in place, so read them before resuming.
 
     Fills follow the linear demand rule verbatim: they are negative when a
     quote lies beyond the taker's reservation price.
+
+    The draws are step-major, uniforms u (n_steps, 5, m) and normals z
+    (n_steps, m), so each step reads whole contiguous rows.
     """
     p = market.params
     n = p.grid.n_steps
@@ -373,19 +268,21 @@ def _steps(policy, market: SimMarket, u, z):
     pp = p.arrivals.pi_plus
     pm = p.arrivals.pi_minus
     pj = p.arrivals.pi_joint
-    S = np.full(len(z), market.price.S0)
-    W = np.zeros(len(z))
-    I = np.zeros(len(z))
+    m = z.shape[1]
+    S = np.full(m, market.price.S0)
+    W = np.zeros(m)
+    I = np.zeros(m)
     for k in range(n):
-        ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u[:, k, 0])
+        u_arr, u_cp, u_pp, u_cm, u_pm = u[k]
+        ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u_arr)
         Lp, Lm = policy.spreads(k, S, I)
-        cp, ppr = market.demand.plus.sample(u[:, k, 1], u[:, k, 2])
-        cm, pmr = market.demand.minus.sample(u[:, k, 3], u[:, k, 4])
+        cp, ppr = market.demand.plus.sample(u_cp, u_pp)
+        cm, pmr = market.demand.minus.sample(u_cm, u_pm)
         Qp = ind_p * cp * (ppr - Lp)
         Qm = ind_m * cm * (pmr - Lm)
         W += (S + Lp) * Qp - (S - Lm) * Qm
         I += Qm - Qp
-        S = S + drift[k] + vol[k] * z[:, k]
+        S = S + drift[k] + vol[k] * z[k]
         yield S, W, I, (Lp, Lm, Qp, Qm, ind_p, ind_m)
 
 
@@ -400,13 +297,13 @@ def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
     n = market.params.grid.n_steps
     seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
            else np.random.SeedSequence(rng_seed))
-    u, z = np.empty((1, n, 5)), np.empty((1, n))
+    u, z = np.empty((n, 5)), np.empty(n)
     _path_draws(seq.generate_state(4, np.uint64).tolist(),
-                np.random.Generator(np.random.PCG64(0)), u[0], z[0])
+                np.random.Generator(np.random.PCG64(0)), u, z)
 
     states = [(market.price.S0, 0.0, 0.0)]
     logs = []
-    for S, W, I, step in _steps(policy, market, u, z):
+    for S, W, I, step in _steps(policy, market, u[:, :, None], z[:, None]):
         states.append((S[0], W[0], I[0]))
         logs.append([np.ravel(x)[0] for x in step])
     S_log, W_log, I_log = np.array(states).T
@@ -423,20 +320,32 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
 
     Returns a list of (mean, std_error) tuples, one per policy, plus the
     per-policy objective arrays for further analysis.
+
+    Paths run ``chunk_size`` at a time on step-major draws. Each path still
+    draws its own (n_steps, 5) uniforms and normals into a path-major block
+    of ``_BLOCK_PATHS`` paths, small enough to stay in cache while it is
+    copied into the chunk's columns.
     """
     n = market.params.grid.n_steps
     words = _path_state_words(base_seed, n_paths)
     rng = np.random.Generator(np.random.PCG64(0))
 
     objectives = [np.empty(n_paths) for _ in policies]
-    u_buf = np.empty((min(chunk_size, n_paths), n, 5))
-    z_buf = np.empty((min(chunk_size, n_paths), n))
+    width = min(chunk_size, n_paths)
+    u_buf, z_buf = np.empty((n, 5, width)), np.empty((n, width))
+    block = min(_BLOCK_PATHS, width)
+    u_blk, z_blk = np.empty((block, n, 5)), np.empty((block, n))
     for start in range(0, n_paths, chunk_size):
         stop = min(start + chunk_size, n_paths)
         m = stop - start
-        u, z = u_buf[:m], z_buf[:m]
-        for i, path_words in enumerate(words[start:stop].tolist()):
-            _path_draws(path_words, rng, u[i], z[i])
+        u, z = u_buf[:, :, :m], z_buf[:, :m]
+        for b0 in range(0, m, block):
+            b1 = min(b0 + block, m)
+            for i, path_words in enumerate(
+                    words[start + b0:start + b1].tolist()):
+                _path_draws(path_words, rng, u_blk[i], z_blk[i])
+            u[:, :, b0:b1] = u_blk[:b1 - b0].transpose(1, 2, 0)
+            z[:, b0:b1] = z_blk[:b1 - b0].T
 
         for pol_idx, policy in enumerate(policies):
             for S, W, I, _ in _steps(policy, market, u, z):

@@ -131,6 +131,22 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()  # rejected before anything was solved
 
+    @pytest.mark.parametrize("side,dropped", [("plus", ["mu_p2"]),
+                                              ("minus", ["mu_p", "mu_p2"])])
+    def test_simulate_missing_price_moment(self, tmp_path, params_file,
+                                           capsys, side, dropped):
+        data = yaml.safe_load(params_file.read_text())
+        for key in dropped:
+            del data["moments"][side][key]
+        bad = tmp_path / "no_price_moment.yaml"
+        bad.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main(["simulate", "--params", str(bad),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"moments.{side}.{dropped[0]}" in err and str(bad) in err
+        assert not out.exists()  # rejected before anything was solved
+
     @pytest.mark.parametrize("var,value", [("HFMM_SEED", "abc"),
                                            ("HFMM_LAMBDA", "1e"),
                                            ("HFMM_WORKERS", "2.5")])
@@ -483,11 +499,17 @@ class TestFailedDays:
         assert report["policies"]["fixed_level_1"]["filtered"]["n_days"] == 4
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only the lognormal demand families use scipy, so importing the CLI,
-    # which every command does, must not pay for importing it
+def test_cli_import_leaves_scipy_unloaded(tmp_path, params_file):
+    # scipy is a test-only dependency: importing the CLI, which every
+    # command does, and a whole simulate run must not load it
     env = dict(os.environ, PYTHONPATH=str(Path(hfmm.__file__).parents[1]))
-    code = "import sys, hfmm.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import sys, hfmm.cli; imported = 'scipy' in sys.modules; "
+            "code = hfmm.cli.main(sys.argv[1:]); "
+            "print(imported, code, 'scipy' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--params", str(params_file),
+         "--out", str(tmp_path / "sim"),
+         "--config", str(write_config(tmp_path))],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"
+    assert (tmp_path / "sim" / "summary.json").exists()

@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid, symmetric_params)
-from hfmm.simulator import (DemandDistribution, GaussianCopulaLognormal,
-                            LognormalIndependent, PointMass, PriceModel,
-                            SimMarket, TwoPointIndependent, _arrivals_vec,
-                            _path_draws, _path_state_words,
-                            monte_carlo_value, monte_carlo_values,
-                            run_episode)
+from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
+                            TwoPointIndependent, _arrivals_vec, _path_draws,
+                            _path_state_words, monte_carlo_value,
+                            monte_carlo_values, run_episode)
 from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
                          optimal_spreads)
 
 import mc_oracle
 from conftest import FixedSpreadPolicy, PerturbedPolicy
+from demand_families import (GaussianCopulaLognormal, LognormalIndependent,
+                             PointMass)
 from sim_oracle import brute_force_value_small, one_step_objective
 
 
@@ -301,12 +301,16 @@ class TestPathSeeding:
             u_ref, z_ref = mc_oracle._path_draws(children[i], n)
             assert np.array_equal(u, u_ref) and np.array_equal(z, z_ref)
 
+    # the pairs cross the 256-path draw blocks and the chunk edges
     @pytest.mark.parametrize("n_paths,chunk_size", [
-        (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100)])
+        (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100),
+        (255, 8192), (257, 8192), (513, 300), (1000, 256), (300, 1),
+        (1, 1)])
     def test_objectives_equal_oracle(self, n_paths, chunk_size):
         market = two_point_market(drift=0.01, vol=0.05)
         t = backward_pass(market.params)
-        policies = [Policy.named("optimal_martingale", t),
+        base = Policy.named("optimal_martingale", t)
+        policies = [base, PerturbedPolicy(base, 0.3),
                     FixedSpreadPolicy(2.0, 3.0)]
         stats, objs = monte_carlo_values(policies, market, n_paths, 17,
                                          chunk_size=chunk_size)
@@ -315,6 +319,18 @@ class TestPathSeeding:
         for obj, obj_ref in zip(objs, objs_ref):
             assert np.array_equal(obj, obj_ref)
         np.testing.assert_array_equal(stats, stats_ref)
+
+    @pytest.mark.parametrize("chunk_size", [8192, 300])
+    def test_episode_equals_path_across_blocks(self, chunk_size):
+        market = two_point_market(drift=0.01, vol=0.05)
+        pol = Policy.named("optimal_martingale",
+                           backward_pass(market.params))
+        _, (objectives,) = monte_carlo_values([pol], market, 600, 23,
+                                              chunk_size=chunk_size)
+        children = np.random.SeedSequence(23).spawn(600)
+        for i in (0, 255, 256, 599):
+            ep = run_episode(pol, market, children[i])
+            assert ep.terminal_objective == objectives[i]
 
     def test_int_seed_episode_draws_from_seed_sequence(self):
         # an int seed is SeedSequence(seed) itself, not a spawned child

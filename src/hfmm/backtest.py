@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import drift_forecast_series
-from .lob import ReplayResult, fill_quantity, liquidate, midprice, replay
+from .lob import BookError, ReplayResult, fill_quantity, liquidate, replay
 from .model import MarketParams
 from .solver import CoefficientTable, optimal_spreads, quote_prices
 
@@ -94,14 +94,16 @@ def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float,
     return ask_ticks, bid_ticks
 
 
-def _quote(policy: Policy, rep: ReplayResult, k: int, S: float, I: float,
+def _quote(policy: Policy, level_px, k: int, S: float, I: float,
            shift: float, tick: float):
     """The step's (ask, bid) quote in ticks, kept a tick off the mid; a
-    fixed level falls back to the deepest one the snapshot has."""
+    fixed level quotes ``level_px[k]``, its (bid, ask) prices, 0 for a side
+    the snapshot lacks."""
     if policy.level:
-        snap = rep.snapshots[k]
-        ask_ticks = snap.occupied_price("ask", policy.level)[0]
-        bid_ticks = snap.occupied_price("bid", policy.level)[0]
+        bid_ticks, ask_ticks = level_px[k]
+        for side, price in (("ask", ask_ticks), ("bid", bid_ticks)):
+            if not price:
+                raise BookError(f"one-sided book: no {side} levels")
     else:
         Lp, Lm = policy.spreads(k, S, I, shift)
         ask, bid = quote_prices(S, Lp, Lm, tick)
@@ -131,9 +133,15 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     mids = np.asarray(rep.midprices, dtype=float)
     drifts = (drift_forecast_series(mids)[0] if policy.forecast
               else np.zeros(n))
-    depth = (np.array([min(len(s.asks), len(s.bids))
-                       for s in rep.snapshots[:n]]) if policy.level else None)
-    quoted = [k for k in range(n) if rep.flows[k].mos]
+    level_px = depth = None
+    if policy.level:
+        # each side's price at the level, or at its deepest one; 0 if empty
+        sides = rep.book_depth[:n]
+        at = np.maximum(np.minimum(sides, policy.level), 1) - 1
+        level_px = np.where(sides > 0, np.take_along_axis(
+            rep.book_prices[:n], at[:, :, None], 2)[:, :, 0], 0).tolist()
+        depth = sides.min(axis=1)
+    quoted, flows = rep.interval_flows
 
     W = 0.0
     I = 0.0
@@ -158,14 +166,15 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
                 bid = np.floor((S - Lm) / tick + 1e-9) * tick / tick
                 bad |= ~np.isfinite(ask) | ~np.isfinite(bid) | (not tick > 0)
         for k in np.flatnonzero(bad).tolist():
-            _quote(policy, rep, k, mids[k], inventory[k], drifts[k], tick)
+            _quote(policy, level_px, k, mids[k], inventory[k], drifts[k],
+                   tick)
 
     try:
-        for k in quoted:
-            ask_ticks, bid_ticks = _quote(policy, rep, k, mids[k], I,
+        for k, flow in zip(quoted, flows):
+            ask_ticks, bid_ticks = _quote(policy, level_px, k, mids[k], I,
                                           drifts[k], tick)
-            Qp = fill_quantity(ask_ticks, order_volume, "ask", rep.flows[k])
-            Qm = fill_quantity(bid_ticks, order_volume, "bid", rep.flows[k])
+            Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
+            Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
             if Qp:
                 W += ask_ticks * tick * Qp
                 I -= Qp
@@ -183,13 +192,12 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
              [f"level fallback at step {k}"
               for k in np.flatnonzero(depth < policy.level).tolist()])
 
-    try:
-        S_T = midprice(rep.terminal_book, tick)
-    except ValueError:
-        S_T = float(mids[-1])
+    bid, ask = rep.book_prices[-1, :, 0].tolist()
+    S_T = ((bid + ask) / 2 * tick if rep.book_depth[-1].all()
+           else float(mids[-1]))
     objective = W + S_T * I - params.lam * I ** 2
     if I != 0:
-        liq = liquidate(rep.terminal_book, I, tick)
+        liq = liquidate(rep, I, tick)
         if liq.insufficient_depth:
             flags.append("liquidation exhausted visible depth")
         liquidation_value = W + liq.proceeds

@@ -258,23 +258,29 @@ def cmd_estimate(cfg) -> int:
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    n_steps = int(cfg.get("n_steps", 0))
-    if not n_steps:
-        print("config must set n_steps", file=sys.stderr)
+    for key, least in (("n_steps", 1), ("window", 1), ("level_depth", 2)):
+        v = cfg.get(key)
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+            print(f"estimate needs an integer {key} >= {least}, not {v!r}",
+                  file=sys.stderr)
+            return EXIT_FAILURE
+    tick = cfg.get("tick_size", 1.0)
+    if not (isinstance(tick, (int, float)) and not isinstance(tick, bool)
+            and tick > 0):
+        print(f"estimate needs a tick_size > 0, not {tick!r}", file=sys.stderr)
         return EXIT_FAILURE
     out = _outdir(cfg)
-    tick = float(cfg.get("tick_size", 1.0))
-    grid = TimeGrid(n_steps=n_steps,
+    tick = float(tick)
+    grid = TimeGrid(n_steps=cfg["n_steps"],
                     step_seconds=float(cfg.get("step_seconds", 1.0)),
                     session_start_ns=int(cfg.get("session_start_ns", 10 ** 9)))
-    window = int(cfg["window"])
+    window = cfg["window"]
     store = []
     failures = 0
     for i, path in enumerate(files):
         try:
             rep = replay(_read_events(path), grid, tick_size=tick)
-            store.append(estimate_day(rep, i,
-                                      level_depth=int(cfg["level_depth"]),
+            store.append(estimate_day(rep, i, level_depth=cfg["level_depth"],
                                       tick_size=tick))
         except _DAY_ERRORS as exc:
             print(f"day {path.name} failed: {exc}", file=sys.stderr)
@@ -290,10 +296,15 @@ def cmd_estimate(cfg) -> int:
         prior = bisect.bisect_left(day_ids, i)
         if prior < window:
             continue
-        p = rolling_params(prior, store, window=window,
-                           lam=float(cfg.get("lambda", 0.0005)),
-                           tick_size=tick, step_seconds=grid.step_seconds,
-                           session_start_ns=grid.session_start_ns)
+        try:
+            p = rolling_params(prior, store, window=window,
+                               lam=float(cfg.get("lambda", 0.0005)),
+                               tick_size=tick, step_seconds=grid.step_seconds,
+                               session_start_ns=grid.session_start_ns)
+        except _DAY_ERRORS as exc:  # e.g. a side with no valid interval
+            print(f"params for day {i} failed: {exc}", file=sys.stderr)
+            failures += 1
+            continue
         save_params(p, out / f"params_day_{i:04d}.yaml")
         n_params += 1
     if len(store) > window:

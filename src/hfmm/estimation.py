@@ -1,8 +1,9 @@
 """Parameter calibration from replayed event streams.
 
 Pipeline: per-interval arrival indicators -> quadratic intraday arrival
-curves -> per-interval weighted demand regressions -> daily moment sets ->
-rolling window averages -> drift forecasts and structural-break screening.
+curves -> per-interval weighted demand regressions (all intervals of a day
+in one array pass) -> daily moment sets -> rolling window averages -> drift
+forecasts and structural-break screening.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lob import IntervalFlow, ReplayResult
+from .lob import ReplayResult
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
                     TimeGrid)
 
 __all__ = [
     "DayEstimates",
     "BreakReport",
-    "arrival_indicators",
     "fit_arrival_curves",
-    "estimate_demand_interval",
     "estimate_day",
     "daily_moments",
     "rolling_params",
@@ -57,23 +56,6 @@ class BreakReport:
     threshold_cp_minus: float
     threshold_pi11: float
     flagged: list = field(default_factory=list)
-
-
-def arrival_indicators(flows):
-    """Per-interval 0/1 arrays: did at least one buy (sell) MO arrive.
-
-    Buy MOs consume the ask side of the book, sell MOs the bid side.
-    """
-    n = len(flows)
-    ind_plus = np.zeros(n, dtype=np.int8)
-    ind_minus = np.zeros(n, dtype=np.int8)
-    for k, flow in enumerate(flows):
-        for mo in flow.mos:
-            if mo.side == "ask":
-                ind_plus[k] = 1
-            else:
-                ind_minus[k] = 1
-    return ind_plus, ind_minus
 
 
 def _fit_quadratic(series: np.ndarray) -> np.ndarray:
@@ -116,78 +98,57 @@ def fit_arrival_curves(ind_plus_days, ind_minus_days) -> ArrivalSchedule:
     return ArrivalSchedule(pi_plus=pi_p, pi_minus=pi_m, pi_joint=clipped)
 
 
-def _regress_side(side: str, snapshot, flow: IntervalFlow, S: float,
-                  level_depth: int, tick_size: float):
-    """Weighted linear fit of measured demand against placement distance,
-    each level weighted by the inverse of 1 + its distance in ticks.
-
-    Returns (c, p, valid). Demand at distance l follows D(l) = c (p - l)
-    where it is positive; zero-fill levels are censored and excluded.
-    """
-    mos = [mo for mo in flow.mos if mo.side == side]
-    ladder = snapshot.asks if side == "ask" else snapshot.bids
-    if not mos or not ladder:
-        return 0.0, 0.0, False
-    sign = 1 if side == "ask" else -1
-    prices = ladder[0][0] + sign * np.arange(level_depth)  # from the touch
-    # fill_quantity's closed form at every level, for an order never capped
-    fills = sum(np.maximum(mo.volume - mo.better_priced_volume(prices), 0)
-                for mo in mos)
-    dist = sign * (prices * tick_size - S)
-    keep = (fills > 0) & (dist > 0)
-    if keep.sum() < 2:
-        return 0.0, 0.0, False
-    x = dist[keep]
-    y = fills[keep]
-    w = 1.0 / (1.0 + x / tick_size)
-    X = np.column_stack([np.ones_like(x), x])
-    Wm = X * w[:, None]
-    coef, *_ = np.linalg.lstsq(Wm, y * w, rcond=None)
-    intercept, slope = coef
-    c = -slope
-    if c <= 0:
-        return 0.0, 0.0, False
-    p = intercept / c
-    if p <= 0:
-        return 0.0, 0.0, False
-    return float(c), float(p), True
-
-
-def estimate_demand_interval(snapshot, flow: IntervalFlow, S: float,
-                             level_depth: int = 10, tick_size: float = 1.0):
-    """Per-side demand parameters for one interval.
-
-    Returns (c_plus, p_plus, c_minus, p_minus, (valid_plus, valid_minus)).
-    """
-    cp, ppr, vp = _regress_side("ask", snapshot, flow, S, level_depth,
-                                tick_size)
-    cm, pmr, vm = _regress_side("bid", snapshot, flow, S, level_depth,
-                                tick_size)
-    return cp, ppr, cm, pmr, (vp, vm)
-
-
 def estimate_day(rep: ReplayResult, day_id, level_depth: int = 10,
                  tick_size: float = 1.0) -> DayEstimates:
-    """Full single-day pass: indicators plus per-interval regressions."""
-    n = len(rep.flows)
-    ind_p, ind_m = arrival_indicators(rep.flows)
-    c_p = np.zeros(n)
-    p_p = np.zeros(n)
-    v_p = np.zeros(n, dtype=bool)
-    c_m = np.zeros(n)
-    p_m = np.zeros(n)
-    v_m = np.zeros(n, dtype=bool)
-    for k in range(n):
-        if not rep.flows[k].mos:
-            continue
-        cp, ppr, cm, pmr, (vp, vm) = estimate_demand_interval(
-            rep.snapshots[k], rep.flows[k], float(rep.midprices[k]),
-            level_depth=level_depth, tick_size=tick_size)
-        c_p[k], p_p[k], v_p[k] = cp, ppr, vp
-        c_m[k], p_m[k], v_m[k] = cm, pmr, vm
-    return DayEstimates(day_id=day_id, ind_plus=ind_p, ind_minus=ind_m,
-                        c_plus=c_p, p_plus=p_p, valid_plus=v_p,
-                        c_minus=c_m, p_minus=p_m, valid_minus=v_m,
+    """Arrival indicators and per-interval demand fits, in array passes.
+
+    Buy MOs consume the ask side (``plus``), sell MOs the bid side. For
+    each interval and side with an MO and a non-empty touch, the measured
+    demand at the ``level_depth`` placements touch + sign * j (j = 0, 1,
+    ...) is the fill an uncapped order there would get from the side's
+    MOs, sum of max(V_MO - V_better, 0). Demand at distance l follows D(l)
+    = c (p - l) where it is positive; zero-fill levels are censored. The
+    levels with a fill and a positive distance, at least 2, get a linear
+    fit, each weighted by the inverse of 1 + its distance in ticks, that
+    is a least-squares weight w**2. The side is valid if c > 0 and p > 0,
+    and not if the kept fills are all equal: that flat profile has c = 0,
+    whatever sign rounding gives the fitted slope.
+    """
+    n = len(rep.midprices)
+    side, interval = rep.mo_side, rep.mo_interval
+    ind = np.zeros((2, n), dtype=np.int8)
+    ind[side, interval] = 1
+    j = np.arange(level_depth)
+
+    # group g = side * n + k; every MO at each placement of its group
+    sign = np.repeat([-1, 1], n)[:, None]
+    touch = rep.book_prices[:n, :, 0].T.reshape(-1, 1)
+    placed = touch + sign * j
+    group = side * n + interval
+    mo = np.arange(len(side))[:, None]
+    take = np.maximum(rep.mo_volume[:, None] - rep.better_priced_volume(
+        mo, placed[group]), 0)
+    fills = np.bincount((group[:, None] * level_depth + j).ravel(),
+                        weights=take.ravel(),
+                        minlength=2 * n * level_depth).reshape(2 * n, -1)
+
+    dist = sign * (placed * tick_size - np.tile(rep.midprices, 2)[:, None])
+    keep = ((fills > 0) & (dist > 0)
+            & (rep.book_depth[:n].T.reshape(-1, 1) > 0))
+    with np.errstate(all="ignore"):  # at the levels and sides not fitted
+        w = 1.0 / (1.0 + dist / tick_size)
+        W = np.where(keep, w * w, 0.0)
+        s0, sx, sy = W.sum(1), (W * dist).sum(1), (W * fills).sum(1)
+        sxx, sxy = (W * dist * dist).sum(1), (W * dist * fills).sum(1)
+        c = (sx * sy - s0 * sxy) / (s0 * sxx - sx * sx)  # minus the slope
+        p = (sy + c * sx) / s0 / c
+    flat = (np.where(keep, fills, np.inf).min(1)
+            == np.where(keep, fills, 0.0).max(1))
+    valid = (keep.sum(1) >= 2) & ~flat & (c > 0) & (p > 0)
+    c, p = np.where(valid, c, 0.0), np.where(valid, p, 0.0)
+    return DayEstimates(day_id=day_id, ind_plus=ind[1], ind_minus=ind[0],
+                        c_plus=c[n:], p_plus=p[n:], valid_plus=valid[n:],
+                        c_minus=c[:n], p_minus=p[:n], valid_minus=valid[:n],
                         midprices=np.asarray(rep.midprices, dtype=float))
 
 

@@ -20,26 +20,24 @@ from __future__ import annotations
 import csv as _csv
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from operator import neg
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BookEvent",
     "BookError",
-    "BookState",
-    "MORecord",
     "IntervalFlow",
     "LiquidationResult",
     "ReplayResult",
     "EVENT_DTYPE",
-    "midprice",
     "fill_quantity",
     "liquidate",
     "replay",
     "read_events_csv",
-    "write_events_csv",
     "read_events_binary",
     "write_events_binary",
 ]
@@ -84,55 +82,76 @@ class BookError(ValueError):
         self.event_index = event_index
 
 
-@dataclass(frozen=True)
-class BookState:
-    """Immutable top-K ladder: bids best-first (descending prices), asks
-    best-first (ascending prices); entries are (price_ticks, size)."""
-
-    bids: tuple
-    asks: tuple
-
-    def occupied_price(self, side: str, level: int):
-        """Price at the level-th best occupied price (1-based); falls back
-        to the deepest available level. Returns (price, fell_back)."""
-        ladder = self.bids if side == "bid" else self.asks
-        if not ladder:
-            raise BookError(f"one-sided book: no {side} levels")
-        idx = min(level, len(ladder)) - 1
-        return ladder[idx][0], level > len(ladder)
-
-
-@dataclass(frozen=True)
-class MORecord:
-    """One market order plus the consumed side's ladder profile at arrival:
-    prices best-first with the cumulative standing volume, as int tuples."""
-
-    side: str
-    volume: int
-    prices: tuple    # best-first
-    cum_sizes: tuple
-
-    def better_priced_volume(self, placed_price_ticks):
-        """Standing volume at strictly better prices than the placement;
-        elementwise for an array of placements."""
-        if isinstance(placed_price_ticks, np.ndarray):
-            prices = np.array(self.prices, dtype=np.int64)
-            # better = lower ask price / higher bid price, best-first
-            i = (np.searchsorted(prices, placed_price_ticks)
-                 if self.side == "ask" else
-                 np.searchsorted(-prices, np.negative(placed_price_ticks)))
-            cum = np.array(self.cum_sizes, dtype=np.int64)
-            return (cum[i - 1] if len(cum) else 0) * (i > 0)
-        if self.side == "ask":
-            i = bisect_left(self.prices, placed_price_ticks)
-        else:
-            i = bisect_left(self.prices, -placed_price_ticks, key=neg)
-        return self.cum_sizes[i - 1] if i else 0
-
-
 @dataclass
-class IntervalFlow:
-    mos: list = field(default_factory=list)
+class ReplayResult:
+    """The replayed session as arrays, for n action times and K levels.
+
+    Book row k < n is the snapshot as of t_k and row n the book at the end
+    of the session; side 0 is the bids and side 1 the asks. Each side's
+    first ``book_depth`` entries are its best (at most K) non-empty levels,
+    best-first, and the rest are zero.
+
+    The market orders inside the session are in stream order: MO i arrived
+    in interval ``mo_interval[i]`` against side ``mo_side[i]`` (1, the asks,
+    for a buy) with ``mo_volume[i]`` shares, and found that side's ladder,
+    best-first, at ``mo_prices[mo_start[i]:mo_start[i + 1]]`` with the
+    cumulative standing sizes ``mo_cum`` over the same run."""
+
+    midprices: np.ndarray    # (n,) currency midprice per action time
+    book_prices: np.ndarray  # (n + 1, 2, K) int64 ticks
+    book_sizes: np.ndarray   # (n + 1, 2, K) int64 shares
+    book_depth: np.ndarray   # (n + 1, 2) int64 levels
+    mo_interval: np.ndarray  # (m,) int64
+    mo_side: np.ndarray      # (m,) int64
+    mo_volume: np.ndarray    # (m,) int64
+    mo_start: np.ndarray     # (m + 1,) int64 offsets into the two below
+    mo_prices: np.ndarray    # int64 ticks
+    mo_cum: np.ndarray       # int64 shares
+
+    @cached_property
+    def interval_flows(self):
+        """(steps, flows): the intervals that hold an MO, ascending, and an
+        IntervalFlow of each over lists shared by all of them; built once
+        per ReplayResult."""
+        m = len(self.mo_side)
+        cut = np.flatnonzero(np.diff(self.mo_interval, prepend=-1)).tolist()
+        steps = self.mo_interval[cut].tolist()
+        sign = np.repeat(2 * self.mo_side - 1, np.diff(self.mo_start))
+        keys, cum = (sign * self.mo_prices).tolist(), self.mo_cum.tolist()
+        sides, volumes = self.mo_side.tolist(), self.mo_volume.tolist()
+        start = self.mo_start.tolist()
+        cut.append(m)
+        return steps, [IntervalFlow(sides[a:b], volumes[a:b], start[a:b],
+                                    start[a + 1:b + 1], keys, cum)
+                       for a, b in zip(cut, cut[1:])]
+
+    def better_priced_volume(self, mo, placed):
+        """Standing volume at strictly better prices than ``placed`` on the
+        side MO ``mo`` consumed, as it stood when that MO arrived;
+        elementwise over int arrays, in one searchsorted over the segment
+        keys mo_index * 2**33 + sign * price that order every MO's ladder
+        after the last one's (sign -1 on the bid side)."""
+        sign = 2 * self.mo_side - 1
+        lens = np.diff(self.mo_start)
+        keys = (np.repeat(np.arange(len(lens)) * 2 ** 33, lens)
+                + np.repeat(sign, lens) * self.mo_prices)
+        pos = np.searchsorted(keys, mo * 2 ** 33 + sign[mo] * placed)
+        cum = np.concatenate([[0], self.mo_cum])
+        return np.where(pos > self.mo_start[mo], cum[pos], 0)
+
+
+class IntervalFlow(NamedTuple):
+    """One interval's market orders: each one's side code, volume and
+    [lo, hi) run of the flat ``keys`` (its ladder's prices, best-first,
+    negated on the bid side so that every run ascends) and ``cum``
+    (cumulative standing sizes). ``IntervalFlow()`` holds no MO."""
+
+    sides: Sequence[int] = ()
+    volumes: Sequence[int] = ()
+    lo: Sequence[int] = ()
+    hi: Sequence[int] = ()
+    keys: Sequence[int] = ()
+    cum: Sequence[int] = ()
 
 
 @dataclass(frozen=True)
@@ -142,21 +161,6 @@ class LiquidationResult:
     insufficient_depth: bool = False
 
 
-@dataclass
-class ReplayResult:
-    snapshots: list          # BookState per action time
-    midprices: np.ndarray    # currency midprice per action time
-    flows: list              # IntervalFlow per interval [t_k, t_{k+1})
-    terminal_book: BookState # as-of the end of the session
-
-
-def midprice(book: BookState, tick_size: float = 1.0) -> float:
-    """(best bid + best ask) / 2 in currency units."""
-    if not book.bids or not book.asks:
-        raise BookError("one-sided book")
-    return (book.bids[0][0] + book.asks[0][0]) / 2 * tick_size
-
-
 def fill_quantity(placed_price_ticks: int, placed_size: int, side: str,
                   flow: IntervalFlow) -> int:
     """Shares of a resting order at ``placed_price_ticks`` filled by the
@@ -164,18 +168,24 @@ def fill_quantity(placed_price_ticks: int, placed_size: int, side: str,
     min(sum over the side's MOs of max(V_MO - V_better, 0), placed size).
     Every take is non-negative, so this equals capping each MO's take
     cumulatively at what is left of the order."""
+    s = SIDE_CODES[side]
+    key = placed_price_ticks if s else -placed_price_ticks
+    keys, cum = flow.keys, flow.cum
     q = 0
-    for mo in flow.mos:
-        if mo.side == side:
-            take = mo.volume - mo.better_priced_volume(placed_price_ticks)
+    for mo_side, volume, lo, hi in zip(flow.sides, flow.volumes, flow.lo,
+                                       flow.hi):
+        if mo_side == s:
+            i = bisect_left(keys, key, lo, hi)  # levels strictly better
+            take = volume - cum[i - 1] if i > lo else volume
             if take > 0:
                 q += take
     return q if q <= placed_size else max(placed_size, 0)
 
 
-def liquidate(book: BookState, inventory: float,
+def liquidate(rep: ReplayResult, inventory: float,
               tick_size: float = 1.0) -> LiquidationResult:
-    """Unwind the inventory against the opposite side, best price first.
+    """Unwind the inventory against the opposite side of the book at the
+    end of the session, best price first.
 
     Positive inventory sells into the bids, negative buys from the asks.
     If the visible depth runs out, the remainder is priced at the deepest
@@ -183,13 +193,16 @@ def liquidate(book: BookState, inventory: float,
     """
     if inventory == 0:
         return LiquidationResult(avg_price=0.0, proceeds=0.0)
-    ladder = book.bids if inventory > 0 else book.asks
-    if not ladder:
+    side = 0 if inventory > 0 else 1
+    depth = int(rep.book_depth[-1, side])
+    if not depth:
         raise BookError("one-sided book: cannot liquidate")
+    prices = rep.book_prices[-1, side, :depth].tolist()
+    sizes = rep.book_sizes[-1, side, :depth].tolist()
     need = abs(inventory)
     got = 0.0
     cost = 0.0
-    for price, size in ladder:
+    for price, size in zip(prices, sizes):
         take = min(size, need - got)
         cost += take * price
         got += take
@@ -197,7 +210,7 @@ def liquidate(book: BookState, inventory: float,
             break
     insufficient = got < need
     if insufficient:
-        cost += (need - got) * ladder[-1][0]
+        cost += (need - got) * prices[-1]
     avg = cost / need * tick_size
     return LiquidationResult(avg_price=avg, proceeds=avg * inventory,
                              insufficient_depth=insufficient)
@@ -239,6 +252,7 @@ def _resolve(ev: np.ndarray):
     is_add = kind[idx] == 0
     new_ref = np.ones(len(idx), dtype=bool)
     new_ref[1:] = r[1:] != r[:-1]
+    del r  # this pass sets replay's peak memory: arrays go once used up
     opens = is_add | new_ref
     life = np.cumsum(opens) - 1
 
@@ -250,6 +264,7 @@ def _resolve(ev: np.ndarray):
     after = np.cumsum(taken)
     after -= of_life(after - taken)
     before = after - taken
+    del taken
     duplicate = np.zeros(len(idx), dtype=bool)
     duplicate[1:] = is_add[1:] & ~new_ref[1:] & (after[:-1] < opened[:-1])
 
@@ -260,6 +275,7 @@ def _resolve(ev: np.ndarray):
                                  L - 1 - rank)
     level, change = np.empty((2, len(idx)), dtype=np.int64)
     level[by_ref] = of_life(add_level)
+    del add_level
     change[by_ref] = np.where(is_add, z, -z)
     level_price = np.concatenate([prices[::-1], prices]).astype(np.int64)
 
@@ -316,10 +332,10 @@ def _ladder_blocks(level, change, row, n_rows, n_levels):
         lo = hi
 
 
-def _ladders(states, cols, level_price, K, wanted):
+def _ladders(states, cols, level_price):
     """Each row's non-empty levels, best-first, as segments 2 * row + side
-    of flat arrays: (prices, sizes summed within the segment, segment
-    starts, the first K (price, size) pairs per segment of wanted rows)."""
+    of flat arrays: (segment, rank within it, price, size, size summed
+    within the segment, segment starts)."""
     rr, cc = np.nonzero(states)
     seg = 2 * rr + (cols[cc] >= len(level_price) // 2)
     px, sz = level_price[cols[cc]], states[rr, cc]
@@ -327,21 +343,19 @@ def _ladders(states, cols, level_price, K, wanted):
     head = np.repeat(starts[:-1], np.diff(starts))
     cum = np.cumsum(sz)
     cum -= cum[head] - sz[head]
-    sel = wanted[rr] & (np.arange(len(px)) - head < K)
-    pairs = list(zip(px[sel].tolist(), sz[sel].tolist()))
-    cut = np.searchsorted(seg[sel], np.arange(2 * len(states) + 1)).tolist()
-    return px, cum, starts, [tuple(pairs[a:b]) for a, b in zip(cut, cut[1:])]
+    return seg, np.arange(len(px)) - head, px, sz, cum, starts
 
 
 def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     """The as-of-t_k snapshots (every event strictly before t_k applied)
-    and the per-interval MO flow of a time-sorted stream.
+    and the market orders of a time-sorted stream, as a ReplayResult.
 
     ``grid`` is the model TimeGrid; the session covers [t_0, t_N + step).
     ``events`` is an EVENT_DTYPE array or a sequence of BookEvent; the
-    snapshots keep the best ``K`` >= 1 levels per side. The first event a
-    one-pass book would reject raises BookError with its index, after the
-    snapshots due before it (a one-sided one raises first).
+    snapshots keep the best ``K`` >= 1 levels per side. A one-sided
+    snapshot raises BookError("one-sided book"); otherwise the first event
+    a one-pass book would reject raises BookError with its index, if no
+    snapshot due before it is one-sided.
 
     The book is a tick ladder; the events between consecutive cut points
     (action times, in-session trade markers, the end) are applied as one
@@ -350,9 +364,9 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     ev = _as_array(events)
     ts, kind = ev["ts_ns"], ev["kind"]
     n = grid.n_steps
-    times = np.array([grid.action_time_ns(k) for k in range(n + 1)],
-                     dtype=np.int64)
     ops, level, change, level_price, error = _resolve(ev)
+    # after the order pass: temporaries freed before it moved its peak
+    times = grid.action_times_ns()
     applied, n_snap = len(ev), n
     if error is not None:
         applied = error[0]
@@ -361,55 +375,52 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     mo = np.flatnonzero(kind[:applied] == 3)
     interval = np.searchsorted(times[:n], ts[mo], "right") - 1
     inside = (interval >= 0) & (ts[mo] < times[n])
-    mo, interval = mo[inside], interval[inside].tolist()
-    mo_side, mo_volume = ev["side"][mo].tolist(), ev["size"][mo].tolist()
+    mo, interval = mo[inside], interval[inside]
+    mo_side = ev["side"][mo].astype(np.int64)
 
     # cut c is the book after events [0, c): snapshots, MOs, then the end
     cuts = np.concatenate([snap_cut, mo, [applied]])
     order = np.argsort(cuts, kind="stable")
     n_ops = int(np.searchsorted(ops, applied))
     row = np.searchsorted(cuts[order], ops[:n_ops], "right")
-    end = n_snap + len(mo)
+    book_row = np.full(len(cuts), -1)  # book row of each cut; -1 for an MO
+    book_row[:n_snap] = np.arange(n_snap)
+    book_row[-1] = n
 
-    snapshots = [None] * n
-    mids = np.empty(n)
-    flows = [IntervalFlow() for _ in range(n)]
+    prices, sizes = np.zeros((2, n + 1, 2, K), dtype=np.int64)
+    mo_px, mo_cum, mo_len = [], [], []
     for r0, states, cols in _ladder_blocks(level[:n_ops], change[:n_ops], row,
                                            len(cuts), len(level_price)):
         what = order[r0:r0 + len(states)]
-        px, cum, starts, top = _ladders(states, cols, level_price, K,
-                                        (what < n_snap) | (what == end))
-        snap = np.flatnonzero(what < n_snap)
-        for i, w in zip(snap.tolist(), what[snap].tolist()):
-            snapshots[w] = BookState(bids=top[2 * i], asks=top[2 * i + 1])
-            mids[w] = midprice(snapshots[w], tick_size)
-        starts = starts.tolist()
-        for i in np.flatnonzero((what >= n_snap) & (what < end)).tolist():
-            t = what[i] - n_snap
-            a, b = starts[2 * i + mo_side[t]], starts[2 * i + mo_side[t] + 1]
-            flows[interval[t]].mos.append(
-                MORecord(side=SIDE_NAMES[mo_side[t]], volume=mo_volume[t],
-                         prices=tuple(px[a:b].tolist()),
-                         cum_sizes=tuple(cum[a:b].tolist())))
+        seg, rank, px, sz, cum, starts = _ladders(states, cols, level_price)
+        dest = book_row[what][seg >> 1]
+        top = (dest >= 0) & (rank < K)
+        prices[dest[top], seg[top] & 1, rank[top]] = px[top]
+        sizes[dest[top], seg[top] & 1, rank[top]] = sz[top]
+        i = np.flatnonzero(book_row[what] < 0)
+        consumed = 2 * i + mo_side[what[i] - n_snap]
+        taken = np.zeros(len(starts), dtype=bool)
+        taken[consumed] = True
+        mo_px.append(px[taken[seg]])
+        mo_cum.append(cum[taken[seg]])
+        mo_len.append(starts[consumed + 1] - starts[consumed])
+    depth = np.count_nonzero(sizes, axis=2)
+    if not depth[:n_snap].all():
+        raise BookError("one-sided book")
     if error is not None:
         raise BookError(error[1], error[0])
-    return ReplayResult(snapshots=snapshots, midprices=mids, flows=flows,
-                        terminal_book=BookState(bids=top[-2], asks=top[-1]))
+    mids = (prices[:n, 0, 0] + prices[:n, 1, 0]) / 2 * tick_size
+    return ReplayResult(
+        midprices=mids, book_prices=prices, book_sizes=sizes,
+        book_depth=depth, mo_interval=interval, mo_side=mo_side,
+        mo_volume=ev["size"][mo].astype(np.int64),
+        mo_start=np.concatenate([[0], np.cumsum(np.concatenate(mo_len))]),
+        mo_prices=np.concatenate(mo_px), mo_cum=np.concatenate(mo_cum))
 
 
 # ---------------------------------------------------------------------------
 # Event file I/O
 # ---------------------------------------------------------------------------
-
-def write_events_csv(events, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["ts_ns", "kind", "side", "price_ticks", "size",
-                    "order_ref"])
-        for ev in events:
-            w.writerow([ev.ts_ns, ev.kind, ev.side, ev.price_ticks, ev.size,
-                        ev.order_ref])
-
 
 def read_events_csv(path):
     out = []

@@ -49,6 +49,13 @@ class TimeGrid:
     def action_time_ns(self, k: int) -> int:
         return self.session_start_ns + int(round(k * self.step_seconds * 1e9))
 
+    def action_times_ns(self) -> np.ndarray:
+        """action_time_ns(k) for k = 0 .. n_steps (the session end T) as
+        one int64 array; np.rint rounds half to even, as round does."""
+        k = np.arange(self.n_steps + 1)
+        return self.session_start_ns + np.rint(
+            k * self.step_seconds * 1e9).astype(np.int64)
+
 
 @dataclass(frozen=True)
 class SideMoments:

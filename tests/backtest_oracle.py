@@ -1,17 +1,20 @@
 """Reference backtest for the tests: the per-step loop that quotes and
 measures fills at every action time, as ``run_day`` did before it stepped
 only through the intervals that hold a market order.
-``hfmm.backtest.run_day`` must return the same DayResult, flags included,
-or raise the same error."""
+Fills come from ``replay_oracle.sequential_fill`` over the object form of
+the ReplayResult. ``hfmm.backtest.run_day`` must return the same DayResult,
+flags included, or raise the same error."""
 
 import numpy as np
 
 from hfmm.backtest import (DEFAULT_ORDER_VOLUME, DayResult, Policy,
                            _clamp_quotes)
 from hfmm.estimation import drift_forecast_series
-from hfmm.lob import ReplayResult, fill_quantity, liquidate, midprice, replay
+from hfmm.lob import ReplayResult, liquidate, replay
 from hfmm.model import MarketParams
 from hfmm.solver import quote_prices
+
+from replay_oracle import as_objects, midprice, sequential_fill
 
 
 def run_day(params: MarketParams, policy: Policy, events_or_replay,
@@ -25,6 +28,7 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     else:
         rep = replay(events_or_replay, params.grid, tick_size=tick)
     n = params.grid.n_steps
+    snapshots, flows, terminal = as_objects(rep)
     mids = np.asarray(rep.midprices, dtype=float)
     drifts = (drift_forecast_series(mids)[0] if policy.forecast
               else np.zeros(n))
@@ -36,7 +40,7 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     for k in range(n):
         S = mids[k]
         if policy.level:
-            snap = rep.snapshots[k]
+            snap = snapshots[k]
             ask_ticks, ask_fb = snap.occupied_price("ask", policy.level)
             bid_ticks, bid_fb = snap.occupied_price("bid", policy.level)
             if ask_fb or bid_fb:
@@ -47,8 +51,8 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
             ask_ticks = int(round(ask / tick))
             bid_ticks = int(round(bid / tick))
         ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
-        Qp = fill_quantity(ask_ticks, order_volume, "ask", rep.flows[k])
-        Qm = fill_quantity(bid_ticks, order_volume, "bid", rep.flows[k])
+        Qp = sequential_fill(ask_ticks, order_volume, "ask", flows[k])
+        Qm = sequential_fill(bid_ticks, order_volume, "bid", flows[k])
         if Qp:
             W += ask_ticks * tick * Qp
             I -= Qp
@@ -59,12 +63,12 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
             fills += 1
 
     try:
-        S_T = midprice(rep.terminal_book, tick)
+        S_T = midprice(terminal, tick)
     except ValueError:
         S_T = float(mids[-1])
     objective = W + S_T * I - params.lam * I ** 2
     if I != 0:
-        liq = liquidate(rep.terminal_book, I, tick)
+        liq = liquidate(rep, I, tick)
         if liq.insufficient_depth:
             flags.append("liquidation exhausted visible depth")
         liquidation_value = W + liq.proceeds

@@ -198,7 +198,8 @@ class TestRunDayMatchesOracle:
         events, truth = generate_day(SyntheticDayConfig(n_steps=n_steps),
                                      seed=seed)
         rep = replay(events, truth.params.grid)
-        quiet = [k for k in range(n_steps) if not rep.flows[k].mos]
+        busy = set(rep.mo_interval.tolist())
+        quiet = [k for k in range(n_steps) if k not in busy]
         return truth.params, rep, backward_pass(truth.params), quiet
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -211,7 +212,7 @@ class TestRunDayMatchesOracle:
         k = quiet[len(quiet) // 2]
         A2 = table.A2_plus.copy()
         A2[k] = bad
-        A2[next(j for j in range(k, 200) if rep.flows[j].mos)] = (
+        A2[next(j for j in range(k, 200) if j not in quiet)] = (
             np.inf if np.isnan(bad) else np.nan)
         for name in ("optimal_forecast", "optimal_martingale"):
             policy = Policy.named(name, replace(table, A2_plus=A2))
@@ -234,9 +235,9 @@ class TestRunDayMatchesOracle:
 
     def test_one_sided_snapshot_without_mo_ends_day(self):
         params, rep, table, quiet = self.quiet_steps()
-        snapshots = list(rep.snapshots)
-        snapshots[quiet[3]] = replace(snapshots[quiet[3]], asks=())
-        rep = replace(rep, snapshots=snapshots)
+        depth = rep.book_depth.copy()
+        depth[quiet[3], 1] = 0  # no asks
+        rep = replace(rep, book_depth=depth)
         for name in self.NAMES:
             got = self.same(params, Policy.named(name, table), rep)
             assert isinstance(got, DayResult) != bool(Policy.named(name).level)

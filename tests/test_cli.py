@@ -82,6 +82,19 @@ class TestExitCodes:
                      "--config", str(write_config(tmp_path))]) == 2
         assert str(events) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("level_depth", 1),
+                                           ("tick_size", 0),
+                                           ("n_steps", "abc"),
+                                           ("window", 0)])
+    def test_estimate_bad_setting_named(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        assert main(["estimate", "--events", str(make_days(tmp_path, 2)),
+                     "--out", str(out), "--config",
+                     str(write_config(tmp_path, **{key: value}))]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} " in err and f"not {value!r}" in err
+        assert not out.exists()  # rejected before any day was read
+
     def test_empty_events_dir_backtest(self, tmp_path, capsys):
         events, params = tmp_path / "events", tmp_path / "params"
         events.mkdir()
@@ -394,6 +407,23 @@ class TestFailedDays:
                                        session_start_ns=10 ** 9), expect)
             assert (out / f"params_day_{i:04d}.yaml").read_bytes() == \
                 expect.read_bytes()
+
+    def test_window_without_valid_interval_fails_one_file(self, tmp_path,
+                                                          capsys):
+        """Day 0 has no sell MO, so no valid bid-side interval: day 20's
+        window (days 0-19) cannot be calibrated, day 21's can."""
+        events_dir = make_days(tmp_path, 22)
+        events, _ = generate_day(SyntheticDayConfig(
+            n_steps=N_STEPS, pi_minus=0.0, pi_joint=0.0), seed=999)
+        write_events_binary(events, events_dir / "day_0000.bin")
+        out = tmp_path / "calib"
+        assert main(["estimate", "--events", str(events_dir), "--out",
+                     str(out), "--config", str(write_config(tmp_path))]) == 0
+        captured = capsys.readouterr()
+        assert "params for day 20 failed: insufficient data" in captured.err
+        assert "1 failures" in captured.out
+        assert sorted(f.name for f in out.glob("params_day_*.yaml")) == [
+            "params_day_0021.yaml"]
 
     def test_bad_day_same_for_any_worker_count(self, tmp_path, capsys):
         events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)

@@ -1,53 +1,63 @@
 import numpy as np
 import pytest
 
-from hfmm.estimation import (DayEstimates, arrival_indicators,
-                             compute_break_errors, daily_moments,
-                             drift_forecast_series, estimate_day,
-                             estimate_demand_interval, fit_arrival_curves,
+from hfmm.estimation import (DayEstimates, compute_break_errors,
+                             daily_moments, drift_forecast_series,
+                             estimate_day, fit_arrival_curves,
                              nearest_rank_quantile, rolling_params,
                              structural_break_flags)
 from hfmm.estimation import _fit_quadratic
-from hfmm.lob import BookState, IntervalFlow, MORecord, replay
+from hfmm.lob import replay
 from hfmm.model import TimeGrid, validate_params
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
+import estimation_oracle
+from replay_oracle import BookState, mo, to_arrays
 
-def mo(side, volume, levels):
-    prices = tuple(p for p, _ in levels)
-    cum = tuple(np.cumsum([s for _, s in levels], dtype=np.int64).tolist())
-    return MORecord(side=side, volume=volume, prices=prices, cum_sizes=cum)
+BOOK = BookState(bids=((99, 50),), asks=((101, 50),))
 
 
 def linear_demand_flow(c_ask=100.0, p_ask=5.0, c_bid=80.0, p_bid=4.0,
                        depth=10):
-    """Flow whose measured fill at distance l is exactly c*(p - l)."""
+    """Book and MOs whose measured fill at distance l is exactly
+    c*(p - l)."""
     snapshot = BookState(
         bids=tuple((10000 - j, int(c_bid)) for j in range(depth)),
         asks=tuple((10001 + j, int(c_ask)) for j in range(depth)))
-    flow = IntervalFlow(mos=[
+    mos = [
         mo("ask", int(c_ask * (p_ask - 0.5)),
            [(10001 + j, int(c_ask)) for j in range(depth)]),
         mo("bid", int(c_bid * (p_bid - 0.5)),
            [(10000 - j, int(c_bid)) for j in range(depth)]),
-    ])
-    return snapshot, flow
+    ]
+    return snapshot, mos
+
+
+def estimate_demand_interval(snapshot, mos, S, **kwargs):
+    """(c_plus, p_plus, c_minus, p_minus, (valid_plus, valid_minus)) of
+    one interval's fit by estimate_day."""
+    d = estimate_day(to_arrays([snapshot], [mos], mids=[S]), 0, **kwargs)
+    return (d.c_plus[0], d.p_plus[0], d.c_minus[0], d.p_minus[0],
+            (d.valid_plus[0], d.valid_minus[0]))
+
+
+def indicators(flows):
+    day = estimate_day(to_arrays([BOOK] * len(flows), flows), 0)
+    return day.ind_plus, day.ind_minus
 
 
 class TestArrivalIndicators:
     def test_sides_mapped_to_mo_direction(self):
-        flows = [IntervalFlow(mos=[mo("ask", 10, [(101, 50)])]),
-                 IntervalFlow(),
-                 IntervalFlow(mos=[mo("bid", 10, [(99, 50)]),
-                                   mo("ask", 5, [(101, 50)])])]
-        ip, im = arrival_indicators(flows)
+        flows = [[mo("ask", 10, [(101, 50)])],
+                 [],
+                 [mo("bid", 10, [(99, 50)]), mo("ask", 5, [(101, 50)])]]
+        ip, im = indicators(flows)
         assert ip.tolist() == [1, 0, 1]
         assert im.tolist() == [0, 0, 1]
 
     def test_multiple_mos_still_binary(self):
-        flows = [IntervalFlow(mos=[mo("ask", 10, [(101, 50)]),
-                                   mo("ask", 20, [(101, 50)])])]
-        ip, im = arrival_indicators(flows)
+        flows = [[mo("ask", 10, [(101, 50)]), mo("ask", 20, [(101, 50)])]]
+        ip, im = indicators(flows)
         assert ip.tolist() == [1] and im.tolist() == [0]
 
 
@@ -105,7 +115,7 @@ class TestEstimateDemandInterval:
 
     def test_missing_side_is_invalid(self):
         snapshot, flow = linear_demand_flow()
-        ask_only = IntervalFlow(mos=[m for m in flow.mos if m.side == "ask"])
+        ask_only = [m for m in flow if m.side == "ask"]
         cp, pp, cm, pm, (vp, vm) = estimate_demand_interval(
             snapshot, ask_only, S=10000.5)
         assert vp and not vm
@@ -113,8 +123,7 @@ class TestEstimateDemandInterval:
 
     def test_single_positive_level_is_invalid(self):
         snapshot, _ = linear_demand_flow()
-        tiny = IntervalFlow(mos=[mo("ask", 10,
-                                    [(10001 + j, 100) for j in range(10)])])
+        tiny = [mo("ask", 10, [(10001 + j, 100) for j in range(10)])]
         _, _, _, _, (vp, vm) = estimate_demand_interval(
             snapshot, tiny, S=10000.5)
         assert not vp and not vm
@@ -126,14 +135,72 @@ class TestEstimateDemandInterval:
         snapshot = BookState(
             bids=((9999, 10),),
             asks=tuple((10001 + j, sizes[j]) for j in range(10)))
-        flow = IntervalFlow(mos=[mo("ask", 450,
-                                    [(10001 + j, sizes[j])
-                                     for j in range(10)])])
+        flow = [mo("ask", 450, [(10001 + j, sizes[j]) for j in range(10)])]
         cp, pp, _, _, (vp, _) = estimate_demand_interval(
             snapshot, flow, S=10000.5)
         assert vp
         assert 70 < cp < 130
         assert 4 < pp < 6
+
+
+def assert_same_as_oracle(rep, **kwargs):
+    """estimate_day against the per-interval regression it replaced."""
+    got = estimate_day(rep, 0, **kwargs)
+    want = estimation_oracle.estimate_day(rep, 0, **kwargs)
+    for name in ("ind_plus", "ind_minus", "valid_plus", "valid_minus"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("c_plus", "p_plus", "c_minus", "p_minus"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    return got
+
+
+class TestEstimateDayMatchesOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [2, 4, 12])
+    @pytest.mark.parametrize("tick", [1.0, 0.5, 0.01])
+    def test_synthetic_days(self, tick, depth, seed):
+        cfg = SyntheticDayConfig(n_steps=300, tick_size=tick, depth=depth)
+        events, truth = generate_day(cfg, seed=seed)
+        rep = replay(events, truth.params.grid, tick_size=tick)
+        for level_depth in (2, 3, 10, 25):
+            got = assert_same_as_oracle(rep, level_depth=level_depth,
+                                        tick_size=tick)
+            assert got.valid_plus.any() or level_depth == 2 or depth == 2
+
+    def test_empty_side_in_the_snapshot(self):
+        snapshot, mos = linear_demand_flow()
+        one_sided = BookState(bids=(), asks=snapshot.asks)
+        got = assert_same_as_oracle(to_arrays([one_sided], [mos],
+                                              mids=[10000.5]))
+        assert got.valid_plus.tolist() == [True]
+        assert got.valid_minus.tolist() == [False]
+
+    def test_mo_within_the_better_priced_volume(self):
+        snapshot, mos = linear_demand_flow()
+        # 60 and 100 shares against 100 at the touch: no fill behind it
+        small = [mo("ask", 60, [(10001 + j, 100) for j in range(10)]),
+                 mo("bid", 100, [(10000 - j, 80) for j in range(10)])]
+        for flow in (small, small + mos):
+            assert_same_as_oracle(to_arrays([snapshot], [flow],
+                                            mids=[10000.5]))
+
+    def test_mo_against_an_empty_consumed_side(self):
+        snapshot, mos = linear_demand_flow()
+        empty = [mo("ask", 40, []), mo("bid", 30, [])]
+        # beside an MO with a slope, it adds the same fill at every level
+        for flow in (empty + mos, mos + empty[:1]):
+            assert_same_as_oracle(to_arrays([snapshot, snapshot],
+                                            [flow, mos], mids=[10000.5] * 2))
+        # alone, its fill profile is flat: c = 0, so the side is invalid;
+        # the per-interval fit left that to the sign of a rounding error
+        rep = to_arrays([snapshot], [empty], mids=[10000.5])
+        for level_depth in (2, 3, 10, 25):
+            got = estimate_day(rep, 0, level_depth=level_depth)
+            assert not got.valid_plus[0] and not got.valid_minus[0]
+            want = estimation_oracle.estimate_day(rep, 0,
+                                                  level_depth=level_depth)
+            assert max(want.c_plus[0], want.c_minus[0]) < 1e-14
 
 
 class TestDailyMoments:

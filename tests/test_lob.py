@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfmm.lob import (EVENT_DTYPE, BookError, BookEvent, BookState,
-                      IntervalFlow, MORecord, fill_quantity,
-                      liquidate, midprice, read_events_binary,
-                      read_events_csv, replay, write_events_binary,
-                      write_events_csv)
+from hfmm.lob import (EVENT_DTYPE, BookError, BookEvent, IntervalFlow,
+                      ReplayResult, fill_quantity, liquidate,
+                      read_events_binary, read_events_csv, replay,
+                      write_events_binary)
 from hfmm.model import TimeGrid
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
-from replay_oracle import oracle_replay, sequential_fill
+from event_csv import write_events_csv
+from replay_oracle import (BookState, as_objects, mo, oracle_replay,
+                           sequential_fill, to_arrays)
 
 
 def ev(ts, kind, side, price, size, ref):
@@ -19,11 +20,23 @@ def ev(ts, kind, side, price, size, ref):
                      size=size, order_ref=ref)
 
 
-def mo(side, volume, levels):
-    """levels: (price, size) best-first."""
-    prices = tuple(p for p, _ in levels)
-    cum = tuple(np.cumsum([s for _, s in levels], dtype=np.int64).tolist())
-    return MORecord(side=side, volume=volume, prices=prices, cum_sizes=cum)
+EMPTY = BookState(bids=(), asks=())
+
+
+def mo_replay(mos):
+    """A one-interval ReplayResult holding ``mos``, in that order."""
+    return to_arrays([EMPTY], [mos], mids=[0.0])
+
+
+def flow_of(mos):
+    """The IntervalFlow of one interval's MORecords."""
+    _, flows = mo_replay(mos).interval_flows
+    return flows[0] if flows else IntervalFlow()
+
+
+def closing(book):
+    """A ReplayResult whose book at the end of the session is ``book``."""
+    return to_arrays([], [], book)
 
 
 # One share on each side, far from any test price, keeps every snapshot of a
@@ -35,7 +48,8 @@ ANCHORS = [ev(-1, "add", "bid", 1, 1, -1),
 def book_after(events):
     """Bids and asks after ``events``, as replay's terminal book sees them."""
     res = replay(ANCHORS + events, TimeGrid(n_steps=1, session_start_ns=0))
-    return res.terminal_book.bids[:-1], res.terminal_book.asks[:-1]
+    terminal = as_objects(res)[2]
+    return terminal.bids[:-1], terminal.asks[:-1]
 
 
 def rejected_at(events):
@@ -84,46 +98,59 @@ class TestApplyEvent:
                             ev(1, "amend", "bid", 9000, 10, 1)]) == 1
 
 
+def midprice(bid, ask, tick_size):
+    """replay's midprice of a book with one bid and one ask level."""
+    events = [ev(0, "add", side, price, 10, ref)
+              for ref, (side, price) in enumerate((("bid", bid),
+                                                   ("ask", ask)), 1)
+              if price]
+    grid = TimeGrid(n_steps=1, session_start_ns=1)
+    return replay(events, grid, tick_size=tick_size).midprices[0]
+
+
 class TestMidprice:
     def test_round_cases(self):
-        book = BookState(bids=((9999, 10),), asks=((10001, 10),))
-        assert midprice(book, 0.01) == pytest.approx(100.00)
-        book2 = BookState(bids=((10000, 10),), asks=((10001, 10),))
-        assert midprice(book2, 0.01) == pytest.approx(100.005)
+        assert midprice(9999, 10001, 0.01) == pytest.approx(100.00)
+        assert midprice(10000, 10001, 0.01) == pytest.approx(100.005)
 
     def test_one_sided_errors(self):
-        with pytest.raises(BookError):
-            midprice(BookState(bids=(), asks=((10001, 10),)))
+        with pytest.raises(BookError, match="one-sided"):
+            midprice(0, 10001, 1.0)
 
 
 class TestFillQuantity:
     def test_better_volume_subtracted(self):
-        flow = IntervalFlow(mos=[mo("ask", 600,
+        flow = flow_of([mo("ask", 600,
                                     [(10001, 200), (10002, 500)])])
         assert fill_quantity(10002, 500, "ask", flow) == 400
 
     def test_negative_clipped(self):
-        flow = IntervalFlow(mos=[mo("ask", 150, [(10001, 200),
+        flow = flow_of([mo("ask", 150, [(10001, 200),
                                                  (10002, 500)])])
         assert fill_quantity(10002, 500, "ask", flow) == 0
 
     def test_sequential_cap(self):
-        flow = IntervalFlow(mos=[
+        flow = flow_of([
             mo("ask", 400, [(10001, 100), (10002, 500)]),
             mo("ask", 400, [(10001, 100), (10002, 500)]),
         ])
         assert fill_quantity(10002, 500, "ask", flow) == 500
 
     def test_bid_side_better_is_higher(self):
-        flow = IntervalFlow(mos=[mo("bid", 600, [(9999, 200), (9998, 500)])])
+        flow = flow_of([mo("bid", 600, [(9999, 200), (9998, 500)])])
         assert fill_quantity(9998, 500, "bid", flow) == 400
         assert fill_quantity(9999, 500, "bid", flow) == 600 - 0 - 100
+
+    def test_no_market_order_fills_nothing(self):
+        for side in ("ask", "bid"):
+            assert fill_quantity(100, 5, side, IntervalFlow()) == 0
+            assert fill_quantity(100, 5, side, flow_of([])) == 0
 
     @given(st.integers(1, 20), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_placement_depth(self, n_levels, volume):
         levels = [(10000 + i, 100) for i in range(1, n_levels + 1)]
-        flow = IntervalFlow(mos=[mo("ask", volume, levels)])
+        flow = flow_of([mo("ask", volume, levels)])
         fills = [fill_quantity(10000 + i, 10 ** 6, "ask", flow)
                  for i in range(1, n_levels + 1)]
         assert all(a >= b for a, b in zip(fills, fills[1:]))
@@ -132,25 +159,25 @@ class TestFillQuantity:
 class TestLiquidate:
     def test_zero_inventory(self):
         book = BookState(bids=((10000, 100),), asks=((10001, 100),))
-        assert liquidate(book, 0).proceeds == 0.0
+        assert liquidate(closing(book), 0).proceeds == 0.0
 
     def test_weighted_average_sale(self):
         book = BookState(bids=((10000, 200), (9999, 200)),
                          asks=((10001, 100),))
-        res = liquidate(book, 300, 0.01)
+        res = liquidate(closing(book), 300, 0.01)
         assert res.avg_price == pytest.approx((200 * 100.00 + 100 * 99.99)
                                               / 300)
         assert not res.insufficient_depth
 
     def test_buyback_negative_inventory(self):
         book = BookState(bids=((9999, 100),), asks=((10001, 500),))
-        res = liquidate(book, -100, 0.01)
+        res = liquidate(closing(book), -100, 0.01)
         assert res.avg_price == pytest.approx(100.01)
         assert res.proceeds == pytest.approx(-10001.0)
 
     def test_insufficient_depth_extrapolates(self):
         book = BookState(bids=((10000, 100), (9998, 100)), asks=())
-        res = liquidate(book, 500, 1.0)
+        res = liquidate(closing(book), 500, 1.0)
         assert res.insufficient_depth
         expect = (100 * 10000 + 100 * 9998 + 300 * 9998) / 500
         assert res.avg_price == pytest.approx(expect)
@@ -163,12 +190,12 @@ class TestLiquidate:
             book = BookState(bids=tuple(zip(prices.tolist(), sizes.tolist())),
                              asks=((10500, 100),))
             I = float(rng.integers(1, int(sizes.sum())))
-            res = liquidate(book, I, 1.0)
+            res = liquidate(closing(book), I, 1.0)
             assert res.proceeds <= prices[0] * I + 1e-9
 
     def test_empty_side_errors(self):
         with pytest.raises(BookError):
-            liquidate(BookState(bids=(), asks=((10001, 10),)), 50)
+            liquidate(closing(BookState(bids=(), asks=((10001, 10),))), 50)
 
 
 class TestReplay:
@@ -183,9 +210,10 @@ class TestReplay:
 
     def test_pre_session_add_included_and_quiet_intervals(self):
         res = replay(self._base_events(), self._grid())
-        assert len(res.snapshots) == 3
-        assert res.snapshots[0].bids == ((10000, 100),)
-        assert res.snapshots[0] == res.snapshots[1] == res.snapshots[2]
+        snapshots = as_objects(res)[0]
+        assert len(snapshots) == 3
+        assert snapshots[0].bids == ((10000, 100),)
+        assert snapshots[0] == snapshots[1] == snapshots[2]
         np.testing.assert_allclose(res.midprices, 10000.5)
 
     def test_trade_assigned_to_interval_flow(self):
@@ -194,11 +222,13 @@ class TestReplay:
             ev(10 ** 9 + 500_000_001, "execute", "ask", 10001, 60, 2),
         ]
         res = replay(events, self._grid())
-        assert len(res.flows[0].mos) == 1
-        assert res.flows[0].mos[0].volume == 60
-        assert res.flows[1].mos == []
+        assert res.mo_interval.tolist() == [0]
+        assert res.mo_volume.tolist() == [60]
+        snapshots, flows, _ = as_objects(res)
+        assert flows[1] == []
+        assert flows[0][0].prices == (10001,)
         # snapshot at t_1 reflects the executed volume
-        assert res.snapshots[1].asks == ((10001, 40),)
+        assert snapshots[1].asks == ((10001, 40),)
 
     def test_out_of_order_rejected(self):
         events = [ev(5, "add", "bid", 10000, 100, 1),
@@ -226,7 +256,9 @@ class TestReplay:
 
     def test_snapshots_at_counts(self):
         res = replay(self._base_events(), self._grid())
-        assert len(res.snapshots) == len(res.midprices) == 3
+        assert len(res.midprices) == 3
+        assert res.book_prices.shape == res.book_sizes.shape == (4, 2, 20)
+        assert res.book_depth.shape == (4, 2)
         assert self._grid().action_time_ns(0) == 10 ** 9
         assert res.midprices[0] == pytest.approx(10000.5)
 
@@ -238,9 +270,7 @@ class TestReplay:
         ]
         a = replay(events, self._grid())
         b = replay(events, self._grid())
-        assert a.snapshots == b.snapshots
-        assert a.midprices.tobytes() == b.midprices.tobytes()
-        assert a.terminal_book == b.terminal_book
+        assert_same_replay(a, b)
 
 
 class TestEventIO:
@@ -271,7 +301,7 @@ class TestEventIO:
         grid = TimeGrid(n_steps=1, step_seconds=1.0, session_start_ns=10)
         a = replay(self._events(), grid)
         b = replay(arr, grid)
-        assert a.snapshots == b.snapshots
+        assert_same_replay(a, b)
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "day_0000.bin"
@@ -282,18 +312,11 @@ class TestEventIO:
 
 
 def assert_same_replay(a, b):
-    """Bit-for-bit equality of two ReplayResults."""
-    assert a.snapshots == b.snapshots
-    assert a.midprices.tobytes() == b.midprices.tobytes()
-    assert a.terminal_book == b.terminal_book
-    assert len(a.flows) == len(b.flows)
-    for fa, fb in zip(a.flows, b.flows):
-        assert len(fa.mos) == len(fb.mos)
-        for x, y in zip(fa.mos, fb.mos):
-            assert (x.side, x.volume) == (y.side, y.volume)
-            for u, v in ((x.prices, y.prices), (x.cum_sizes, y.cum_sizes)):
-                assert type(u) is type(v) is tuple and u == v
-                assert all(type(e) is int for e in u + v)
+    """Bit-for-bit equality of two ReplayResults, field by field."""
+    for name in ReplayResult.__dataclass_fields__:
+        u, v = getattr(a, name), getattr(b, name)
+        assert (name, u.dtype, u.shape) == (name, v.dtype, v.shape)
+        assert u.tobytes() == v.tobytes(), name
 
 
 def outcome(fn, *args, **kwargs):
@@ -400,18 +423,26 @@ class TestBetterPricedVolume:
     WANT = [0, 0, 5, 5, 12, 14, 14]
 
     def test_scalar(self):
+        """fill_quantity's bisect: an order never capped fills V - better."""
+        big = [mo(m.side, 100, list(zip(m.prices, np.diff(m.cum_sizes,
+                                                          prepend=0))))
+               for m in (self.ASK, self.BID)]
         for placed, want in zip(range(100, 107), self.WANT):
-            assert self.ASK.better_priced_volume(placed) == want
-            assert self.BID.better_priced_volume(200 - placed) == want
-        assert mo("ask", 10, []).better_priced_volume(101) == 0
+            assert fill_quantity(placed, 10 ** 6, "ask", flow_of(big)) == \
+                100 - want
+            assert fill_quantity(200 - placed, 10 ** 6, "bid",
+                                 flow_of(big)) == 100 - want
+        assert fill_quantity(101, 10 ** 6, "ask",
+                             flow_of([mo("ask", 10, [])])) == 10
 
     def test_array(self):
+        """The estimator's segment-key searchsorted, MO by MO."""
+        rep = mo_replay([self.ASK, self.BID, mo("bid", 10, [])])
         placed = np.arange(100, 107)
-        assert self.ASK.better_priced_volume(placed).tolist() == self.WANT
-        assert self.BID.better_priced_volume(200 - placed).tolist() == \
-            self.WANT
-        assert mo("bid", 10, []).better_priced_volume(placed).tolist() == \
-            [0] * 7
+        got = rep.better_priced_volume(np.array([[0], [1], [2]]),
+                                       np.stack([placed, 200 - placed,
+                                                 placed]))
+        assert got.tolist() == [self.WANT, self.WANT, [0] * 7]
 
 
 class TestClosedFormFills:
@@ -428,12 +459,14 @@ class TestClosedFormFills:
             sizes = [data.draw(st.integers(1, 50)) for _ in prices]
             mos.append(mo(mo_side, data.draw(st.integers(0, 300)),
                           list(zip(prices, sizes))))
-        flow = IntervalFlow(mos=mos)
+        flow = flow_of(mos)
         placed = np.arange(94, 107)
         size = data.draw(st.integers(-5, 400))
-        expect = [sequential_fill(int(px), size, side, flow) for px in placed]
+        expect = [sequential_fill(int(px), size, side, mos) for px in placed]
         assert [fill_quantity(int(px), size, side, flow)
                 for px in placed] == expect
-        for m in mos:  # the array form estimation uses
-            assert m.better_priced_volume(placed).tolist() == \
-                [int(m.better_priced_volume(int(px))) for px in placed]
+        if mos:  # the array form estimation uses
+            got = mo_replay(mos).better_priced_volume(
+                np.arange(len(mos))[:, None], placed)
+            assert got.tolist() == [[int(m.better_priced_volume(int(px)))
+                                     for px in placed] for m in mos]

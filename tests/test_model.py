@@ -108,6 +108,19 @@ class TestTimeGrid:
         assert g.action_time_ns(2) == 2 * 10 ** 9
         assert g.last_index == 2
 
+    @given(st.integers(1, 300),
+           st.one_of(st.floats(1e-9, 100.0),
+                     st.sampled_from([0.5e-9, 1.5e-9, 2.5e-9, 1e-3, 0.1])),
+           st.integers(-10 ** 12, 10 ** 15))
+    @settings(max_examples=300, deadline=None)
+    def test_array_action_times_match_scalar(self, n, step, start):
+        # half-nanosecond steps put k * step * 1e9 on ties, which both
+        # round half to even
+        g = TimeGrid(n_steps=n, step_seconds=step, session_start_ns=start)
+        times = g.action_times_ns()
+        assert times.dtype == np.int64
+        assert times.tolist() == [g.action_time_ns(k) for k in range(n + 1)]
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             TimeGrid(n_steps=0)

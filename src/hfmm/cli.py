@@ -274,7 +274,7 @@ def cmd_estimate(cfg) -> int:
     grid = TimeGrid(n_steps=cfg["n_steps"],
                     step_seconds=float(cfg.get("step_seconds", 1.0)),
                     session_start_ns=int(cfg.get("session_start_ns", 10 ** 9)))
-    window = cfg["window"]
+    window, lam = cfg["window"], float(cfg.get("lambda", 0.0005))
     store = []
     failures = 0
     for i, path in enumerate(files):
@@ -297,8 +297,7 @@ def cmd_estimate(cfg) -> int:
         if prior < window:
             continue
         try:
-            p = rolling_params(prior, store, window=window,
-                               lam=float(cfg.get("lambda", 0.0005)),
+            p = rolling_params(prior, store, window=window, lam=lam,
                                tick_size=tick, step_seconds=grid.step_seconds,
                                session_start_ns=grid.session_start_ns)
         except _DAY_ERRORS as exc:  # e.g. a side with no valid interval

@@ -365,7 +365,8 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     ts, kind = ev["ts_ns"], ev["kind"]
     n = grid.n_steps
     ops, level, change, level_price, error = _resolve(ev)
-    # after the order pass: temporaries freed before it moved its peak
+    # computed after the order pass: freeing these temporaries before it
+    # raised that pass's peak memory by 0.3-0.5 MB on a 19,800-step day
     times = grid.action_times_ns()
     applied, n_snap = len(ev), n
     if error is not None:

@@ -15,6 +15,7 @@ import argparse
 import bisect
 import csv as _csv
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -114,7 +115,30 @@ def load_run_config(args) -> dict:
     return cfg
 
 
-def _load_params_or_exit(cfg) -> MarketParams:
+_BOUND = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+def _settings(command, cfg, rules):
+    """{key: kind(value)} of cfg.get(key, default) for each rule (key,
+    default, kind, *bounds), or None at the first value that is not an int
+    (kind int) or a real number (kind float; a bool is neither) within
+    each (op, bound), which is printed as '<command> needs ..., not v'."""
+    got = {}
+    for key, default, kind, *bounds in rules:
+        v = cfg.get(key, default)
+        if (isinstance(v, bool)
+                or not isinstance(v, int if kind is int else (int, float))
+                or not all(_BOUND[op](v, b) for op, b in bounds)):
+            need = " and ".join(f"{op} {b}" for op, b in bounds)
+            what = f"{'an integer' if kind is int else 'a'} {key} {need}"
+            print(f"{command} needs {what.rstrip()}, not {v!r}",
+                  file=sys.stderr)
+            return None
+        got[key] = kind(v)
+    return got
+
+
+def _load_params_or_exit(cfg, command) -> MarketParams:
     path = cfg.get("params")
     if not path or not Path(path).exists():
         print(f"parameter file not found: {path!r}", file=sys.stderr)
@@ -125,8 +149,11 @@ def _load_params_or_exit(cfg) -> MarketParams:
         print(f"invalid params: {exc}", file=sys.stderr)
         sys.exit(EXIT_FAILURE)
     if "lambda" in cfg:
+        s = _settings(command, cfg, [("lambda", None, float)])
+        if s is None:
+            sys.exit(EXIT_FAILURE)
         p = MarketParams(grid=p.grid, arrivals=p.arrivals, moments=p.moments,
-                         lam=float(cfg["lambda"]), tick_size=p.tick_size)
+                         lam=s["lambda"], tick_size=p.tick_size)
     report = validate_params(p)
     if not report.valid:
         for v in report.violations:
@@ -157,7 +184,7 @@ def _day_files(events_dir: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg) -> int:
-    p = _load_params_or_exit(cfg)
+    p = _load_params_or_exit(cfg, "solve")
     out = _outdir(cfg)
     table = backward_pass(p)
     table_to_csv(table, out / "coefficients.csv")
@@ -196,12 +223,12 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
-    for key, least in (("n_paths", 1), ("chunk_size", 1), ("seed", 0)):
-        if not (isinstance(cfg[key], int) and cfg[key] >= least):
-            print(f"simulate needs an integer {key} >= {least}, not "
-                  f"{cfg[key]!r}", file=sys.stderr)
-            return EXIT_FAILURE
-    p = _load_params_or_exit(cfg)
+    s = _settings("simulate", cfg, [("n_paths", None, int, (">=", 1)),
+                                    ("chunk_size", None, int, (">=", 1)),
+                                    ("seed", None, int, (">=", 0))])
+    if s is None:
+        return EXIT_FAILURE
+    p = _load_params_or_exit(cfg, "simulate")
     mom = p.moments
     for name, side in (("plus", mom.plus), ("minus", mom.minus)):
         for key in ("mu_p", "mu_p2"):
@@ -221,10 +248,9 @@ def cmd_simulate(cfg) -> int:
     market = SimMarket(params=p, demand=demand,
                        price=PriceModel(S0=float(cfg.get("S0", 100.0))))
     policy = bt.Policy.named("optimal_martingale", table)
-    n_paths = int(cfg["n_paths"])
-    seed = int(cfg["seed"])
+    n_paths, seed = s["n_paths"], s["seed"]
     (mean, se) = monte_carlo_value(policy, market, n_paths, seed,
-                                   chunk_size=int(cfg["chunk_size"]))
+                                   chunk_size=s["chunk_size"])
     g0 = float(table.g[0])
     summary = {
         "n_paths": n_paths,
@@ -258,29 +284,28 @@ def cmd_estimate(cfg) -> int:
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    for key, least in (("n_steps", 1), ("window", 1), ("level_depth", 2)):
-        v = cfg.get(key)
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
-            print(f"estimate needs an integer {key} >= {least}, not {v!r}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
-    tick = cfg.get("tick_size", 1.0)
-    if not (isinstance(tick, (int, float)) and not isinstance(tick, bool)
-            and tick > 0):
-        print(f"estimate needs a tick_size > 0, not {tick!r}", file=sys.stderr)
+    s = _settings("estimate", cfg, [
+        ("n_steps", None, int, (">=", 1)),
+        ("window", None, int, (">=", 1)),
+        ("level_depth", None, int, (">=", 2)),
+        ("tick_size", 1.0, float, (">", 0)),
+        ("step_seconds", 1.0, float, (">", 0)),
+        ("session_start_ns", 10 ** 9, int),
+        ("lambda", 0.0005, float, (">=", 0)),
+        ("break_quantile", None, float, (">", 0), ("<", 1))])
+    if s is None:
         return EXIT_FAILURE
     out = _outdir(cfg)
-    tick = float(tick)
-    grid = TimeGrid(n_steps=cfg["n_steps"],
-                    step_seconds=float(cfg.get("step_seconds", 1.0)),
-                    session_start_ns=int(cfg.get("session_start_ns", 10 ** 9)))
-    window, lam = cfg["window"], float(cfg.get("lambda", 0.0005))
+    tick = s["tick_size"]
+    grid = TimeGrid(n_steps=s["n_steps"], step_seconds=s["step_seconds"],
+                    session_start_ns=s["session_start_ns"])
+    window, lam = s["window"], s["lambda"]
     store = []
     failures = 0
     for i, path in enumerate(files):
         try:
             rep = replay(_read_events(path), grid, tick_size=tick)
-            store.append(estimate_day(rep, i, level_depth=cfg["level_depth"],
+            store.append(estimate_day(rep, i, level_depth=s["level_depth"],
                                       tick_size=tick))
         except _DAY_ERRORS as exc:
             print(f"day {path.name} failed: {exc}", file=sys.stderr)
@@ -308,8 +333,7 @@ def cmd_estimate(cfg) -> int:
         n_params += 1
     if len(store) > window:
         ids, ep, em, ej = compute_break_errors(store, window=window)
-        rep = structural_break_flags(ids, ep, em, ej,
-                                     q=float(cfg["break_quantile"]))
+        rep = structural_break_flags(ids, ep, em, ej, q=s["break_quantile"])
         with open(out / "break_flags.json", "w") as fh:
             json.dump({"flagged": [int(d) for d in rep.flagged]}, fh)
     print(f"estimated {len(store)} days, wrote {n_params} parameter files, "
@@ -357,13 +381,16 @@ def cmd_backtest(cfg) -> int:
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
+    s = _settings("backtest", cfg, [("order_volume", None, int, (">=", 1))])
+    if s is None:
+        return EXIT_FAILURE
     out = _outdir(cfg)
     tasks = []
     for i, path in enumerate(files):
         pp = params_dir / f"params_day_{i:04d}.yaml"
         if pp.exists():
             tasks.append((i, str(pp), str(path), policies,
-                          int(cfg["order_volume"])))
+                          s["order_volume"]))
     if not tasks:
         print("no days with calibrated parameters", file=sys.stderr)
         return EXIT_FAILURE

@@ -61,6 +61,8 @@ assert EVENT_DTYPE.itemsize == 32
 # replay's book: at most _BLOCK_ROWS cut points and _BLOCK_CELLS cells a block
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 21
+# the order pass holds event indices, life numbers and levels as int32
+_MAX_EVENTS = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -232,55 +234,79 @@ def _as_array(events) -> np.ndarray:
 
 
 def _resolve(ev: np.ndarray):
-    """Order-level pass: (ops, level, change, level_price, error) = the add,
-    cancel and execute events, the ladder level each one changes and its
-    signed shares, each level's price (bids, then asks, best-first), and
-    None or (index, message, last) for the first event a one-pass book
-    rejects, where the time of event ``last`` is the last that triggers
-    snapshots (the rejected one's, unless it is out of time order).
+    """Order-level pass: (ops, level, change, level_price, n_bid_levels,
+    error) = the add, cancel and execute events, the ladder level each one
+    changes and its signed shares, each level's price (the first
+    ``n_bid_levels`` are the bid prices, the rest the ask prices, each side
+    best-first), and None or (index, message, last) for the first event a
+    one-pass book rejects, where the time of event ``last`` is the last
+    that triggers snapshots (the rejected one's, unless it is out of time
+    order).
 
     A stable argsort on order_ref groups each order's events in stream
     order; every add opens a life of its ref, and cumsums of the shares
     taken within a life decide unknown refs, over-cancels and duplicates.
+
+    This pass sets replay's peak memory, so each array takes the narrowest
+    dtype that holds its values exactly and goes once used up: int32 for
+    event indices, life numbers and levels (each below the event count,
+    which replay keeps under 2**31) and for single sizes; int64 only for
+    sums of shares.
     """
     ts, kind, side = ev["ts_ns"], ev["kind"], ev["side"]
     price, ref, size = ev["price_ticks"], ev["order_ref"], ev["size"]
-    ops = np.flatnonzero(kind <= 2)
-    by_ref = np.argsort(ref[ops], kind="stable")
+    ops = np.flatnonzero(kind <= 2).astype(np.int32)
+    by_ref = np.argsort(ref[ops], kind="stable").astype(np.int32)
     idx = ops[by_ref]
-    r, z = ref[idx], size[idx].astype(np.int64)
+    r, z = ref[idx], size[idx]
     is_add = kind[idx] == 0
     new_ref = np.ones(len(idx), dtype=bool)
     new_ref[1:] = r[1:] != r[:-1]
-    del r  # this pass sets replay's peak memory: arrays go once used up
+    del r
     opens = is_add | new_ref
-    life = np.cumsum(opens) - 1
+    life = np.cumsum(opens, dtype=np.int32)
+    life -= 1
+    opens_add = is_add[opens]  # per life: opened by an add
 
-    def of_life(x):  # x at the event that opened each one's life
-        return x[opens][life]
-
-    opened = of_life(np.where(is_add, z, 0))
+    # left[i]: shares of event i's order still standing before it, its
+    # add's size less what its life took before i, from one running sum
     taken = np.where(is_add, 0, z)
-    after = np.cumsum(taken)
-    after -= of_life(after - taken)
-    before = after - taken
-    del taken
+    left = np.cumsum(taken, dtype=np.int64)
+    start = left[opens] - taken[opens]
+    start += np.where(opens_add, z[opens], 0)
+    np.subtract(start[life], left, out=left)
+    del start
+    left += taken
     duplicate = np.zeros(len(idx), dtype=bool)
-    duplicate[1:] = is_add[1:] & ~new_ref[1:] & (after[:-1] < opened[:-1])
+    duplicate[1:] = is_add[1:] & ~new_ref[1:] & (left[:-1] > taken[:-1])
+    unknown = ~is_add & (left <= 0)
+    oversize = ~is_add & (left > 0) & (left < taken)
+    del left, taken
 
-    prices, rank = np.unique(price[idx[is_add]], return_inverse=True)
+    # slots L - 1 - rank (bids) and L + rank (asks) over the L add prices,
+    # compacted to the slots some add uses: levels stay below the adds
+    add = idx[is_add]
+    prices, rank = np.unique(price[add], return_inverse=True)
     L = len(prices)
-    add_level = np.zeros(len(idx), dtype=np.int64)
-    add_level[is_add] = np.where(side[idx[is_add]] == 1, L + rank,
-                                 L - 1 - rank)
-    level, change = np.empty((2, len(idx)), dtype=np.int64)
-    level[by_ref] = of_life(add_level)
-    del add_level
+    slot = np.where(side[add] == 1, L + rank, L - 1 - rank)
+    del add, rank
+    used = np.zeros(2 * L, dtype=bool)
+    used[slot] = True
+    n_bid_levels = np.count_nonzero(used[:L])
+    level_price = np.concatenate([prices[::-1], prices])[used].astype(np.int64)
+    life_level = np.zeros(len(opens_add), dtype=np.int32)
+    life_level[opens_add] = (np.cumsum(used) - 1)[slot]
+    del slot
+    level, change = np.empty((2, len(idx)), dtype=np.int32)
+    level[by_ref] = life_level[life]
+    del life
     change[by_ref] = np.where(is_add, z, -z)
-    level_price = np.concatenate([prices[::-1], prices]).astype(np.int64)
+    del z, by_ref
 
     def at(mask):  # a mask over the ops in ref order, in stream order
-        return np.bincount(idx[mask], minlength=len(ev)) > 0
+        out = np.zeros(len(ev), dtype=bool)
+        out[idx[mask]] = True
+        return out
 
     disorder = np.zeros(len(ev), dtype=bool)
     disorder[1:] = ts[1:] < ts[:-1]
@@ -290,9 +316,8 @@ def _resolve(ev: np.ndarray):
         ("unknown side code {side}", side > 1),
         ("size and price must be positive", (size <= 0) | (price <= 0)),
         ("duplicate order_ref {ref}", at(duplicate)),
-        ("unknown order_ref {ref}", at(~is_add & (before >= opened))),
-        ("size exceeds remaining",
-         at(~is_add & (before < opened) & (after > opened))),
+        ("unknown order_ref {ref}", at(unknown)),
+        ("size exceeds remaining", at(oversize)),
     )
     bad = np.logical_or.reduce([mask for _, mask in checks])
     error = None
@@ -301,7 +326,7 @@ def _resolve(ev: np.ndarray):
         msg = next(msg for msg, mask in checks if mask[e])
         error = (e, msg.format(kind=kind[e], side=side[e], ref=ref[e]),
                  e - int(disorder[e]))
-    return ops, level, change, level_price, error
+    return ops, level, change, level_price, n_bid_levels, error
 
 
 def _ladder_blocks(level, change, row, n_rows, n_levels):
@@ -316,14 +341,15 @@ def _ladder_blocks(level, change, row, n_rows, n_levels):
         rows = min(n_rows - r0, _BLOCK_ROWS)
         while True:
             hi = int(np.searchsorted(row, r0 + rows))
-            cols = np.union1d(live, level[lo:hi])
+            # int64 slices: int32 ones slowed searchsorted and add.at
+            lv = level[lo:hi].astype(np.int64)
+            cols = np.union1d(live, lv)
             if rows == 1 or rows * len(cols) <= _BLOCK_CELLS:
                 break
             rows = max(1, _BLOCK_CELLS // len(cols))
         states = np.zeros((rows, len(cols)), dtype=np.int64)
-        np.add.at(states, (row[lo:hi] - r0,
-                           np.searchsorted(cols, level[lo:hi])),
-                  change[lo:hi])
+        np.add.at(states, (row[lo:hi] - r0, np.searchsorted(cols, lv)),
+                  change[lo:hi].astype(np.int64))
         np.cumsum(states, axis=0, out=states)
         states += book[cols]
         book[cols] = states[-1]
@@ -332,12 +358,12 @@ def _ladder_blocks(level, change, row, n_rows, n_levels):
         lo = hi
 
 
-def _ladders(states, cols, level_price):
+def _ladders(states, cols, level_price, n_bid_levels):
     """Each row's non-empty levels, best-first, as segments 2 * row + side
     of flat arrays: (segment, rank within it, price, size, size summed
     within the segment, segment starts)."""
     rr, cc = np.nonzero(states)
-    seg = 2 * rr + (cols[cc] >= len(level_price) // 2)
+    seg = 2 * rr + (cols[cc] >= n_bid_levels)
     px, sz = level_price[cols[cc]], states[rr, cc]
     starts = np.searchsorted(seg, np.arange(2 * len(states) + 1))
     head = np.repeat(starts[:-1], np.diff(starts))
@@ -362,9 +388,12 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     array operation per block of cuts.
     """
     ev = _as_array(events)
+    if len(ev) > _MAX_EVENTS:
+        raise BookError(f"{len(ev)} events: replay takes at most "
+                        f"{_MAX_EVENTS}")
     ts, kind = ev["ts_ns"], ev["kind"]
     n = grid.n_steps
-    ops, level, change, level_price, error = _resolve(ev)
+    ops, level, change, level_price, n_bid_levels, error = _resolve(ev)
     # computed after the order pass: freeing these temporaries before it
     # raised that pass's peak memory by 0.3-0.5 MB on a 19,800-step day
     times = grid.action_times_ns()
@@ -393,7 +422,8 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
     for r0, states, cols in _ladder_blocks(level[:n_ops], change[:n_ops], row,
                                            len(cuts), len(level_price)):
         what = order[r0:r0 + len(states)]
-        seg, rank, px, sz, cum, starts = _ladders(states, cols, level_price)
+        seg, rank, px, sz, cum, starts = _ladders(states, cols, level_price,
+                                                  n_bid_levels)
         dest = book_row[what][seg >> 1]
         top = (dest >= 0) & (rank < K)
         prices[dest[top], seg[top] & 1, rank[top]] = px[top]

@@ -353,10 +353,6 @@ def inventory_threshold(p: MarketParams):
     return bar, -bar
 
 
-# ---------------------------------------------------------------------------
-# Closed forms for the zero-joint-arrival case, used as independent checks.
-# ---------------------------------------------------------------------------
-
 def table_to_csv(table: CoefficientTable, path) -> None:
     """Columnar export (one row per action time; terminal row carries only
     alpha/h/g)."""

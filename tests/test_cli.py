@@ -85,15 +85,45 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("level_depth", 1),
                                            ("tick_size", 0),
                                            ("n_steps", "abc"),
-                                           ("window", 0)])
+                                           ("window", 0),
+                                           ("step_seconds", 0),
+                                           ("session_start_ns", "abc"),
+                                           ("lambda", "abc"),
+                                           ("lambda", -0.5),
+                                           ("break_quantile", 1.0)])
     def test_estimate_bad_setting_named(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         assert main(["estimate", "--events", str(make_days(tmp_path, 2)),
                      "--out", str(out), "--config",
                      str(write_config(tmp_path, **{key: value}))]) == 1
         err = capsys.readouterr().err
-        assert f"{key} " in err and f"not {value!r}" in err
+        assert f" {key}" in err and f"not {value!r}" in err
         assert not out.exists()  # rejected before any day was read
+
+    @pytest.mark.parametrize("value", ["abc", 0, 2.5])
+    def test_backtest_bad_order_volume_named(self, tmp_path, params_file,
+                                             capsys, value):
+        params = tmp_path / "params"
+        params.mkdir()
+        save_params(load_params(params_file), params / "params_day_0000.yaml")
+        out = tmp_path / "out"
+        assert main(["backtest", "--events", str(make_days(tmp_path, 1)),
+                     "--params", str(params), "--out", str(out), "--config",
+                     str(write_config(tmp_path, order_volume=value))]) == 1
+        err = capsys.readouterr().err
+        assert " order_volume" in err and f"not {value!r}" in err
+        assert not out.exists()  # rejected before any day was read
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_bad_lambda_named(self, tmp_path, params_file, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--params", str(params_file), "--out", str(out),
+                  "--config", str(write_config(tmp_path, **{"lambda": "abc"}))])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "lambda" in err and "not 'abc'" in err
+        assert not out.exists()  # rejected before anything was solved
 
     def test_empty_events_dir_backtest(self, tmp_path, capsys):
         events, params = tmp_path / "events", tmp_path / "params"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,55 @@ class TestColumnarReplayMatchesOracle:
         grid = truth.params.grid
         assert_same_replay(replay(objs, grid, K=3, tick_size=0.01),
                            oracle_replay(events, grid, K=3, tick_size=0.01))
+
+    def test_sizes_beyond_int32(self):
+        """Sizes at the int32 limit: two adds of 2**31 - 1 shares at one
+        price, partial cancels whose running sum passes 2**31 and MOs that
+        meet more than 2**31 shares; then an over-cancel that takes its
+        order's running sum past 2**31."""
+        big = 2 ** 31 - 1
+        half = 2 ** 30
+        rows = [(0, 0, 0, 100, big, 1), (0, 0, 0, 100, big, 2),
+                (0, 0, 1, 105, big, 3), (0, 0, 1, 106, big, 4),
+                (1, 1, 0, 100, half, 1), (1, 2, 1, 105, half, 3),
+                (2, 1, 0, 100, half, 2), (2, 3, 1, 105, big, 0),
+                (3, 1, 0, 100, half - 1, 1), (3, 0, 0, 101, big, 1),
+                (4, 2, 1, 106, big - 1, 4), (5, 3, 0, 100, big, 0),
+                (6, 1, 0, 100, half - 2, 2)]
+        grid = TimeGrid(n_steps=4, step_seconds=2e-9, session_start_ns=1)
+        arr = np.array([(t, k, s, 0, p, z, r, 0) for t, k, s, p, z, r in rows],
+                       dtype=EVENT_DTYPE)
+        res = replay(arr, grid)
+        assert_same_replay(res, oracle_replay(arr, grid))
+        assert res.book_sizes.max() == 2 * big
+        assert res.mo_cum.max() > 2 ** 31
+        bad = np.concatenate([arr, arr[-1:]])
+        bad[-1]["size"] = big  # 2**31 - 2 shares of ref 2 gone already
+        assert outcome(replay, bad, grid) == outcome(oracle_replay, bad, grid)
+        assert outcome(replay, bad, grid)[1:] == (
+            f"event {len(arr)}: size exceeds remaining", len(arr))
+
+    def test_event_count_limit_named(self, monkeypatch):
+        import hfmm.lob
+        events, truth = generate_day(SyntheticDayConfig(n_steps=5), seed=2)
+        monkeypatch.setattr(hfmm.lob, "_MAX_EVENTS", len(events))
+        replay(events, truth.params.grid)
+        monkeypatch.setattr(hfmm.lob, "_MAX_EVENTS", len(events) - 1)
+        with pytest.raises(BookError, match=f"^{len(events)} events"):
+            replay(events, truth.params.grid)
+
+    def test_peak_memory_within_twice_the_stream(self):
+        """The order pass keeps replay's transient memory, the result
+        included, under twice the event array on a full-length day."""
+        events, truth = generate_day(SyntheticDayConfig(n_steps=19800),
+                                     seed=3)
+        tracemalloc.start()
+        try:
+            replay(events, truth.params.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * events.nbytes
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)

@@ -15,6 +15,7 @@ import argparse
 import bisect
 import csv as _csv
 import json
+import math
 import operator
 import os
 import sys
@@ -121,16 +122,19 @@ _BOUND = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 def _settings(command, cfg, rules):
     """{key: kind(value)} of cfg.get(key, default) for each rule (key,
     default, kind, *bounds), or None at the first value that is not an int
-    (kind int) or a real number (kind float; a bool is neither) within
-    each (op, bound), which is printed as '<command> needs ..., not v'."""
+    (kind int) or a finite real number (kind float; a bool is neither)
+    within each (op, bound), which is printed as '<command> needs ..., not
+    v'."""
     got = {}
     for key, default, kind, *bounds in rules:
         v = cfg.get(key, default)
         if (isinstance(v, bool)
                 or not isinstance(v, int if kind is int else (int, float))
+                or isinstance(v, float) and not math.isfinite(v)
                 or not all(_BOUND[op](v, b) for op, b in bounds)):
             need = " and ".join(f"{op} {b}" for op, b in bounds)
-            what = f"{'an integer' if kind is int else 'a'} {key} {need}"
+            article = "an integer" if kind is int else "a finite"
+            what = f"{article} {key} {need}"
             print(f"{command} needs {what.rstrip()}, not {v!r}",
                   file=sys.stderr)
             return None

@@ -87,9 +87,11 @@ class TestExitCodes:
                                            ("n_steps", "abc"),
                                            ("window", 0),
                                            ("step_seconds", 0),
+                                           ("step_seconds", float("inf")),
                                            ("session_start_ns", "abc"),
                                            ("lambda", "abc"),
                                            ("lambda", -0.5),
+                                           ("lambda", float("inf")),
                                            ("break_quantile", 1.0)])
     def test_estimate_bad_setting_named(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -115,14 +117,17 @@ class TestExitCodes:
         assert not out.exists()  # rejected before any day was read
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
-    def test_bad_lambda_named(self, tmp_path, params_file, capsys, command):
+    @pytest.mark.parametrize("value", ["abc", float("nan")])
+    def test_bad_lambda_named(self, tmp_path, params_file, capsys, command,
+                              value):
         out = tmp_path / "out"
+        config = write_config(tmp_path, **{"lambda": value})
         with pytest.raises(SystemExit) as exc:
             main([command, "--params", str(params_file), "--out", str(out),
-                  "--config", str(write_config(tmp_path, **{"lambda": "abc"}))])
+                  "--config", str(config)])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "lambda" in err and "not 'abc'" in err
+        assert " lambda" in err and f"not {value!r}" in err
         assert not out.exists()  # rejected before anything was solved
 
     def test_empty_events_dir_backtest(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ dataclasses and safe to share across threads after construction.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -137,19 +138,25 @@ class ValidationReport:
 def _check_side(rep: ValidationReport, side: SideMoments, label: str) -> None:
     for name in ("mu_c", "mu_c2", "mu_cp", "mu_c2p", "mu_c2p2"):
         v = getattr(side, name)
-        if not v > 0:
-            rep.add(f"{label}.{name} must be strictly positive (got {v})")
+        if not 0 < v < math.inf:
+            rep.add(f"{label}.{name} must be finite and strictly positive "
+                    f"(got {v})")
     if side.mu_c2 < side.mu_c ** 2:
         rep.add(f"{label}.mu_c2 < mu_c squared ({side.mu_c2} < {side.mu_c ** 2})")
     if side.mu_p is not None:
-        if not side.mu_p > 0:
-            rep.add(f"{label}.mu_p must be strictly positive")
-        if side.mu_p2 is not None and side.mu_p2 < side.mu_p ** 2:
-            rep.add(f"{label}.mu_p2 < mu_p squared")
+        if not 0 < side.mu_p < math.inf:
+            rep.add(f"{label}.mu_p must be finite and strictly positive "
+                    f"(got {side.mu_p})")
+        if side.mu_p2 is not None:
+            if not math.isfinite(side.mu_p2):
+                rep.add(f"{label}.mu_p2 must be finite (got {side.mu_p2})")
+            elif side.mu_p2 < side.mu_p ** 2:
+                rep.add(f"{label}.mu_p2 < mu_p squared")
 
 
 def validate_params(p: MarketParams) -> ValidationReport:
-    """Collect every violated invariant. Diagnostic only, never raises."""
+    """Collect every violated invariant, a non-finite real field included.
+    Diagnostic only, never raises."""
     rep = ValidationReport()
     n = p.grid.n_steps
     if len(p.arrivals) != n:
@@ -162,22 +169,28 @@ def validate_params(p: MarketParams) -> ValidationReport:
     hi = np.where(pm < pp, pm, pp)
     bad_p = ~((0 < pp) & (pp <= 1))
     bad_m = ~((0 < pm) & (pm <= 1))
+    # a NaN joint compares false with both bounds, so it gets its own rule
+    nan_j = np.isnan(pj)
     below, above = pj < lo, pj > hi
-    for k in np.flatnonzero(bad_p | bad_m | below | above).tolist():
+    for k in np.flatnonzero(bad_p | bad_m | nan_j | below | above).tolist():
         if bad_p[k]:
             rep.add(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
         if bad_m[k]:
             rep.add(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
+        if nan_j[k]:
+            rep.add(f"pi_joint[{k}] is not a number: {pj[k]}")
         if below[k]:
             rep.add(f"pi_joint[{k}] below Frechet lower bound ({pj[k]} < {lo[k]})")
         if above[k]:
             rep.add(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi[k]})")
     _check_side(rep, p.moments.plus, "plus")
     _check_side(rep, p.moments.minus, "minus")
-    if p.lam < 0:
-        rep.add(f"lambda must be >= 0 (got {p.lam})")
-    if not p.tick_size > 0:
-        rep.add(f"tick_size must be > 0 (got {p.tick_size})")
+    if not 0 <= p.lam < math.inf:
+        rep.add(f"lambda must be finite and >= 0 (got {p.lam})")
+    if not 0 < p.tick_size < math.inf:
+        rep.add(f"tick_size must be finite and > 0 (got {p.tick_size})")
+    if not p.grid.step_seconds < math.inf:
+        rep.add(f"step_seconds must be finite (got {p.grid.step_seconds})")
     return rep
 
 

@@ -38,6 +38,12 @@ _SAMPLE_FLOOR = 1e-9
 # Paths drawn per path-major block before the copy into a step-major chunk:
 # 256 paths of 200 steps are 2.4 MB of draws, which stay in cache.
 _BLOCK_PATHS = 256
+# A chunk holds at most _CHUNK_CELLS float64 draws (32 MB; 6 a path-step),
+# so its memory does not grow with the horizon, but never fewer than
+# _MIN_CHUNK_PATHS paths: each step costs about 33 us plus 36 ns a path, so
+# narrower chunks of a long day would spend their time in per-step overhead.
+_CHUNK_CELLS = 1 << 22
+_MIN_CHUNK_PATHS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,9 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     Returns a list of (mean, std_error) tuples, one per policy, plus the
     per-policy objective arrays for further analysis.
 
-    Paths run ``chunk_size`` at a time on step-major draws. Each path still
+    Paths run in chunks on step-major draws. A chunk is ``chunk_size``
+    paths at most, and fewer when its draws would pass ``_CHUNK_CELLS``
+    cells, though never fewer than ``_MIN_CHUNK_PATHS``. Each path still
     draws its own (n_steps, 5) uniforms and normals into a path-major block
     of ``_BLOCK_PATHS`` paths, small enough to stay in cache while it is
     copied into the chunk's columns.
@@ -331,12 +339,13 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     rng = np.random.Generator(np.random.PCG64(0))
 
     objectives = [np.empty(n_paths) for _ in policies]
-    width = min(chunk_size, n_paths)
+    width = min(chunk_size, n_paths,
+                max(_CHUNK_CELLS // (6 * n), _MIN_CHUNK_PATHS))
     u_buf, z_buf = np.empty((n, 5, width)), np.empty((n, width))
     block = min(_BLOCK_PATHS, width)
     u_blk, z_blk = np.empty((block, n, 5)), np.empty((block, n))
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
+    for start in range(0, n_paths, width):
+        stop = min(start + width, n_paths)
         m = stop - start
         u, z = u_buf[:, :, :m], z_buf[:, :m]
         for b0 in range(0, m, block):

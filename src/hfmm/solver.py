@@ -10,7 +10,6 @@ solver concern.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -353,20 +352,22 @@ def inventory_threshold(p: MarketParams):
     return bar, -bar
 
 
+_TABLE_COLUMNS = ("gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",
+                  "A2_plus", "A2_minus", "A3_plus", "A3_minus", "xi", "alpha",
+                  "h", "g")
+
+
 def table_to_csv(table: CoefficientTable, path) -> None:
     """Columnar export (one row per action time; terminal row carries only
-    alpha/h/g)."""
+    alpha/h/g). Cells are the floats' shortest repr and rows end in CRLF,
+    as ``csv.writer`` writes them."""
+    n = table.n_steps
+    cols = [map(repr, getattr(table, name)[:n].tolist())
+            for name in _TABLE_COLUMNS]
+    last = [str(n)] + [""] * (len(_TABLE_COLUMNS) - 3) + [
+        repr(getattr(table, name)[n].item()) for name in _TABLE_COLUMNS[-3:]]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "gamma", "beta_plus", "beta_minus",
-                    "A1_plus", "A1_minus", "A2_plus", "A2_minus",
-                    "A3_plus", "A3_minus", "xi", "alpha", "h", "g"])
-        n = table.n_steps
-        for k in range(n):
-            w.writerow([k, table.gamma[k], table.beta_plus[k],
-                        table.beta_minus[k], table.A1_plus[k],
-                        table.A1_minus[k], table.A2_plus[k], table.A2_minus[k],
-                        table.A3_plus[k], table.A3_minus[k], table.xi[k],
-                        table.alpha[k], table.h[k], table.g[k]])
-        w.writerow([n, "", "", "", "", "", "", "", "", "", "",
-                    table.alpha[n], table.h[n], table.g[n]])
+        fh.write(",".join(("step",) + _TABLE_COLUMNS) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(map(str, range(n)), *cols))
+        fh.write(",".join(last) + "\r\n")

@@ -214,6 +214,19 @@ class TestExitCodes:
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 1
 
+    def test_nan_lambda_in_params_file_rejected(self, tmp_path, params_file,
+                                                capsys):
+        text = params_file.read_text()
+        assert "\nlambda: 0.0005\n" in text
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("\nlambda: 0.0005\n", "\nlambda: .nan\n"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--params", str(bad), "--out", str(out)])
+        assert exc.value.code == 1
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert not (out / "spread_surface.csv").exists()
+
 
 class TestSolve:
     def test_outputs_and_pi11_monotonicity(self, tmp_path, params_file):

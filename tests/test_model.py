@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def _const_params(pi_p, pi_m, pi_j, n=4, **side_overrides):
         moments=DemandMoments(plus=side, minus=side))
 
 
+def _with_joint(p, k, value):
+    pj = p.arrivals.pi_joint.copy()
+    pj[k] = value
+    return replace(p, arrivals=ArrivalSchedule(p.arrivals.pi_plus,
+                                               p.arrivals.pi_minus, pj))
+
+
+def _with_side(p, side, **moments):
+    return replace(p, moments=replace(p.moments, **{
+        side: replace(getattr(p.moments, side), **moments)}))
+
+
 class TestValidateParams:
     def test_inside_frechet_bounds_is_valid(self):
         assert validate_params(_const_params(0.2, 0.2, 0.05)).valid
@@ -43,6 +56,27 @@ class TestValidateParams:
         # equality at the upper bound passes; any positive epsilon fails
         assert validate_params(_const_params(0.2, 0.3, 0.2)).valid
         assert not validate_params(_const_params(0.2, 0.3, 0.2 + 1e-12)).valid
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: replace(p, lam=np.nan),
+         "lambda must be finite and >= 0 (got nan)"),
+        (lambda p: replace(p, lam=np.inf),
+         "lambda must be finite and >= 0 (got inf)"),
+        (lambda p: replace(p, tick_size=np.inf),
+         "tick_size must be finite and > 0 (got inf)"),
+        (lambda p: replace(p, grid=TimeGrid(n_steps=4, step_seconds=np.inf)),
+         "step_seconds must be finite (got inf)"),
+        (lambda p: _with_joint(p, 2, np.nan),
+         "pi_joint[2] is not a number: nan"),
+        (lambda p: _with_side(p, "plus", mu_c2p2=np.inf),
+         "plus.mu_c2p2 must be finite and strictly positive (got inf)"),
+        (lambda p: _with_side(p, "minus", mu_p2=np.nan),
+         "minus.mu_p2 must be finite (got nan)"),
+    ])
+    def test_non_finite_field_named(self, change, message):
+        p = _const_params(0.2, 0.2, 0.05, mu_p=5.0, mu_p2=26.0)
+        assert validate_params(p).valid
+        assert validate_params(change(p)).violations == [message]
 
     def test_never_raises_collects_all(self):
         report = validate_params(_const_params(0.2, 0.2, 0.3, mu_c2=9000.0))
@@ -184,6 +218,8 @@ def _validate_per_step(p: MarketParams) -> list[str]:
             out.append(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
         if not 0 < pm[k] <= 1:
             out.append(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
+        if pj[k] != pj[k]:
+            out.append(f"pi_joint[{k}] is not a number: {pj[k]}")
         lo = max(pp[k] + pm[k] - 1.0, 0.0)
         hi = min(pp[k], pm[k])
         if pj[k] < lo:
@@ -201,8 +237,8 @@ class TestValidateMatchesPerStep:
                   ("pi_minus", np.nan), ("pi_plus", np.inf),
                   ("pi_joint", -1e-3), ("pi_joint", 0.99),
                   ("pi_joint", np.nan)]
-        rules = ("grid expects", "not in (0,1]", "below Frechet",
-                 "exceeds min marginal")
+        rules = ("grid expects", "not in (0,1]", "is not a number",
+                 "below Frechet", "exceeds min marginal")
         seen = set()
         for trial in range(40):
             p = random_valid_params(rng, n_steps=int(rng.integers(1, 40)))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfmm import simulator
 from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid, symmetric_params)
@@ -331,6 +334,52 @@ class TestPathSeeding:
         for i in (0, 255, 256, 599):
             ep = run_episode(pol, market, children[i])
             assert ep.terminal_objective == objectives[i]
+
+    # the budget sets the width (3, and 301: one full 256-path draw block
+    # and a part block a chunk), the path floor sets it (7), or chunk_size
+    # caps it (5)
+    @pytest.mark.parametrize("cells,floor,chunk_size,width", [
+        (6 * 12 * 3, 1, 8192, 3), (0, 7, 8192, 7), (6 * 12 * 301, 1, 8192, 301),
+        (6 * 12 * 7, 1, 5, 5)])
+    def test_budget_chunks_equal_oracle(self, monkeypatch, cells, floor,
+                                        chunk_size, width):
+        monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(simulator, "_MIN_CHUNK_PATHS", floor)
+        market = two_point_market(drift=0.01, vol=0.05)
+        t = backward_pass(market.params)
+        base = Policy.named("optimal_martingale", t)
+        policies = [base, PerturbedPolicy(base, 0.3),
+                    FixedSpreadPolicy(2.0, 3.0)]
+        n_paths = 3 * width + 2
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
+                                         chunk_size=chunk_size)
+        stats_ref, objs_ref = mc_oracle.monte_carlo_values(
+            policies, market, n_paths, 17)
+        for obj, obj_ref in zip(objs, objs_ref):
+            assert np.array_equal(obj, obj_ref)
+        np.testing.assert_array_equal(stats, stats_ref)
+        children = np.random.SeedSequence(17).spawn(n_paths)
+        for i in {0, width - 1, width, n_paths - 1} | (
+                {255, 256} if width > 256 else set()):
+            ep = run_episode(base, market, children[i])
+            assert ep.terminal_objective == objs[0][i]
+
+    def test_peak_memory_within_draw_budget(self):
+        """A long horizon's draws in flight stay within the chunk's cell
+        budget (or its path floor) plus one path-major block."""
+        n, n_paths = 1000, 3000
+        market = two_point_market(n_steps=n)
+        pol = Policy.named("optimal_martingale", backward_pass(market.params))
+        width = max(simulator._CHUNK_CELLS // (6 * n),
+                    simulator._MIN_CHUNK_PATHS)
+        draws = 8 * 6 * n * (width + simulator._BLOCK_PATHS)
+        tracemalloc.start()
+        try:
+            monte_carlo_value(pol, market, n_paths, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws + (2 << 20)
 
     def test_int_seed_episode_draws_from_seed_sequence(self):
         # an int seed is SeedSequence(seed) itself, not a spawned child

@@ -528,7 +528,51 @@ class TestRecursionTermPin:
         assert t.xi[0] == pytest.approx(xi0, rel=1e-13)
 
 
+def _csv_writer_table(table, path):
+    """table_to_csv as it was, csv.writer over np.float64 cells: the
+    reference for the columnar writer's bytes."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "gamma", "beta_plus", "beta_minus",
+                    "A1_plus", "A1_minus", "A2_plus", "A2_minus",
+                    "A3_plus", "A3_minus", "xi", "alpha", "h", "g"])
+        n = table.n_steps
+        for k in range(n):
+            w.writerow([k, table.gamma[k], table.beta_plus[k],
+                        table.beta_minus[k], table.A1_plus[k],
+                        table.A1_minus[k], table.A2_plus[k], table.A2_minus[k],
+                        table.A3_plus[k], table.A3_minus[k], table.xi[k],
+                        table.alpha[k], table.h[k], table.g[k]])
+        w.writerow([n, "", "", "", "", "", "", "", "", "", "",
+                    table.alpha[n], table.h[n], table.g[n]])
+
+
+# negative, tiny, subnormal and exponent-form values, both sides of the
+# 1e-4 and 1e16 switches between positional and exponent form
+CSV_FLOATS = [-1.5, 5e-324, -2.2250738585072014e-308, 1e-05,
+              9.999999999999999e-05, 0.0001, -0.0, 0.0, 0.1, -2.5e-07,
+              123456789.125, 9999999999999998.0, 1e16, -1.5e17, 2.5e+300,
+              -1.7976931348623157e+308, math.inf, -math.inf, math.nan]
+
+
 class TestTableCsv:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        per_step = {name: rng.permutation(CSV_FLOATS) for name in (
+            "gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",
+            "A2_plus", "A2_minus", "A3_plus", "A3_minus", "xi")}
+        terminal = {name: rng.permutation(CSV_FLOATS + [-3.0e-20])
+                    for name in ("alpha", "h", "g")}
+        tables = [CoefficientTable(lam=5e-4, **per_step, **terminal),
+                  backward_pass(symmetric_params(100, 5, 0.2, 0.05, 5e-4, 60)),
+                  backward_pass(true_market_params(
+                      SyntheticDayConfig(n_steps=300)))]
+        for t in tables:
+            table_to_csv(t, tmp_path / "new.csv")
+            _csv_writer_table(t, tmp_path / "old.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
+
     def test_columns_round_trip(self, bench_params, tmp_path):
         t = backward_pass(bench_params)
         path = tmp_path / "table.csv"

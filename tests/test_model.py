@@ -58,20 +58,26 @@ class TestValidateParams:
         assert not validate_params(_const_params(0.2, 0.3, 0.2 + 1e-12)).valid
 
     @pytest.mark.parametrize("change,message", [
-        (lambda p: replace(p, lam=np.nan),
-         "lambda must be finite and >= 0 (got nan)"),
-        (lambda p: replace(p, lam=np.inf),
-         "lambda must be finite and >= 0 (got inf)"),
-        (lambda p: replace(p, tick_size=np.inf),
-         "tick_size must be finite and > 0 (got inf)"),
-        (lambda p: replace(p, grid=TimeGrid(n_steps=4, step_seconds=np.inf)),
-         "step_seconds must be finite (got inf)"),
-        (lambda p: _with_joint(p, 2, np.nan),
-         "pi_joint[2] is not a number: nan"),
-        (lambda p: _with_side(p, "plus", mu_c2p2=np.inf),
-         "plus.mu_c2p2 must be finite and strictly positive (got inf)"),
-        (lambda p: _with_side(p, "minus", mu_p2=np.nan),
-         "minus.mu_p2 must be finite (got nan)"),
+        pytest.param(lambda p: replace(p, lam=np.nan),
+                     "lambda must be finite and >= 0 (got nan)",
+                     id="lambda-nan"),
+        pytest.param(lambda p: replace(p, lam=np.inf),
+                     "lambda must be finite and >= 0 (got inf)",
+                     id="lambda-inf"),
+        pytest.param(lambda p: replace(p, tick_size=np.inf),
+                     "tick_size must be finite and > 0 (got inf)",
+                     id="tick_size-inf"),
+        pytest.param(lambda p: replace(p, grid=TimeGrid(n_steps=4,
+                                                        step_seconds=np.inf)),
+                     "step_seconds must be finite (got inf)",
+                     id="step_seconds-inf"),
+        pytest.param(lambda p: _with_joint(p, 2, np.nan),
+                     "pi_joint[2] is not a number: nan", id="pi_joint-nan"),
+        pytest.param(lambda p: _with_side(p, "plus", mu_c2p2=np.inf),
+                     "plus.mu_c2p2 must be finite and strictly positive "
+                     "(got inf)", id="mu_c2p2-inf"),
+        pytest.param(lambda p: _with_side(p, "minus", mu_p2=np.nan),
+                     "minus.mu_p2 must be finite (got nan)", id="mu_p2-nan"),
     ])
     def test_non_finite_field_named(self, change, message):
         p = _const_params(0.2, 0.2, 0.05, mu_p=5.0, mu_p2=26.0)

@@ -246,6 +246,18 @@ class TestMonteCarlo:
             assert np.mean(diff) > 3 * se
 
 
+class ChunkRecorder:
+    """A policy that records the width of each chunk it quotes for."""
+
+    def __init__(self, policy):
+        self.policy, self.widths = policy, []
+
+    def spreads(self, k, S, I):
+        if k == 0:
+            self.widths.append(len(I))
+        return self.policy.spreads(k, S, I)
+
+
 def spawned_words(seed, n_paths):
     return np.array([child.generate_state(4, np.uint64) for child in
                      np.random.SeedSequence(seed).spawn(n_paths)])
@@ -339,8 +351,8 @@ class TestPathSeeding:
     # and a part block a chunk), the path floor sets it (7), or chunk_size
     # caps it (5)
     @pytest.mark.parametrize("cells,floor,chunk_size,width", [
-        (6 * 12 * 3, 1, 8192, 3), (0, 7, 8192, 7), (6 * 12 * 301, 1, 8192, 301),
-        (6 * 12 * 7, 1, 5, 5)])
+        (6 * 12 * 3, 1, 8192, 3), (0, 7, 8192, 7),
+        (6 * 12 * 301, 1, 8192, 301), (6 * 12 * 7, 1, 5, 5)])
     def test_budget_chunks_equal_oracle(self, monkeypatch, cells, floor,
                                         chunk_size, width):
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
@@ -348,11 +360,12 @@ class TestPathSeeding:
         market = two_point_market(drift=0.01, vol=0.05)
         t = backward_pass(market.params)
         base = Policy.named("optimal_martingale", t)
-        policies = [base, PerturbedPolicy(base, 0.3),
+        policies = [ChunkRecorder(base), PerturbedPolicy(base, 0.3),
                     FixedSpreadPolicy(2.0, 3.0)]
         n_paths = 3 * width + 2
         stats, objs = monte_carlo_values(policies, market, n_paths, 17,
                                          chunk_size=chunk_size)
+        assert policies[0].widths == [width, width, width, 2]
         stats_ref, objs_ref = mc_oracle.monte_carlo_values(
             policies, market, n_paths, 17)
         for obj, obj_ref in zip(objs, objs_ref):
@@ -365,11 +378,13 @@ class TestPathSeeding:
             assert ep.terminal_objective == objs[0][i]
 
     def test_peak_memory_within_draw_budget(self):
-        """A long horizon's draws in flight stay within the chunk's cell
-        budget (or its path floor) plus one path-major block."""
+        """A long horizon runs in chunks of the path floor, below the cell
+        budget, and its draws in flight stay within one such chunk plus
+        one path-major block."""
         n, n_paths = 1000, 3000
         market = two_point_market(n_steps=n)
-        pol = Policy.named("optimal_martingale", backward_pass(market.params))
+        pol = ChunkRecorder(Policy.named("optimal_martingale",
+                                         backward_pass(market.params)))
         width = max(simulator._CHUNK_CELLS // (6 * n),
                     simulator._MIN_CHUNK_PATHS)
         draws = 8 * 6 * n * (width + simulator._BLOCK_PATHS)
@@ -379,6 +394,7 @@ class TestPathSeeding:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert pol.widths == [width, width, n_paths - 2 * width]
         assert peak <= draws + (2 << 20)
 
     def test_int_seed_episode_draws_from_seed_sequence(self):

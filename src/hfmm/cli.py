@@ -19,7 +19,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,11 +347,15 @@ def cmd_estimate(cfg) -> int:
 def _backtest_one_day(task):
     """Worker: (day, params file, events file, policies, order volume) ->
     (day, rows, error); the optimal policies quote from the day's solved
-    params, and a failed day gets an incomplete row per policy, in any
-    process."""
+    params, a params file that breaks a model rule fails its day, and a
+    failed day gets an incomplete row per policy, in any process."""
     day_idx, params_path, events_path, policies, order_volume = task
     try:
         p = load_params(params_path)
+        report = validate_params(p)
+        if not report.valid:
+            raise ValueError(f"{params_path}: "
+                             + "; ".join(report.violations))
         events = _read_events(Path(events_path))
         rep = replay(events, p.grid, tick_size=p.tick_size)
         table = (backward_pass(p) if any(not pol.level for pol in policies)
@@ -399,6 +402,8 @@ def cmd_backtest(cfg) -> int:
         print("no days with calibrated parameters", file=sys.stderr)
         return EXIT_FAILURE
     if int(cfg["workers"]) > 1:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=int(cfg["workers"])) as pool:
             outcomes = list(pool.map(_backtest_one_day, tasks))
     else:

@@ -337,18 +337,22 @@ def _ladder_blocks(level, change, row, n_rows, n_levels):
     book = np.zeros(n_levels, dtype=np.int64)
     r0 = lo = 0
     while r0 < n_rows:
-        live = np.flatnonzero(book)
         rows = min(n_rows - r0, _BLOCK_ROWS)
         while True:
             hi = int(np.searchsorted(row, r0 + rows))
-            # int64 slices: int32 ones slowed searchsorted and add.at
-            lv = level[lo:hi].astype(np.int64)
-            cols = np.union1d(live, lv)
-            if rows == 1 or rows * len(cols) <= _BLOCK_CELLS:
+            used = book != 0
+            used[level[lo:hi]] = True
+            n_cols = np.count_nonzero(used)
+            if rows == 1 or rows * n_cols <= _BLOCK_CELLS:
                 break
-            rows = max(1, _BLOCK_CELLS // len(cols))
-        states = np.zeros((rows, len(cols)), dtype=np.int64)
-        np.add.at(states, (row[lo:hi] - r0, np.searchsorted(cols, lv)),
+            rows = max(1, _BLOCK_CELLS // n_cols)
+        cols = np.flatnonzero(used)
+        col = np.cumsum(used) - 1  # each used level's column
+        states = np.zeros((rows, n_cols), dtype=np.int64)
+        # one flat index, and int64 changes: int32 ones take add.at's
+        # slow path (20x slower on a 50,000-change block)
+        np.add.at(states.reshape(-1),
+                  (row[lo:hi] - r0) * n_cols + col[level[lo:hi]],
                   change[lo:hi].astype(np.int64))
         np.cumsum(states, axis=0, out=states)
         states += book[cols]
@@ -362,9 +366,10 @@ def _ladders(states, cols, level_price, n_bid_levels):
     """Each row's non-empty levels, best-first, as segments 2 * row + side
     of flat arrays: (segment, rank within it, price, size, size summed
     within the segment, segment starts)."""
-    rr, cc = np.nonzero(states)
+    cell = np.flatnonzero(states)
+    rr, cc = np.divmod(cell, states.shape[1])
     seg = 2 * rr + (cols[cc] >= n_bid_levels)
-    px, sz = level_price[cols[cc]], states[rr, cc]
+    px, sz = level_price[cols[cc]], states.reshape(-1)[cell]
     starts = np.searchsorted(seg, np.arange(2 * len(states) + 1))
     head = np.repeat(starts[:-1], np.diff(starts))
     cum = np.cumsum(sz)
@@ -426,8 +431,9 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
                                                   n_bid_levels)
         dest = book_row[what][seg >> 1]
         top = (dest >= 0) & (rank < K)
-        prices[dest[top], seg[top] & 1, rank[top]] = px[top]
-        sizes[dest[top], seg[top] & 1, rank[top]] = sz[top]
+        at = (2 * dest[top] + (seg[top] & 1)) * K + rank[top]
+        prices.reshape(-1)[at] = px[top]
+        sizes.reshape(-1)[at] = sz[top]
         i = np.flatnonzero(book_row[what] < 0)
         consumed = 2 * i + mo_side[what[i] - n_snap]
         taken = np.zeros(len(starts), dtype=bool)

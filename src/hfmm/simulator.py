@@ -7,9 +7,12 @@ paths with it, and ``run_episode`` records one path of it step by step.
 
 Reproducibility: path i draws exactly what
 ``Generator(PCG64(SeedSequence(seed).spawn(n_paths)[i]))`` would, so it is
-identical regardless of path count, chunking, or worker layout. Each step
-consumes a fixed channel layout (u_arrival, u_c+, u_p+, u_c-, u_p-, z_price).
-The step loop reads those draws step-major, one contiguous row per channel.
+identical regardless of path count, chunking, or worker layout. A path
+draws its n_steps x 5 uniforms (u_arrival, u_c+, u_p+, u_c-, u_p-) first,
+then its n_steps price normals, drawn only when the price has volatility: a
+still price reads one shared zero row instead, so its normals take neither
+time nor memory. The step loop reads the draws step-major, one contiguous
+row per channel.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,20 +99,26 @@ class TwoPointIndependent(SideDistribution):
         dc, dp = math.sqrt(var_c), math.sqrt(var_p)
         return cls((mu_c - dc, mu_c + dc), (mu_p - dp, mu_p + dp))
 
+    @cached_property
+    def _floored(self):
+        """(c_low, c_high, p_low, p_high), each at least _SAMPLE_FLOOR."""
+        return tuple(float(max(v, _SAMPLE_FLOOR))
+                     for v in (*self.c_values, *self.p_values))
+
     def sample(self, u_c, u_p):
-        c = np.where(u_c < self.c_prob_low, self.c_values[0], self.c_values[1])
-        p = np.where(u_p < self.p_prob_low, self.p_values[0], self.p_values[1])
-        return np.maximum(c, _SAMPLE_FLOOR), np.maximum(p, _SAMPLE_FLOOR)
+        c_low, c_high, p_low, p_high = self._floored
+        return (np.where(u_c < self.c_prob_low, c_low, c_high),
+                np.where(u_p < self.p_prob_low, p_low, p_high))
 
     def side_moments(self) -> SideMoments:
         return _moments_from_atoms(self.atoms())
 
     def atoms(self):
-        out = []
-        for c, wc in zip(self.c_values, (self.c_prob_low, 1 - self.c_prob_low)):
-            for p, wp in zip(self.p_values, (self.p_prob_low, 1 - self.p_prob_low)):
-                out.append((max(c, _SAMPLE_FLOOR), max(p, _SAMPLE_FLOOR), wc * wp))
-        return out
+        c_low, c_high, p_low, p_high = self._floored
+        wc, wp = self.c_prob_low, self.p_prob_low
+        return [(c, p, w_c * w_p)
+                for c, w_c in ((c_low, wc), (c_high, 1 - wc))
+                for p, w_p in ((p_low, wp), (p_high, 1 - wp))]
 
 
 @dataclass(frozen=True)
@@ -240,10 +250,11 @@ def _path_state_words(seed, n_paths: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def _path_draws(words, rng, u, z):
-    """Fill one path's uniforms u (n, 5) and normals z (n,) from ``rng``,
-    reseeded from the path's 4 state words (Python ints) by PCG64's own
-    seeding rule: the draws are those of a fresh PCG64 seeded with them."""
+def _path_draws(words, rng, u, z=None):
+    """Fill one path's uniforms u (n, 5), then its normals z (n,) unless z
+    is None, from ``rng``, reseeded from the path's 4 state words (Python
+    ints) by PCG64's own seeding rule: the draws are those of a fresh PCG64
+    seeded with them."""
     w0, w1, w2, w3 = words
     inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
     state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
@@ -251,7 +262,8 @@ def _path_draws(words, rng, u, z):
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
     rng.random(out=u)
-    rng.standard_normal(out=z)
+    if z is not None:
+        rng.standard_normal(out=z)
 
 
 def _steps(policy, market: SimMarket, u, z):
@@ -265,7 +277,8 @@ def _steps(policy, market: SimMarket, u, z):
     quote lies beyond the taker's reservation price.
 
     The draws are step-major, uniforms u (n_steps, 5, m) and normals z
-    (n_steps, m), so each step reads whole contiguous rows.
+    (n_steps, m), so each step reads whole contiguous rows; z may be a
+    broadcast zero row when the price has no volatility.
     """
     p = market.params
     n = p.grid.n_steps
@@ -301,11 +314,13 @@ def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
     deterministic given the seed. A ``SeedSequence`` spawned as path i of
     ``monte_carlo_values`` reproduces that path exactly."""
     n = market.params.grid.n_steps
+    moving = market.price.vol_array(n).any()
     seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
            else np.random.SeedSequence(rng_seed))
-    u, z = np.empty((n, 5)), np.empty(n)
+    u, z = np.empty((n, 5)), (np.empty(n) if moving else np.zeros(n))
     _path_draws(seq.generate_state(4, np.uint64).tolist(),
-                np.random.Generator(np.random.PCG64(0)), u, z)
+                np.random.Generator(np.random.PCG64(0)), u,
+                z if moving else None)
 
     states = [(market.price.S0, 0.0, 0.0)]
     logs = []
@@ -330,20 +345,28 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     Paths run in chunks on step-major draws. A chunk is ``chunk_size``
     paths at most, and fewer when its draws would pass ``_CHUNK_CELLS``
     cells, though never fewer than ``_MIN_CHUNK_PATHS``. Each path still
-    draws its own (n_steps, 5) uniforms and normals into a path-major block
-    of ``_BLOCK_PATHS`` paths, small enough to stay in cache while it is
-    copied into the chunk's columns.
+    draws its own (n_steps, 5) uniforms, and normals when the price has
+    volatility, into a path-major block of ``_BLOCK_PATHS`` paths, small
+    enough to stay in cache while it is copied into the chunk's columns. A
+    still price's chunks share one read-only zero row for the normals; the
+    budget counts their cells all the same, so the width does not depend on
+    the price.
     """
     n = market.params.grid.n_steps
+    moving = market.price.vol_array(n).any()
     words = _path_state_words(base_seed, n_paths)
     rng = np.random.Generator(np.random.PCG64(0))
 
     objectives = [np.empty(n_paths) for _ in policies]
     width = min(chunk_size, n_paths,
                 max(_CHUNK_CELLS // (6 * n), _MIN_CHUNK_PATHS))
-    u_buf, z_buf = np.empty((n, 5, width)), np.empty((n, width))
     block = min(_BLOCK_PATHS, width)
-    u_blk, z_blk = np.empty((block, n, 5)), np.empty((block, n))
+    u_buf, u_blk = np.empty((n, 5, width)), np.empty((block, n, 5))
+    if moving:
+        z_buf, z_blk = np.empty((n, width)), np.empty((block, n))
+    else:
+        # no normals: every path's z row is None, every chunk's z is zero
+        z_buf, z_blk = np.broadcast_to(0.0, (n, width)), [None] * block
     for start in range(0, n_paths, width):
         stop = min(start + width, n_paths)
         m = stop - start
@@ -354,7 +377,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
                     words[start + b0:start + b1].tolist()):
                 _path_draws(path_words, rng, u_blk[i], z_blk[i])
             u[:, :, b0:b1] = u_blk[:b1 - b0].transpose(1, 2, 0)
-            z[:, b0:b1] = z_blk[:b1 - b0].T
+            if moving:
+                z[:, b0:b1] = z_blk[:b1 - b0].T
 
         for pol_idx, policy in enumerate(policies):
             for S, W, I, _ in _steps(policy, market, u, z):

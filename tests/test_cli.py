@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +475,42 @@ class TestFailedDays:
         assert sorted(f.name for f in out.glob("params_day_*.yaml")) == [
             "params_day_0021.yaml"]
 
+    @pytest.mark.parametrize("field,rule", [
+        ("pi_plus", "pi_plus[3] not in (0,1]: 1.7"),
+        ("lambda", "lambda must be finite and >= 0 (got nan)")],
+        ids=["pi_plus", "lambda"])
+    def test_invalid_params_file_fails_its_day(self, tmp_path, capsys,
+                                               field, rule):
+        """A day's params file that breaks a model rule fails that day,
+        naming the file and the rule, under any worker count."""
+        events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)
+        bad = params_dir / "params_day_0021.yaml"
+        if field == "pi_plus":
+            p = load_params(bad)
+            pi_plus = p.arrivals.pi_plus.copy()
+            pi_plus[3] = 1.7
+            save_params(replace(p, arrivals=replace(p.arrivals,
+                                                    pi_plus=pi_plus)), bad)
+        else:
+            text = bad.read_text()
+            bad.write_text(re.sub(r"(?m)^lambda: .*$", "lambda: .nan", text))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"bt{workers}"
+            assert main(["backtest", "--events", str(events_dir),
+                         "--params", str(params_dir), "--out", str(out),
+                         "--workers", workers,
+                         "--config", str(write_config(tmp_path))]) == 0
+            err = capsys.readouterr().err
+            assert f"day 21 failed: ValueError('{bad}: " in err
+            assert rule in err
+            outputs.append((out / "day_results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        with open(tmp_path / "bt1" / "day_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["day"]: r["incomplete"] for r in rows} == {"20": "0",
+                                                             "21": "1"}
+
     def test_bad_day_same_for_any_worker_count(self, tmp_path, capsys):
         events_dir, params_dir = TestPipeline()._estimate(tmp_path, 22)
         scramble(events_dir / "day_0021.bin")
@@ -591,3 +629,21 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, params_file):
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False 0 False"
     assert (tmp_path / "sim" / "summary.json").exists()
+
+
+def test_cli_import_leaves_process_pool_unloaded(tmp_path):
+    # concurrent.futures, and multiprocessing with it, is loaded only for a
+    # backtest with --workers > 1, not by importing the CLI or a serial run
+    events_dir, params_dir = TestPipeline()._estimate(tmp_path, 21)
+    env = dict(os.environ, PYTHONPATH=str(Path(hfmm.__file__).parents[1]))
+    code = ("import sys, hfmm.cli; "
+            "imported = 'concurrent.futures' in sys.modules; "
+            "code = hfmm.cli.main(sys.argv[1:]); "
+            "print(imported, code, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "backtest", "--events", str(events_dir),
+         "--params", str(params_dir), "--out", str(tmp_path / "bt"),
+         "--workers", "1", "--config", str(write_config(tmp_path))],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"
+    assert (tmp_path / "bt" / "day_results.csv").exists()

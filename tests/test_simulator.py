@@ -191,6 +191,27 @@ class TestSamplerMoments:
             se = np.std(sample) / np.sqrt(n)
             assert abs(np.mean(sample) - target) < 3.5 * se
 
+    def test_floored_atoms_sample_as_before(self):
+        # the reference floors every sample, as the sampler did before it
+        # floored its atoms once; 0 and -3 fall below _SAMPLE_FLOOR, 1e-12
+        # too, and int atoms still sample as floats
+        dist = TwoPointIndependent((0, 120), (-3.0, 1e-12), c_prob_low=0.3,
+                                   p_prob_low=0.6)
+        rng = np.random.default_rng(5)
+        u_c, u_p = rng.random(1000), rng.random(1000)
+        c, p = dist.sample(u_c, u_p)
+        floor = simulator._SAMPLE_FLOOR
+        c_ref = np.maximum(np.where(u_c < 0.3, 0, 120), floor)
+        p_ref = np.maximum(np.where(u_p < 0.6, -3.0, 1e-12), floor)
+        assert c.dtype == p.dtype == np.float64
+        assert np.array_equal(c, c_ref) and np.array_equal(p, p_ref)
+        assert set(c.tolist()) == {floor, 120.0}
+        assert set(p.tolist()) == {floor}
+        assert dist.atoms() == [(floor, floor, 0.3 * 0.6),
+                                (floor, floor, 0.3 * (1 - 0.6)),
+                                (120.0, floor, (1 - 0.3) * 0.6),
+                                (120.0, floor, (1 - 0.3) * (1 - 0.6))]
+
     def test_copula_hits_target_cross_moment(self):
         d = GaussianCopulaLognormal.from_moments(100.0, 10400.0, 5.0, 26.0,
                                                  508.0)
@@ -335,6 +356,34 @@ class TestPathSeeding:
             assert np.array_equal(obj, obj_ref)
         np.testing.assert_array_equal(stats, stats_ref)
 
+    # a still price draws no normals; drift alone leaves it without
+    # volatility, and volatility at one step makes every path draw them
+    @pytest.mark.parametrize("price", [
+        {}, {"drift": 0.01}, {"vol": np.where(np.arange(12) == 5, 0.05, 0)}],
+        ids=["still", "drift", "vol_at_step_5"])
+    @pytest.mark.parametrize("n_paths,chunk_size", [
+        (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100),
+        (255, 8192), (257, 8192), (513, 300), (1000, 256), (300, 1),
+        (1, 1)])
+    def test_price_without_normals_equals_oracle(self, price, n_paths,
+                                                 chunk_size):
+        market = two_point_market(**price)
+        t = backward_pass(market.params)
+        base = Policy.named("optimal_martingale", t)
+        policies = [base, PerturbedPolicy(base, 0.3),
+                    FixedSpreadPolicy(2.0, 3.0)]
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
+                                         chunk_size=chunk_size)
+        stats_ref, objs_ref = mc_oracle.monte_carlo_values(
+            policies, market, n_paths, 17, chunk_size=chunk_size)
+        for obj, obj_ref in zip(objs, objs_ref):
+            assert np.array_equal(obj, obj_ref)
+        np.testing.assert_array_equal(stats, stats_ref)
+        children = np.random.SeedSequence(17).spawn(n_paths)
+        for i in {0, n_paths - 1} | ({255, 256} & set(range(n_paths))):
+            ep = run_episode(base, market, children[i])
+            assert ep.terminal_objective == objs[0][i]
+
     @pytest.mark.parametrize("chunk_size", [8192, 300])
     def test_episode_equals_path_across_blocks(self, chunk_size):
         market = two_point_market(drift=0.01, vol=0.05)
@@ -395,6 +444,28 @@ class TestPathSeeding:
         finally:
             tracemalloc.stop()
         assert pol.widths == [width, width, n_paths - 2 * width]
+        assert peak <= draws + (2 << 20)
+
+    @pytest.mark.parametrize("vol,cell_bytes", [(0.0, 40), (0.05, 48)])
+    def test_peak_memory_draws_normals_only_when_price_moves(self, vol,
+                                                             cell_bytes):
+        """A still price keeps only its 5 uniforms a path-step in flight,
+        in a chunk and a path-major block, where a moving price also keeps
+        its normals."""
+        n = 1000
+        market = two_point_market(n_steps=n, vol=vol)
+        pol = ChunkRecorder(Policy.named("optimal_martingale",
+                                         backward_pass(market.params)))
+        width = max(simulator._CHUNK_CELLS // (6 * n),
+                    simulator._MIN_CHUNK_PATHS)
+        draws = cell_bytes * n * (width + simulator._BLOCK_PATHS)
+        tracemalloc.start()
+        try:
+            monte_carlo_value(pol, market, width + 100, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pol.widths == [width, 100]
         assert peak <= draws + (2 << 20)
 
     def test_int_seed_episode_draws_from_seed_sequence(self):

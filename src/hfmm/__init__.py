@@ -1,7 +1,7 @@
 """Discrete-time market-making engine.
 
 Submodules: ``model`` (parameter containers and validation), ``solver``
-(backward-induction policy coefficients and closed forms), ``simulator``
+(backward-induction policy coefficients and optimal spreads), ``simulator``
 (Monte-Carlo market and policy evaluation), ``lob`` (event ingestion, book
 reconstruction, fill measurement), ``estimation`` (rolling calibration),
 ``backtest`` (quoting policies, day replay, reports), ``synthetic``
@@ -9,23 +9,15 @@ reconstruction, fill measurement), ``estimation`` (rolling calibration),
 """
 
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
-                    TimeGrid, load_params, save_params, symmetric_params,
-                    validate_params)
-from .solver import (CoefficientTable, ForecastVector, MarketState,
-                     backward_pass, closed_form_spread_symmetric,
-                     forecast_shift, inventory_threshold,
-                     nonmartingale_value_adjustments, optimal_spreads,
-                     quote_prices, value_function)
+                    TimeGrid, load_params, save_params, validate_params)
+from .solver import (CoefficientTable, backward_pass, optimal_spreads,
+                     quote_prices)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalSchedule", "DemandMoments", "MarketParams", "SideMoments",
-    "TimeGrid", "load_params", "save_params", "symmetric_params",
-    "validate_params",
-    "CoefficientTable", "ForecastVector", "MarketState", "backward_pass",
-    "closed_form_spread_symmetric", "forecast_shift", "inventory_threshold",
-    "nonmartingale_value_adjustments", "optimal_spreads", "quote_prices",
-    "value_function",
+    "TimeGrid", "load_params", "save_params", "validate_params",
+    "CoefficientTable", "backward_pass", "optimal_spreads", "quote_prices",
     "__version__",
 ]

@@ -141,6 +141,25 @@ def _settings(command, cfg, rules):
     return got
 
 
+def _real_lists(command, cfg, keys):
+    """{key: [float(entry), ...]} for each key, or None when a value is not
+    a list or holds an entry that is not a finite real; each such value or
+    entry (as key[i]) is printed as ``_settings`` prints it."""
+    got = {}
+    for key in keys:
+        v = cfg[key]
+        if not isinstance(v, list):
+            print(f"{command} needs a list of finite reals {key}, not {v!r}",
+                  file=sys.stderr)
+            continue
+        entries = {f"{key}[{i}]": x for i, x in enumerate(v)}
+        checked = [_settings(command, entries, [(name, None, float)])
+                   for name in entries]
+        if None not in checked:
+            got[key] = [c[name] for c, name in zip(checked, entries)]
+    return got if len(got) == len(keys) else None
+
+
 def _load_params_or_exit(cfg, command) -> MarketParams:
     path = cfg.get("params")
     if not path or not Path(path).exists():
@@ -157,9 +176,9 @@ def _load_params_or_exit(cfg, command) -> MarketParams:
             sys.exit(EXIT_FAILURE)
         p = MarketParams(grid=p.grid, arrivals=p.arrivals, moments=p.moments,
                          lam=s["lambda"], tick_size=p.tick_size)
-    report = validate_params(p)
-    if not report.valid:
-        for v in report.violations:
+    violations = validate_params(p)
+    if violations:
+        for v in violations:
             print(f"invalid params: {v}", file=sys.stderr)
         sys.exit(EXIT_FAILURE)
     return p
@@ -187,13 +206,15 @@ def _day_files(events_dir: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg) -> int:
+    grids = _real_lists("solve", cfg, ("pi11_grid", "inventory_grid"))
+    if grids is None:
+        return EXIT_FAILURE
     p = _load_params_or_exit(cfg, "solve")
     out = _outdir(cfg)
     table = backward_pass(p)
     table_to_csv(table, out / "coefficients.csv")
 
-    pi11_grid = [float(x) for x in cfg["pi11_grid"]]
-    inv_grid = [float(x) for x in cfg["inventory_grid"]]
+    pi11_grid, inv_grid = grids["pi11_grid"], grids["inventory_grid"]
     # the variants differ from p only in pi_joint: one sweep per distinct one
     solved = {p.arrivals.pi_joint.tobytes(): table}
     tables = []
@@ -228,7 +249,8 @@ def cmd_solve(cfg) -> int:
 def cmd_simulate(cfg) -> int:
     s = _settings("simulate", cfg, [("n_paths", None, int, (">=", 1)),
                                     ("chunk_size", None, int, (">=", 1)),
-                                    ("seed", None, int, (">=", 0))])
+                                    ("seed", None, int, (">=", 0)),
+                                    ("S0", 100.0, float)])
     if s is None:
         return EXIT_FAILURE
     p = _load_params_or_exit(cfg, "simulate")
@@ -249,7 +271,7 @@ def cmd_simulate(cfg) -> int:
             mom.minus.mu_c, mom.minus.mu_c2 - mom.minus.mu_c ** 2,
             mom.minus.mu_p, mom.minus.mu_p2 - mom.minus.mu_p ** 2))
     market = SimMarket(params=p, demand=demand,
-                       price=PriceModel(S0=float(cfg.get("S0", 100.0))))
+                       price=PriceModel(S0=s["S0"]))
     policy = bt.Policy.named("optimal_martingale", table)
     n_paths, seed = s["n_paths"], s["seed"]
     (mean, se) = monte_carlo_value(policy, market, n_paths, seed,
@@ -352,10 +374,9 @@ def _backtest_one_day(task):
     day_idx, params_path, events_path, policies, order_volume = task
     try:
         p = load_params(params_path)
-        report = validate_params(p)
-        if not report.valid:
-            raise ValueError(f"{params_path}: "
-                             + "; ".join(report.violations))
+        violations = validate_params(p)
+        if violations:
+            raise ValueError(f"{params_path}: " + "; ".join(violations))
         events = _read_events(Path(events_path))
         rep = replay(events, p.grid, tick_size=p.tick_size)
         table = (backward_pass(p) if any(not pol.level for pol in policies)
@@ -388,7 +409,8 @@ def cmd_backtest(cfg) -> int:
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    s = _settings("backtest", cfg, [("order_volume", None, int, (">=", 1))])
+    s = _settings("backtest", cfg, [("order_volume", None, int, (">=", 1)),
+                                    ("workers", None, int)])
     if s is None:
         return EXIT_FAILURE
     out = _outdir(cfg)
@@ -401,10 +423,10 @@ def cmd_backtest(cfg) -> int:
     if not tasks:
         print("no days with calibrated parameters", file=sys.stderr)
         return EXIT_FAILURE
-    if int(cfg["workers"]) > 1:
+    if s["workers"] > 1:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=int(cfg["workers"])) as pool:
+        with ProcessPoolExecutor(max_workers=s["workers"]) as pool:
             outcomes = list(pool.map(_backtest_one_day, tasks))
     else:
         outcomes = [_backtest_one_day(task) for task in tasks]
@@ -427,6 +449,9 @@ def cmd_backtest(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
+    s = _settings("report", cfg, [("seed", None, int, (">=", 0))])
+    if s is None:
+        return EXIT_FAILURE
     out = _outdir(cfg)
     results_path = Path(cfg.get("results", out / "day_results.csv"))
     if not results_path.exists():
@@ -452,7 +477,7 @@ def cmd_report(cfg) -> int:
         with open(flags_path) as fh:
             flagged = set(json.load(fh).get("flagged", []))
     report = bt.summarize(dict(sorted(by_policy.items())), flagged,
-                          bootstrap_seed=int(cfg["seed"]))
+                          bootstrap_seed=s["seed"])
     bt.report_to_csv(report, out / "report.csv")
     bt.report_to_json(report, out / "report.json")
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -20,9 +20,7 @@ __all__ = [
     "DemandMoments",
     "ArrivalSchedule",
     "MarketParams",
-    "ValidationReport",
     "validate_params",
-    "symmetric_params",
     "load_params",
     "save_params",
 ]
@@ -41,11 +39,6 @@ class TimeGrid:
             raise ValueError("n_steps must be >= 1")
         if self.step_seconds <= 0:
             raise ValueError("step_seconds must be > 0")
-
-    @property
-    def last_index(self) -> int:
-        """N, the index of the last action time."""
-        return self.n_steps - 1
 
     def action_time_ns(self, k: int) -> int:
         return self.session_start_ns + int(round(k * self.step_seconds * 1e9))
@@ -75,9 +68,6 @@ class SideMoments:
 class DemandMoments:
     plus: SideMoments
     minus: SideMoments
-
-    def side(self, delta: int) -> SideMoments:
-        return self.plus if delta > 0 else self.minus
 
 
 @dataclass(frozen=True)
@@ -117,50 +107,32 @@ class MarketParams:
     tick_size: float = 1.0
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    def add(self, msg: str) -> None:
-        self.violations.append(msg)
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self):
-        return len(self.violations)
-
-
-def _check_side(rep: ValidationReport, side: SideMoments, label: str) -> None:
+def _check_side(rep: list[str], side: SideMoments, label: str) -> None:
     for name in ("mu_c", "mu_c2", "mu_cp", "mu_c2p", "mu_c2p2"):
         v = getattr(side, name)
         if not 0 < v < math.inf:
-            rep.add(f"{label}.{name} must be finite and strictly positive "
+            rep.append(f"{label}.{name} must be finite and strictly positive "
                     f"(got {v})")
     if side.mu_c2 < side.mu_c ** 2:
-        rep.add(f"{label}.mu_c2 < mu_c squared ({side.mu_c2} < {side.mu_c ** 2})")
+        rep.append(f"{label}.mu_c2 < mu_c squared ({side.mu_c2} < {side.mu_c ** 2})")
     if side.mu_p is not None:
         if not 0 < side.mu_p < math.inf:
-            rep.add(f"{label}.mu_p must be finite and strictly positive "
+            rep.append(f"{label}.mu_p must be finite and strictly positive "
                     f"(got {side.mu_p})")
         if side.mu_p2 is not None:
             if not math.isfinite(side.mu_p2):
-                rep.add(f"{label}.mu_p2 must be finite (got {side.mu_p2})")
+                rep.append(f"{label}.mu_p2 must be finite (got {side.mu_p2})")
             elif side.mu_p2 < side.mu_p ** 2:
-                rep.add(f"{label}.mu_p2 < mu_p squared")
+                rep.append(f"{label}.mu_p2 < mu_p squared")
 
 
-def validate_params(p: MarketParams) -> ValidationReport:
-    """Collect every violated invariant, a non-finite real field included.
-    Diagnostic only, never raises."""
-    rep = ValidationReport()
+def validate_params(p: MarketParams) -> list[str]:
+    """Every violated invariant as a message, a non-finite real field
+    included; empty when ``p`` is valid. Diagnostic only, never raises."""
+    rep = []
     n = p.grid.n_steps
     if len(p.arrivals) != n:
-        rep.add(f"arrival arrays have length {len(p.arrivals)}, grid expects {n}")
+        rep.append(f"arrival arrays have length {len(p.arrivals)}, grid expects {n}")
     pp, pm, pj = p.arrivals.pi_plus, p.arrivals.pi_minus, p.arrivals.pi_joint
     # the Frechet bounds as max(pp + pm - 1, 0) and min(pp, pm) take them,
     # NaN included; messages are built only for the steps that break a rule
@@ -174,59 +146,24 @@ def validate_params(p: MarketParams) -> ValidationReport:
     below, above = pj < lo, pj > hi
     for k in np.flatnonzero(bad_p | bad_m | nan_j | below | above).tolist():
         if bad_p[k]:
-            rep.add(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
+            rep.append(f"pi_plus[{k}] not in (0,1]: {pp[k]}")
         if bad_m[k]:
-            rep.add(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
+            rep.append(f"pi_minus[{k}] not in (0,1]: {pm[k]}")
         if nan_j[k]:
-            rep.add(f"pi_joint[{k}] is not a number: {pj[k]}")
+            rep.append(f"pi_joint[{k}] is not a number: {pj[k]}")
         if below[k]:
-            rep.add(f"pi_joint[{k}] below Frechet lower bound ({pj[k]} < {lo[k]})")
+            rep.append(f"pi_joint[{k}] below Frechet lower bound ({pj[k]} < {lo[k]})")
         if above[k]:
-            rep.add(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi[k]})")
+            rep.append(f"pi_joint[{k}] exceeds min marginal ({pj[k]} > {hi[k]})")
     _check_side(rep, p.moments.plus, "plus")
     _check_side(rep, p.moments.minus, "minus")
     if not 0 <= p.lam < math.inf:
-        rep.add(f"lambda must be finite and >= 0 (got {p.lam})")
+        rep.append(f"lambda must be finite and >= 0 (got {p.lam})")
     if not 0 < p.tick_size < math.inf:
-        rep.add(f"tick_size must be finite and > 0 (got {p.tick_size})")
+        rep.append(f"tick_size must be finite and > 0 (got {p.tick_size})")
     if not p.grid.step_seconds < math.inf:
-        rep.add(f"step_seconds must be finite (got {p.grid.step_seconds})")
+        rep.append(f"step_seconds must be finite (got {p.grid.step_seconds})")
     return rep
-
-
-def symmetric_params(mu_c: float, mu_p: float, pi: float, pi_joint: float,
-                     lam: float, n_steps: int, *, step_seconds: float = 1.0,
-                     tick_size: float = 1.0) -> MarketParams:
-    """Symmetric zero-variance configuration: mu_c2 = mu_c^2, c and p independent.
-
-    Identical moments on both sides and constant arrival probabilities;
-    the standard setup for comparative statics and closed-form checks.
-    """
-    if mu_c <= 0 or mu_p <= 0:
-        raise ValueError("mu_c and mu_p must be positive")
-    if not 0 < pi <= 1:
-        raise ValueError("pi must be in (0,1]")
-    lo = max(2 * pi - 1.0, 0.0)
-    if not lo <= pi_joint <= pi:
-        raise ValueError(f"pi_joint={pi_joint} violates Frechet bounds for pi={pi}")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    side = SideMoments(
-        mu_c=mu_c,
-        mu_c2=mu_c ** 2,
-        mu_cp=mu_c * mu_p,
-        mu_c2p=mu_c ** 2 * mu_p,
-        mu_c2p2=mu_c ** 2 * mu_p ** 2,
-        mu_p=mu_p,
-        mu_p2=mu_p ** 2,
-    )
-    return MarketParams(
-        grid=TimeGrid(n_steps=n_steps, step_seconds=step_seconds),
-        arrivals=ArrivalSchedule.constant(pi, pi, pi_joint, n_steps),
-        moments=DemandMoments(plus=side, minus=side),
-        lam=lam,
-        tick_size=tick_size,
-    )
 
 
 # ---------------------------------------------------------------------------

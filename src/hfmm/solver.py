@@ -2,7 +2,7 @@
 
 Computes, in one reverse sweep over the action grid, the per-step
 coefficients (gamma, beta, A1/A2/A3, xi) and the value-function terms
-(alpha, h, g), then exposes spread/quote/value evaluation on top of them.
+(alpha, h, g), then exposes spread and quote evaluation on top of them.
 All recursions are implemented exactly as derived; in particular negative
 computed spreads are reported as-is — clamping is a backtest policy, not a
 solver concern.
@@ -19,46 +19,13 @@ from .model import MarketParams
 
 __all__ = [
     "CoefficientTable",
-    "MarketState",
-    "ForecastVector",
     "backward_pass",
     "optimal_spreads",
-    "forecast_shift",
     "quote_prices",
-    "value_function",
-    "nonmartingale_value_adjustments",
-    "closed_form_spread_symmetric",
-    "inventory_threshold",
     "table_to_csv",
 ]
 
 _GAMMA_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class MarketState:
-    k: int
-    S: float
-    W: float
-    I: float
-
-
-@dataclass(frozen=True)
-class ForecastVector:
-    """Forecast increments as seen from step k: deltas[j - k] is the
-    expected price change over [t_j, t_{j+1}). Missing tail entries are 0."""
-
-    k: int
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", np.asarray(self.deltas, dtype=float))
-
-    def delta(self, j: int) -> float:
-        idx = j - self.k
-        if idx < 0 or idx >= len(self.deltas):
-            return 0.0
-        return float(self.deltas[idx])
 
 
 @dataclass(frozen=True)
@@ -86,10 +53,6 @@ class CoefficientTable:
     def n_steps(self) -> int:
         return len(self.gamma)
 
-    @property
-    def last_index(self) -> int:
-        return self.n_steps - 1
-
 
 def backward_pass(p: MarketParams) -> CoefficientTable:
     """Run the full reverse sweep k = N..0 from the terminal conditions
@@ -97,8 +60,9 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
 
     Only alpha and h carry from one step to the next, so one loop over
     Python floats computes them with each step's gamma, beta, A1, A2 and
-    A3; xi and g feed no recursion of the sweep and are then built
-    elementwise over the grid.
+    A3. xi and g feed no recursion of the sweep, so their per-step terms
+    are then built elementwise over the grid; only g's sum, swept back from
+    g_{N+1} = 0, runs step by step.
     """
     n = p.grid.n_steps
     mom_p, mom_m = p.moments.plus, p.moments.minus
@@ -180,8 +144,26 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
              + arr.pi_minus * beta_m * (beta_m / gamma * ed_m + 2 * c_m))
           + 2 * np.float_power(a, 2) / np.float_power(gamma, 2)
           * arr.pi_joint * c_p * c_m * beta_p * beta_m)
-    g = np.array(_constant_term(arr.pi_plus, arr.pi_minus, arr.pi_joint, a,
-                                mom_p, mom_m, A2p, A2m, A3p, A3m, h[1:], 0.0))
+    # g_k = g_{k+1} + side sum + cross term, with the squares again
+    # through float_power
+    hn = h[1:]
+    g_sum = 0.0
+    for delta, pi_d, m, ed, A2, A3 in (
+            (1.0, arr.pi_plus, mom_p, ed_p, A2p, A3p),
+            (-1.0, arr.pi_minus, mom_m, ed_m, A2m, A3m)):
+        da = A3 + delta * A2
+        g_sum += pi_d * (ed * np.float_power(da, 2) + a * m.mu_c2p2
+                         - delta * hn * m.mu_cp
+                         + (m.mu_cp + delta * hn * m.mu_c
+                            - 2 * a * m.mu_c2p) * da)
+    cross = (-2 * a * arr.pi_joint * c_p * c_m
+             * ((A2p + A3p) * (A3m - A2m) - r_p * (A3m - A2m)
+                - r_m * (A2p + A3p) + cp_p * cp_m / (c_p * c_m)))
+    s, c = g_sum.tolist(), cross.tolist()
+    g = [0.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        g[k] = g[k + 1] + s[k] + c[k]
+    g = np.array(g)
 
     return CoefficientTable(gamma=gamma, beta_plus=beta_p, beta_minus=beta_m,
                             A1_plus=A1p, A1_minus=A1m, A2_plus=A2p,
@@ -192,31 +174,14 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
 def optimal_spreads(table: CoefficientTable, k, I, shift=0.0):
     """Optimal spreads (L+, L-) at step k for inventory I, a scalar or an
     array; k may also be an index array or a slice, giving the spreads of
-    those steps. ``shift`` is the forecast aggregate F_k
-    (``forecast_shift``); 0 gives the martingale-price spreads."""
+    those steps. ``shift`` is the forecast aggregate F_k, the expected price
+    change Delta_k plus xi_{k+1} F_{k+1}; 0 gives the martingale-price
+    spreads."""
     L_plus = (table.A1_plus[k] * I + table.A2_plus[k] + table.A3_plus[k]
               + table.beta_plus[k] / (2 * table.gamma[k]) * shift)
     L_minus = (-table.A1_minus[k] * I - table.A2_minus[k] + table.A3_minus[k]
                - table.beta_minus[k] / (2 * table.gamma[k]) * shift)
     return L_plus, L_minus
-
-
-def _forecast_aggregates(table: CoefficientTable, k: int,
-                         f: ForecastVector) -> np.ndarray:
-    """F_j for j = k..N by the backward recursion
-    F_j = Delta_j + xi_{j+1} F_{j+1}; F is zero past the forecast's last
-    step."""
-    F = np.zeros(table.n_steps - k)
-    tail = 0.0  # xi_{j+1} F_{j+1}
-    for j in range(min(table.n_steps, f.k + len(f.deltas)) - 1, k - 1, -1):
-        F[j - k] = f.delta(j) + tail
-        tail = table.xi[j] * F[j - k]
-    return F
-
-
-def forecast_shift(table: CoefficientTable, k: int, f: ForecastVector) -> float:
-    """The forecast aggregate F_k: Delta_k plus the xi-weighted tail."""
-    return float(_forecast_aggregates(table, k, f)[0])
 
 
 def quote_prices(S: float, L_plus: float, L_minus: float, tick_size: float):
@@ -226,130 +191,6 @@ def quote_prices(S: float, L_plus: float, L_minus: float, tick_size: float):
     ask = math.ceil((S + L_plus) / tick_size - 1e-9) * tick_size
     bid = math.floor((S - L_minus) / tick_size + 1e-9) * tick_size
     return ask, bid
-
-
-def value_function(table: CoefficientTable, state: MarketState) -> float:
-    """Quadratic-in-inventory value ansatz W + alpha I^2 + S I + h I + g."""
-    k = state.k
-    return (state.W + table.alpha[k] * state.I ** 2 + state.S * state.I
-            + table.h[k] * state.I + table.g[k])
-
-
-def nonmartingale_value_adjustments(table: CoefficientTable, k: int,
-                                    f: ForecastVector, p: MarketParams):
-    """Forecast-adjusted value terms at step k.
-
-    Returns (h_tilde, g_tilde_delta): the drift-adjusted linear coefficient
-    and the increment of the constant term over its martingale value, with
-    the forecast path treated as deterministic.
-    """
-    n = table.n_steps
-    # h_tilde[j - k] = h_j + xi_j F_j for j = k..N, then the terminal h.
-    h_tilde = np.append(table.h[k:n] + table.xi[k:] * _forecast_aggregates(
-        table, k, f), table.h[n])
-
-    hn = h_tilde[1:]
-    gam = table.gamma[k:]
-    beta_p, beta_m = table.beta_plus[k:], table.beta_minus[k:]
-    d = np.array([f.delta(j) for j in range(k, n)])
-    A2p = beta_p * hn / (2 * gam)
-    A2m = beta_m * hn / (2 * gam)
-    # the table's A3 plus the term optimal_spreads adds for a shift d_j
-    A3p = table.A3_plus[k:] + beta_p * d / (2 * gam)
-    A3m = table.A3_minus[k:] - beta_m * d / (2 * gam)
-    g_tilde = _constant_term(
-        p.arrivals.pi_plus[k:], p.arrivals.pi_minus[k:],
-        p.arrivals.pi_joint[k:], table.alpha[k + 1:], p.moments.plus,
-        p.moments.minus, A2p, A2m, A3p, A3m, hn, d)[0]
-
-    return float(h_tilde[0]), float(g_tilde - table.g[k])
-
-
-def _constant_term(pp, pm, pj, a, mom_p, mom_m, A2p, A2m, A3p, A3m, hn,
-                   d) -> list:
-    """The constant value term g_j for j = 0..M, swept back from g_M = 0
-    by g_j = g_{j+1} + side sum + cross term + drift, shared by the
-    martingale (d = 0) and forecast-adjusted sweeps.
-
-    Step j's inputs are entry j of arrays over j < M: the arrival
-    probabilities, a = alpha_{j+1}, the A2/A3 coefficients, hn = h_{j+1}
-    and the price drift d. The three terms are built elementwise (squares
-    through ``np.float_power``, as in ``backward_pass``); only the sum,
-    taken in the order above, runs step by step.
-    """
-    ed_p = a * mom_p.mu_c2 - mom_p.mu_c
-    ed_m = a * mom_m.mu_c2 - mom_m.mu_c
-    g_sum = 0.0
-    for delta, pi_d, m, ed, A2, A3 in (
-            (1.0, pp, mom_p, ed_p, A2p, A3p),
-            (-1.0, pm, mom_m, ed_m, A2m, A3m)):
-        da = A3 + delta * A2
-        g_sum += pi_d * (ed * np.float_power(da, 2) + a * m.mu_c2p2
-                         - delta * hn * m.mu_cp
-                         + (m.mu_cp + delta * hn * m.mu_c
-                            - 2 * a * m.mu_c2p) * da)
-    cross = (-2 * a * pj * mom_p.mu_c * mom_m.mu_c
-             * ((A2p + A3p) * (A3m - A2m)
-                - mom_p.mu_cp / mom_p.mu_c * (A3m - A2m)
-                - mom_m.mu_cp / mom_m.mu_c * (A2p + A3p)
-                + mom_p.mu_cp * mom_m.mu_cp / (mom_p.mu_c * mom_m.mu_c)))
-    drift = d * ((A3p + A2p) * pp * mom_p.mu_c
-                 - (A3m - A2m) * pm * mom_m.mu_c
-                 - pp * mom_p.mu_cp + pm * mom_m.mu_cp)
-    s, c, dr = g_sum.tolist(), cross.tolist(), drift.tolist()
-    g = [0.0] * (len(s) + 1)
-    for j in range(len(s) - 1, -1, -1):
-        g[j] = g[j + 1] + s[j] + c[j] + dr[j]
-    return g
-
-
-def _require_symmetric(p: MarketParams, need_independence: bool = True,
-                       need_zero_variance: bool = False) -> None:
-    mp, mm = p.moments.plus, p.moments.minus
-    if mp != mm:
-        raise ValueError("parameters are not symmetric across sides")
-    if not np.allclose(p.arrivals.pi_plus, p.arrivals.pi_minus):
-        raise ValueError("arrival probabilities differ across sides")
-    if mp.mu_p is None:
-        raise ValueError("mu_p required for symmetric diagnostics")
-    if need_independence:
-        if not (math.isclose(mp.mu_cp, mp.mu_c * mp.mu_p, rel_tol=1e-9)
-                and math.isclose(mp.mu_c2p, mp.mu_c2 * mp.mu_p, rel_tol=1e-9)):
-            raise ValueError("demand slope and reservation price must be "
-                             "uncorrelated (mu_cp = mu_c mu_p)")
-    if need_zero_variance and not math.isclose(mp.mu_c2, mp.mu_c ** 2,
-                                               rel_tol=1e-9):
-        raise ValueError("mu_c2 must equal mu_c^2 for this diagnostic")
-
-
-def closed_form_spread_symmetric(p: MarketParams, k: int,
-                                 table: CoefficientTable | None = None) -> float:
-    """Total bid-ask spread in the symmetric zero-variance constant-arrival
-    configuration, evaluated directly from the closed form."""
-    _require_symmetric(p, need_independence=True, need_zero_variance=True)
-    if not (np.ptp(p.arrivals.pi_plus) == 0 and np.ptp(p.arrivals.pi_joint) == 0):
-        raise ValueError("arrival probabilities must be constant in time")
-    if table is None:
-        table = backward_pass(p)
-    m = p.moments.plus
-    pi = float(p.arrivals.pi_plus[0])
-    pj = float(p.arrivals.pi_joint[0])
-    a = float(table.alpha[k + 1])
-    mu_p_sum = m.mu_p + p.moments.minus.mu_p
-    num = (pi * (m.mu_c - 2 * a * m.mu_c2) + 2 * a * pj * m.mu_c ** 2) * mu_p_sum
-    den = 2 * (pj * a * m.mu_c ** 2 - pi * (a * m.mu_c2 - m.mu_c))
-    return num / den
-
-
-def inventory_threshold(p: MarketParams):
-    """Inventory levels beyond which the near-terminal quote tightens on the
-    corresponding side instead of widening."""
-    _require_symmetric(p, need_independence=True)
-    if np.any(p.arrivals.pi_joint != 0):
-        raise ValueError("threshold requires zero joint-arrival probability")
-    m = p.moments.plus
-    bar = m.mu_c2 * m.mu_p / (2 * m.mu_c)
-    return bar, -bar
 
 
 _TABLE_COLUMNS = ("gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",

@@ -4,7 +4,42 @@ import numpy as np
 import pytest
 
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
-                        SideMoments, TimeGrid, symmetric_params)
+                        SideMoments, TimeGrid)
+
+
+def symmetric_params(mu_c: float, mu_p: float, pi: float, pi_joint: float,
+                     lam: float, n_steps: int, *, step_seconds: float = 1.0,
+                     tick_size: float = 1.0) -> MarketParams:
+    """Symmetric zero-variance configuration: mu_c2 = mu_c^2, c and p independent.
+
+    Identical moments on both sides and constant arrival probabilities;
+    the standard setup for comparative statics and closed-form checks.
+    """
+    if mu_c <= 0 or mu_p <= 0:
+        raise ValueError("mu_c and mu_p must be positive")
+    if not 0 < pi <= 1:
+        raise ValueError("pi must be in (0,1]")
+    lo = max(2 * pi - 1.0, 0.0)
+    if not lo <= pi_joint <= pi:
+        raise ValueError(f"pi_joint={pi_joint} violates Frechet bounds for pi={pi}")
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    side = SideMoments(
+        mu_c=mu_c,
+        mu_c2=mu_c ** 2,
+        mu_cp=mu_c * mu_p,
+        mu_c2p=mu_c ** 2 * mu_p,
+        mu_c2p2=mu_c ** 2 * mu_p ** 2,
+        mu_p=mu_p,
+        mu_p2=mu_p ** 2,
+    )
+    return MarketParams(
+        grid=TimeGrid(n_steps=n_steps, step_seconds=step_seconds),
+        arrivals=ArrivalSchedule.constant(pi, pi, pi_joint, n_steps),
+        moments=DemandMoments(plus=side, minus=side),
+        lam=lam,
+        tick_size=tick_size,
+    )
 
 
 @pytest.fixture

@@ -1,19 +1,41 @@
-"""Reference forecast terms: the xi-product sums written out term by term.
+"""Forecast terms: the xi-product sums written out term by term.
 
-``hfmm.solver`` evaluates the forecast aggregate and the forecast-adjusted
-value terms with the O(n) backward recursion F_j = Delta_j + xi_{j+1} F_{j+1}
-and takes the martingale constant term from the coefficient table. These
-loops expand the same sums as explicit products of xi, and rebuild the
-martingale constant term with its own backward sweep, so the tests can pin
-the fast code to them. Each product is cut once it falls below 1e-15, past
-double-precision significance, which keeps the loops usable at 19,800 steps.
+With a ``ForecastVector`` of expected price changes Delta_j, the forecast
+aggregate F_k = Delta_k + xi_{k+1} F_{k+1} is the ``shift`` that
+``hfmm.solver.optimal_spreads`` takes, and the forecast-adjusted value terms
+are h_tilde and g_tilde. These loops expand the sums as explicit products of
+xi and rebuild the martingale constant term with its own backward sweep.
+Each product is cut once it falls below 1e-15, past double-precision
+significance, which keeps the loops usable at 19,800 steps.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from solver_oracle import _g_step
 
 XI_PRODUCT_FLOOR = 1e-15
+
+
+@dataclass(frozen=True)
+class ForecastVector:
+    """Forecast increments as seen from step k: deltas[j - k] is the
+    expected price change over [t_j, t_{j+1}). Missing tail entries are 0."""
+
+    k: int
+    deltas: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "deltas", np.asarray(self.deltas, dtype=float))
+
+    def delta(self, j: int) -> float:
+        idx = j - self.k
+        if idx < 0 or idx >= len(self.deltas):
+            return 0.0
+        return float(self.deltas[idx])
 
 
 def forecast_shift(table, k, f):

@@ -6,10 +6,16 @@ bit, and raise ArithmeticError on the same parameters when gamma vanishes.
 
 ``_g_step`` is also the constant-term update of ``forecast_oracle``. The
 ``pi0_*`` closed forms, the sweep with no joint arrivals, check it on such
-markets.
+markets; ``closed_form_spread_symmetric`` and ``inventory_threshold`` are
+the symmetric zero-variance configuration's closed forms, and
+``value_function`` the quadratic value ansatz the table's alpha, h and g
+define.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,3 +175,69 @@ def pi0_alpha_step(pp: float, pm: float, mp: SideMoments, mm: SideMoments,
     return (a
             + pp * (a * mp.mu_c) ** 2 / (mp.mu_c - a * mp.mu_c2)
             + pm * (a * mm.mu_c) ** 2 / (mm.mu_c - a * mm.mu_c2))
+
+
+# Closed forms of the symmetric configuration and the value ansatz.
+
+@dataclass(frozen=True)
+class MarketState:
+    k: int
+    S: float
+    W: float
+    I: float
+
+
+def value_function(table: CoefficientTable, state: MarketState) -> float:
+    """Quadratic-in-inventory value ansatz W + alpha I^2 + S I + h I + g."""
+    k = state.k
+    return (state.W + table.alpha[k] * state.I ** 2 + state.S * state.I
+            + table.h[k] * state.I + table.g[k])
+
+
+def _require_symmetric(p: MarketParams, need_independence: bool = True,
+                       need_zero_variance: bool = False) -> None:
+    mp, mm = p.moments.plus, p.moments.minus
+    if mp != mm:
+        raise ValueError("parameters are not symmetric across sides")
+    if not np.allclose(p.arrivals.pi_plus, p.arrivals.pi_minus):
+        raise ValueError("arrival probabilities differ across sides")
+    if mp.mu_p is None:
+        raise ValueError("mu_p required for symmetric diagnostics")
+    if need_independence:
+        if not (math.isclose(mp.mu_cp, mp.mu_c * mp.mu_p, rel_tol=1e-9)
+                and math.isclose(mp.mu_c2p, mp.mu_c2 * mp.mu_p, rel_tol=1e-9)):
+            raise ValueError("demand slope and reservation price must be "
+                             "uncorrelated (mu_cp = mu_c mu_p)")
+    if need_zero_variance and not math.isclose(mp.mu_c2, mp.mu_c ** 2,
+                                               rel_tol=1e-9):
+        raise ValueError("mu_c2 must equal mu_c^2 for this diagnostic")
+
+
+def closed_form_spread_symmetric(p: MarketParams, k: int,
+                                 table: CoefficientTable | None = None) -> float:
+    """Total bid-ask spread in the symmetric zero-variance constant-arrival
+    configuration, evaluated directly from the closed form."""
+    _require_symmetric(p, need_independence=True, need_zero_variance=True)
+    if not (np.ptp(p.arrivals.pi_plus) == 0 and np.ptp(p.arrivals.pi_joint) == 0):
+        raise ValueError("arrival probabilities must be constant in time")
+    if table is None:
+        table = backward_pass(p)
+    m = p.moments.plus
+    pi = float(p.arrivals.pi_plus[0])
+    pj = float(p.arrivals.pi_joint[0])
+    a = float(table.alpha[k + 1])
+    mu_p_sum = m.mu_p + p.moments.minus.mu_p
+    num = (pi * (m.mu_c - 2 * a * m.mu_c2) + 2 * a * pj * m.mu_c ** 2) * mu_p_sum
+    den = 2 * (pj * a * m.mu_c ** 2 - pi * (a * m.mu_c2 - m.mu_c))
+    return num / den
+
+
+def inventory_threshold(p: MarketParams):
+    """Inventory levels beyond which the near-terminal quote tightens on the
+    corresponding side instead of widening."""
+    _require_symmetric(p, need_independence=True)
+    if np.any(p.arrivals.pi_joint != 0):
+        raise ValueError("threshold requires zero joint-arrival probability")
+    m = p.moments.plus
+    bar = m.mu_c2 * m.mu_p / (2 * m.mu_c)
+    return bar, -bar

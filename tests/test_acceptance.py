@@ -11,16 +11,17 @@ import pytest
 from hfmm.backtest import Policy, run_day, subsample_bootstrap_ci
 from hfmm.estimation import daily_moments, estimate_day, rolling_params
 from hfmm.lob import replay, write_events_binary
-from hfmm.model import (DemandMoments, MarketParams, symmetric_params)
+from hfmm.model import DemandMoments, MarketParams
 from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
                             TwoPointIndependent, monte_carlo_values)
-from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
-                         inventory_threshold, optimal_spreads)
+from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
-from conftest import PerturbedPolicy, random_valid_params
+from conftest import PerturbedPolicy, random_valid_params, symmetric_params
+from forecast_oracle import ForecastVector, forecast_shift
 from sim_oracle import brute_force_value_small
+from solver_oracle import inventory_threshold
 
 _MOMENT_FIELDS = ("mu_c", "mu_c2", "mu_cp", "mu_c2p", "mu_c2p2",
                   "mu_p", "mu_p2")

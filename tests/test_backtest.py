@@ -11,12 +11,13 @@ from hfmm.backtest import (DayResult, Policy, aggregate, report_to_csv,
                            summarize)
 from hfmm.backtest import _clamp_quotes
 from hfmm.lob import BookError, BookEvent, replay
-from hfmm.model import TimeGrid, symmetric_params
+from hfmm.model import TimeGrid
 from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
 import backtest_oracle
+from conftest import symmetric_params
 
 
 def ev(ts, kind, side, price, size, ref):

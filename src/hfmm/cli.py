@@ -28,8 +28,8 @@ from . import backtest as bt
 from .estimation import (compute_break_errors, estimate_day, rolling_params,
                          structural_break_flags)
 from .lob import BookError, read_events_binary, read_events_csv, replay
-from .model import (MarketParams, TimeGrid, load_params, save_params,
-                    validate_params)
+from .model import (MarketParams, TimeGrid, joint_bounds, load_params,
+                    save_params, validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
                         TwoPointIndependent, monte_carlo_value, run_episode)
 from .solver import backward_pass, optimal_spreads, table_to_csv
@@ -77,7 +77,6 @@ CONFIG_KEYS = {
                             "fixed_level_3"], (),
                  "comma-separated policy list"),
     "n_paths": (INT, 10000, ((">=", 1),), None),
-    "chunk_size": (INT, 8192, ((">=", 1),), None),
     "S0": (REAL, 100.0, (), None),
     "pi11_grid": (REALS, [0.0, 0.05, 0.1, 0.2], (), None),
     "inventory_grid": (REALS, [0.0], (), None),
@@ -213,9 +212,20 @@ def _read_events(path: Path):
     return read_events_binary(path)
 
 
-def _day_files(events_dir: Path):
-    return sorted(p for p in events_dir.iterdir()
-                  if p.suffix in (".bin", ".csv"))
+def _day_files(s, *dirs):
+    """The event files in directory s["events"], in day order; None, with
+    the reason printed, when it or the directory of another key in ``dirs``
+    is unset or missing, or when it holds no event file."""
+    for key in ("events", *dirs):
+        if s[key] is None or not Path(s[key]).is_dir():
+            print(f"{key} directory not found: {s[key]!r}", file=sys.stderr)
+            return None
+    files = sorted(p for p in Path(s["events"]).iterdir()
+                   if p.suffix in (".bin", ".csv"))
+    if not files:
+        print(f"no event files in {s['events']}", file=sys.stderr)
+        return None
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +247,8 @@ def cmd_solve(cfg) -> int:
     tables = []
     for pi11 in pi11_grid:
         arr = p.arrivals
-        lo = np.maximum(arr.pi_plus + arr.pi_minus - 1.0, 0.0)
-        hi = np.minimum(arr.pi_plus, arr.pi_minus)
-        pj = np.clip(np.full_like(arr.pi_plus, pi11), lo, hi)
+        pj = np.clip(np.full_like(arr.pi_plus, pi11),
+                     *joint_bounds(arr.pi_plus, arr.pi_minus))
         if pj.tobytes() not in solved:
             variant = MarketParams(
                 grid=p.grid,
@@ -264,8 +273,7 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
-    s = _checked("simulate", cfg, "params", "out", "n_paths", "chunk_size",
-                 "seed", "S0")
+    s = _checked("simulate", cfg, "params", "out", "n_paths", "seed", "S0")
     if s is None:
         return EXIT_FAILURE
     p = _load_params_or_exit("simulate", cfg, s["params"])
@@ -289,8 +297,7 @@ def cmd_simulate(cfg) -> int:
                        price=PriceModel(S0=s["S0"]))
     policy = bt.Policy.named("optimal_martingale", table)
     n_paths, seed = s["n_paths"], s["seed"]
-    (mean, se) = monte_carlo_value(policy, market, n_paths, seed,
-                                   chunk_size=s["chunk_size"])
+    (mean, se) = monte_carlo_value(policy, market, n_paths, seed)
     g0 = float(table.g[0])
     summary = {
         "n_paths": n_paths,
@@ -321,13 +328,8 @@ def cmd_estimate(cfg) -> int:
                  "session_start_ns", "lambda", "break_quantile")
     if s is None:
         return EXIT_FAILURE
-    events_dir = Path(s["events"] or "")
-    if not events_dir.is_dir():
-        print(f"event directory not found: {events_dir}", file=sys.stderr)
-        return EXIT_MISSING_PARAMS
-    files = _day_files(events_dir)
-    if not files:
-        print(f"no event files in {events_dir}", file=sys.stderr)
+    files = _day_files(s)
+    if files is None:
         return EXIT_MISSING_PARAMS
     out = _outdir(s["out"])
     tick = s["tick_size"]
@@ -367,9 +369,10 @@ def cmd_estimate(cfg) -> int:
         n_params += 1
     if len(store) > window:
         ids, ep, em, ej = compute_break_errors(store, window=window)
-        rep = structural_break_flags(ids, ep, em, ej, q=s["break_quantile"])
+        flagged = structural_break_flags(ids, ep, em, ej,
+                                         q=s["break_quantile"])
         with open(out / "break_flags.json", "w") as fh:
-            json.dump({"flagged": [int(d) for d in rep.flagged]}, fh)
+            json.dump({"flagged": [int(d) for d in flagged]}, fh)
     print(f"estimated {len(store)} days, wrote {n_params} parameter files, "
           f"{failures} failures")
     return EXIT_OK
@@ -408,18 +411,13 @@ def cmd_backtest(cfg) -> int:
                  "order_volume", "workers")
     if s is None:
         return EXIT_FAILURE
-    events_dir, params_dir = Path(s["events"] or ""), Path(s["params"] or "")
-    if not events_dir.is_dir() or not params_dir.is_dir():
-        print("backtest needs events and params directories", file=sys.stderr)
-        return EXIT_MISSING_PARAMS
-    files = _day_files(events_dir)
-    if not files:
-        print(f"no event files in {events_dir}", file=sys.stderr)
+    files = _day_files(s, "params")
+    if files is None:
         return EXIT_MISSING_PARAMS
     out = _outdir(s["out"])
     tasks = []
     for i, path in enumerate(files):
-        pp = params_dir / f"params_day_{i:04d}.yaml"
+        pp = Path(s["params"]) / f"params_day_{i:04d}.yaml"
         if pp.exists():
             tasks.append((i, str(pp), str(path), s["policies"],
                           s["order_volume"]))

@@ -9,17 +9,16 @@ forecasts and structural-break screening.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lob import ReplayResult
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
-                    TimeGrid)
+                    TimeGrid, joint_bounds)
 
 __all__ = [
     "DayEstimates",
-    "BreakReport",
     "fit_arrival_curves",
     "estimate_day",
     "daily_moments",
@@ -43,19 +42,6 @@ class DayEstimates:
     c_minus: np.ndarray
     p_minus: np.ndarray
     valid_minus: np.ndarray
-    midprices: np.ndarray
-
-
-@dataclass
-class BreakReport:
-    day_ids: list
-    err_cp_plus: np.ndarray
-    err_cp_minus: np.ndarray
-    err_pi11: np.ndarray
-    threshold_cp_plus: float
-    threshold_cp_minus: float
-    threshold_pi11: float
-    flagged: list = field(default_factory=list)
 
 
 def _fit_quadratic(series: np.ndarray) -> np.ndarray:
@@ -90,9 +76,7 @@ def fit_arrival_curves(ind_plus_days, ind_minus_days) -> ArrivalSchedule:
     eps = 1e-6
     pi_p = np.clip(pi_p, eps, 1.0)
     pi_m = np.clip(pi_m, eps, 1.0)
-    lo = np.maximum(pi_p + pi_m - 1.0, 0.0)
-    hi = np.minimum(pi_p, pi_m)
-    clipped = np.clip(pi_j, lo, hi)
+    clipped = np.clip(pi_j, *joint_bounds(pi_p, pi_m))
     if np.any(clipped != pi_j):
         warnings.warn("joint arrival curve clamped to feasible bounds")
     return ArrivalSchedule(pi_plus=pi_p, pi_minus=pi_m, pi_joint=clipped)
@@ -148,8 +132,7 @@ def estimate_day(rep: ReplayResult, day_id, level_depth: int = 10,
     c, p = np.where(valid, c, 0.0), np.where(valid, p, 0.0)
     return DayEstimates(day_id=day_id, ind_plus=ind[1], ind_minus=ind[0],
                         c_plus=c[n:], p_plus=p[n:], valid_plus=valid[n:],
-                        c_minus=c[:n], p_minus=p[:n], valid_minus=valid[:n],
-                        midprices=np.asarray(rep.midprices, dtype=float))
+                        c_minus=c[:n], p_minus=p[:n], valid_minus=valid[:n])
 
 
 def _side_daily_moments(c, p, valid) -> SideMoments:
@@ -204,18 +187,15 @@ def rolling_params(day_index: int, store, window: int = 20,
                         lam=lam, tick_size=tick_size)
 
 
-def drift_forecast_series(midprices):
+def drift_forecast_series(midprices) -> np.ndarray:
     """Per-step forecasts, each the average of the last five midprice
-    increments up to that step, with a warm-up mask (True where history was
-    too short and the forecast defaulted to zero)."""
+    increments up to that step; zero in the first five steps, where the
+    history is too short."""
     m = np.asarray(midprices, dtype=float)
-    n = len(m)
-    out = np.zeros(n)
-    warmup = np.ones(n, dtype=bool)
-    if n > _DRIFT_LAG:
+    out = np.zeros(len(m))
+    if len(m) > _DRIFT_LAG:
         out[_DRIFT_LAG:] = (m[_DRIFT_LAG:] - m[:-_DRIFT_LAG]) / _DRIFT_LAG
-        warmup[_DRIFT_LAG:] = False
-    return out, warmup
+    return out
 
 
 def nearest_rank_quantile(values, q: float) -> float:
@@ -232,22 +212,18 @@ def nearest_rank_quantile(values, q: float) -> float:
 
 
 def structural_break_flags(day_ids, err_cp_plus, err_cp_minus, err_pi11,
-                           q: float = 0.95) -> BreakReport:
-    """Flag days whose rolling-vs-realized parameter errors are extreme:
-    either cross-moment error beyond its one-sided quantile, or the joint
-    arrival error beyond the quantile of its absolute values."""
+                           q: float = 0.95) -> list:
+    """The ids of the days whose rolling-vs-realized parameter errors are
+    extreme: either cross-moment error beyond its one-sided quantile, or
+    the joint arrival error beyond the quantile of its absolute values."""
     ep = np.asarray(err_cp_plus, dtype=float)
     em = np.asarray(err_cp_minus, dtype=float)
     ej = np.asarray(err_pi11, dtype=float)
     thr_p = nearest_rank_quantile(ep, q)
     thr_m = nearest_rank_quantile(em, q)
     thr_j = nearest_rank_quantile(np.abs(ej), q)
-    flagged = [day_ids[i] for i in range(len(ep))
-               if ep[i] > thr_p or em[i] > thr_m or abs(ej[i]) > thr_j]
-    return BreakReport(day_ids=list(day_ids), err_cp_plus=ep, err_cp_minus=em,
-                       err_pi11=ej, threshold_cp_plus=thr_p,
-                       threshold_cp_minus=thr_m, threshold_pi11=thr_j,
-                       flagged=flagged)
+    return [day_ids[i] for i in range(len(ep))
+            if ep[i] > thr_p or em[i] > thr_m or abs(ej[i]) > thr_j]
 
 
 def compute_break_errors(store, window: int = 20):

@@ -20,6 +20,7 @@ __all__ = [
     "DemandMoments",
     "ArrivalSchedule",
     "MarketParams",
+    "joint_bounds",
     "validate_params",
     "load_params",
     "save_params",
@@ -126,6 +127,15 @@ def _check_side(rep: list[str], side: SideMoments, label: str) -> None:
                 rep.append(f"{label}.mu_p2 < mu_p squared")
 
 
+def joint_bounds(pi_plus, pi_minus):
+    """The Frechet bounds of the joint arrival probability, max(pi_plus +
+    pi_minus - 1, 0) and min(pi_plus, pi_minus), elementwise. A NaN pi_plus
+    makes both NaN; a NaN pi_minus, only the lower one."""
+    lo = pi_plus + pi_minus - 1.0
+    return (np.where(0.0 > lo, 0.0, lo),
+            np.where(pi_minus < pi_plus, pi_minus, pi_plus))
+
+
 def validate_params(p: MarketParams) -> list[str]:
     """Every violated invariant as a message, a non-finite real field
     included; empty when ``p`` is valid. Diagnostic only, never raises."""
@@ -134,11 +144,8 @@ def validate_params(p: MarketParams) -> list[str]:
     if len(p.arrivals) != n:
         rep.append(f"arrival arrays have length {len(p.arrivals)}, grid expects {n}")
     pp, pm, pj = p.arrivals.pi_plus, p.arrivals.pi_minus, p.arrivals.pi_joint
-    # the Frechet bounds as max(pp + pm - 1, 0) and min(pp, pm) take them,
-    # NaN included; messages are built only for the steps that break a rule
-    lo = pp + pm - 1.0
-    lo = np.where(0.0 > lo, 0.0, lo)
-    hi = np.where(pm < pp, pm, pp)
+    # messages are built only for the steps that break a rule
+    lo, hi = joint_bounds(pp, pm)
     bad_p = ~((0 < pp) & (pp <= 1))
     bad_m = ~((0 < pm) & (pm <= 1))
     # a NaN joint compares false with both bounds, so it gets its own rule

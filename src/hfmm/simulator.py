@@ -10,9 +10,8 @@ Reproducibility: path i draws exactly what
 identical regardless of path count, chunking, or worker layout. A path
 draws its n_steps x 5 uniforms (u_arrival, u_c+, u_p+, u_c-, u_p-) first,
 then its n_steps price normals, drawn only when the price has volatility: a
-still price reads one shared zero row instead, so its normals take neither
-time nor memory. The step loop reads the draws step-major, one contiguous
-row per channel.
+still price has none, so its normals take neither time nor memory. The step
+loop reads the draws step-major, one contiguous row per channel.
 """
 
 from __future__ import annotations
@@ -277,8 +276,9 @@ def _steps(policy, market: SimMarket, u, z):
     quote lies beyond the taker's reservation price.
 
     The draws are step-major, uniforms u (n_steps, 5, m) and normals z
-    (n_steps, m), so each step reads whole contiguous rows; z may be a
-    broadcast zero row when the price has no volatility.
+    (n_steps, m), so each step reads whole contiguous rows. z is None when
+    the price has no volatility: the step then adds only the drift, which
+    is what adding 0 * z gives for any price but -0.0.
     """
     p = market.params
     n = p.grid.n_steps
@@ -287,7 +287,7 @@ def _steps(policy, market: SimMarket, u, z):
     pp = p.arrivals.pi_plus
     pm = p.arrivals.pi_minus
     pj = p.arrivals.pi_joint
-    m = z.shape[1]
+    m = u.shape[2]
     S = np.full(m, market.price.S0)
     W = np.zeros(m)
     I = np.zeros(m)
@@ -301,7 +301,9 @@ def _steps(policy, market: SimMarket, u, z):
         Qm = ind_m * cm * (pmr - Lm)
         W += (S + Lp) * Qp - (S - Lm) * Qm
         I += Qm - Qp
-        S = S + drift[k] + vol[k] * z[k]
+        S = S + drift[k]
+        if z is not None:
+            S += vol[k] * z[k]
         yield S, W, I, (Lp, Lm, Qp, Qm, ind_p, ind_m)
 
 
@@ -309,22 +311,32 @@ def _objective(market: SimMarket, S, W, I):
     return W + S * I - market.params.lam * I ** 2
 
 
+def _reject_forecast(policies):
+    """The step loop quotes with no forecast shift, so a forecast policy
+    would run as its martingale rule: refuse it."""
+    for policy in policies:
+        if getattr(policy, "forecast", False):
+            raise ValueError(f"policy {policy.name!r} quotes on a drift "
+                             "forecast, which the simulator does not model")
+
+
 def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
     """One path of the Monte-Carlo step loop, recorded step by step;
     deterministic given the seed. A ``SeedSequence`` spawned as path i of
     ``monte_carlo_values`` reproduces that path exactly."""
+    _reject_forecast([policy])
     n = market.params.grid.n_steps
     moving = market.price.vol_array(n).any()
     seq = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
            else np.random.SeedSequence(rng_seed))
-    u, z = np.empty((n, 5)), (np.empty(n) if moving else np.zeros(n))
+    u, z = np.empty((n, 5)), (np.empty(n) if moving else None)
     _path_draws(seq.generate_state(4, np.uint64).tolist(),
-                np.random.Generator(np.random.PCG64(0)), u,
-                z if moving else None)
+                np.random.Generator(np.random.PCG64(0)), u, z)
 
     states = [(market.price.S0, 0.0, 0.0)]
     logs = []
-    for S, W, I, step in _steps(policy, market, u[:, :, None], z[:, None]):
+    for S, W, I, step in _steps(policy, market, u[:, :, None],
+                                z[:, None] if moving else None):
         states.append((S[0], W[0], I[0]))
         logs.append([np.ravel(x)[0] for x in step])
     S_log, W_log, I_log = np.array(states).T
@@ -336,46 +348,43 @@ def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
 
 
 def monte_carlo_values(policies, market: SimMarket, n_paths: int,
-                       base_seed: int, chunk_size: int = 8192):
+                       base_seed: int):
     """Evaluate several policies on identical draws (common random numbers).
 
     Returns a list of (mean, std_error) tuples, one per policy, plus the
-    per-policy objective arrays for further analysis.
+    per-policy objective arrays for further analysis. A forecast policy
+    raises ValueError.
 
-    Paths run in chunks on step-major draws. A chunk is ``chunk_size``
-    paths at most, and fewer when its draws would pass ``_CHUNK_CELLS``
-    cells, though never fewer than ``_MIN_CHUNK_PATHS``. Each path still
-    draws its own (n_steps, 5) uniforms, and normals when the price has
-    volatility, into a path-major block of ``_BLOCK_PATHS`` paths, small
-    enough to stay in cache while it is copied into the chunk's columns. A
-    still price's chunks share one read-only zero row for the normals; the
-    budget counts their cells all the same, so the width does not depend on
-    the price.
+    Paths run in chunks on step-major draws. A chunk holds up to
+    ``_CHUNK_CELLS`` draws, but never fewer than ``_MIN_CHUNK_PATHS`` paths.
+    Each path still draws its own (n_steps, 5) uniforms, and normals when
+    the price has volatility, into a path-major block of ``_BLOCK_PATHS``
+    paths, small enough to stay in cache while it is copied into the
+    chunk's columns. The budget counts the normals' cells for a still price
+    too, so the width does not depend on the price.
     """
+    _reject_forecast(policies)
     n = market.params.grid.n_steps
     moving = market.price.vol_array(n).any()
     words = _path_state_words(base_seed, n_paths)
     rng = np.random.Generator(np.random.PCG64(0))
 
     objectives = [np.empty(n_paths) for _ in policies]
-    width = min(chunk_size, n_paths,
-                max(_CHUNK_CELLS // (6 * n), _MIN_CHUNK_PATHS))
+    width = min(n_paths, max(_CHUNK_CELLS // (6 * n), _MIN_CHUNK_PATHS))
     block = min(_BLOCK_PATHS, width)
     u_buf, u_blk = np.empty((n, 5, width)), np.empty((block, n, 5))
     if moving:
         z_buf, z_blk = np.empty((n, width)), np.empty((block, n))
-    else:
-        # no normals: every path's z row is None, every chunk's z is zero
-        z_buf, z_blk = np.broadcast_to(0.0, (n, width)), [None] * block
     for start in range(0, n_paths, width):
         stop = min(start + width, n_paths)
         m = stop - start
-        u, z = u_buf[:, :, :m], z_buf[:, :m]
+        u, z = u_buf[:, :, :m], (z_buf[:, :m] if moving else None)
         for b0 in range(0, m, block):
             b1 = min(b0 + block, m)
             for i, path_words in enumerate(
                     words[start + b0:start + b1].tolist()):
-                _path_draws(path_words, rng, u_blk[i], z_blk[i])
+                _path_draws(path_words, rng, u_blk[i],
+                            z_blk[i] if moving else None)
             u[:, :, b0:b1] = u_blk[:b1 - b0].transpose(1, 2, 0)
             if moving:
                 z[:, b0:b1] = z_blk[:b1 - b0].T
@@ -394,9 +403,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     return out, objectives
 
 
-def monte_carlo_value(policy, market: SimMarket, n_paths: int, base_seed: int,
-                      chunk_size: int = 8192):
+def monte_carlo_value(policy, market: SimMarket, n_paths: int,
+                      base_seed: int):
     """Mean and standard error of the terminal objective under one policy."""
-    (stats,), _ = monte_carlo_values([policy], market, n_paths, base_seed,
-                                     chunk_size=chunk_size)
+    (stats,), _ = monte_carlo_values([policy], market, n_paths, base_seed)
     return stats

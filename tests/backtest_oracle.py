@@ -10,27 +10,23 @@ import numpy as np
 from hfmm.backtest import (DEFAULT_ORDER_VOLUME, DayResult, Policy,
                            _clamp_quotes)
 from hfmm.estimation import drift_forecast_series
-from hfmm.lob import ReplayResult, liquidate, replay
+from hfmm.lob import ReplayResult, liquidate
 from hfmm.model import MarketParams
 from hfmm.solver import quote_prices
 
 from replay_oracle import as_objects, midprice, sequential_fill
 
 
-def run_day(params: MarketParams, policy: Policy, events_or_replay,
+def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
             day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
             ) -> DayResult:
-    """Replay one session under one policy, resting ``order_volume`` shares
-    on each side at every step. Deterministic."""
+    """Run one replayed session under one policy, resting ``order_volume``
+    shares on each side at every step. Deterministic."""
     tick = params.tick_size
-    if isinstance(events_or_replay, ReplayResult):
-        rep = events_or_replay
-    else:
-        rep = replay(events_or_replay, params.grid, tick_size=tick)
     n = params.grid.n_steps
     snapshots, flows, terminal = as_objects(rep)
     mids = np.asarray(rep.midprices, dtype=float)
-    drifts = (drift_forecast_series(mids)[0] if policy.forecast
+    drifts = (drift_forecast_series(mids) if policy.forecast
               else np.zeros(n))
 
     W = 0.0
@@ -50,7 +46,7 @@ def run_day(params: MarketParams, policy: Policy, events_or_replay,
             ask, bid = quote_prices(S, Lp, Lm, tick)
             ask_ticks = int(round(ask / tick))
             bid_ticks = int(round(bid / tick))
-        ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick, 1)
+        ask_ticks, bid_ticks = _clamp_quotes(ask_ticks, bid_ticks, S, tick)
         Qp = sequential_fill(ask_ticks, order_volume, "ask", flows[k])
         Qm = sequential_fill(bid_ticks, order_volume, "bid", flows[k])
         if Qp:

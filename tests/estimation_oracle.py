@@ -111,5 +111,4 @@ def estimate_day(rep, day_id, level_depth: int = 10,
         c_m[k], p_m[k], v_m[k] = cm, pmr, vm
     return DayEstimates(day_id=day_id, ind_plus=ind_p, ind_minus=ind_m,
                         c_plus=c_p, p_plus=p_p, valid_plus=v_p,
-                        c_minus=c_m, p_minus=p_m, valid_minus=v_m,
-                        midprices=np.asarray(rep.midprices, dtype=float))
+                        c_minus=c_m, p_minus=p_m, valid_minus=v_m)

@@ -52,7 +52,7 @@ def _steps(policy, market: SimMarket, u, z):
 
 
 def monte_carlo_values(policies, market: SimMarket, n_paths: int,
-                       base_seed: int, chunk_size: int = 8192):
+                       base_seed: int):
     """Evaluate several policies on identical draws (common random numbers).
 
     Returns a list of (mean, std_error) tuples, one per policy, plus the
@@ -60,20 +60,16 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     """
     n = market.params.grid.n_steps
     children = np.random.SeedSequence(base_seed).spawn(n_paths)
+    u = np.empty((n_paths, n, 5))
+    z = np.empty((n_paths, n))
+    for i, child in enumerate(children):
+        u[i], z[i] = _path_draws(child, n)
 
-    objectives = [np.empty(n_paths) for _ in policies]
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        m = stop - start
-        u = np.empty((m, n, 5))
-        z = np.empty((m, n))
-        for i, child in enumerate(children[start:stop]):
-            u[i], z[i] = _path_draws(child, n)
-
-        for pol_idx, policy in enumerate(policies):
-            for S, W, I, _ in _steps(policy, market, u, z):
-                pass
-            objectives[pol_idx][start:stop] = _objective(market, S, W, I)
+    objectives = []
+    for policy in policies:
+        for S, W, I, _ in _steps(policy, market, u, z):
+            pass
+        objectives.append(_objective(market, S, W, I))
 
     out = []
     for obj in objectives:

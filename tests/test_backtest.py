@@ -25,6 +25,10 @@ def ev(ts, kind, side, price, size, ref):
                      size=size, order_ref=ref)
 
 
+def replayed(params, events):
+    return replay(events, params.grid, tick_size=params.tick_size)
+
+
 def one_step_params(lam=0.0005):
     # session starts after the seed adds so the first snapshot sees the book
     p = symmetric_params(100.0, 5.0, 0.2, 0.0, lam, 1)
@@ -54,17 +58,14 @@ def single_mo_events():
 
 class TestClampQuotes:
     def test_half_tick_mid(self):
-        assert _clamp_quotes(10000, 10001, 10000.5, 1.0, 1) == (10001, 10000)
+        assert _clamp_quotes(10000, 10001, 10000.5, 1.0) == (10001, 10000)
 
     def test_integer_mid(self):
-        assert _clamp_quotes(10000, 10000, 10000.0, 1.0, 1) == (10001, 9999)
+        assert _clamp_quotes(10000, 10000, 10000.0, 1.0) == (10001, 9999)
 
     def test_never_widens(self):
-        ask, bid = _clamp_quotes(10005, 9995, 10000.5, 1.0, 1)
+        ask, bid = _clamp_quotes(10005, 9995, 10000.5, 1.0)
         assert (ask, bid) == (10005, 9995)
-
-    def test_wider_minimum(self):
-        assert _clamp_quotes(10001, 10000, 10000.5, 1.0, 3) == (10003, 9998)
 
 
 class TestPolicy:
@@ -97,7 +98,7 @@ class TestRunDay:
         for name in ("optimal_martingale", "optimal_forecast",
                      "fixed_level_1"):
             policy = Policy.named(name, table)
-            res = run_day(params, policy, quiet_day_events())
+            res = run_day(params, policy, replayed(params, quiet_day_events()))
             assert res.W_T == 0.0
             assert res.I_T == 0.0
             assert res.objective == 0.0
@@ -107,7 +108,7 @@ class TestRunDay:
     def test_single_fill_arithmetic(self):
         params = one_step_params()
         res = run_day(params, Policy.named("fixed_level_2"),
-                      single_mo_events())
+                      replayed(params, single_mo_events()))
         # placed at the 2nd ask level 10002; 200 shares priced better
         assert res.I_T == -400.0
         assert res.W_T == pytest.approx(400 * 10002.0)
@@ -122,7 +123,7 @@ class TestRunDay:
     def test_accounting_identity(self):
         params = one_step_params()
         res = run_day(params, Policy.named("fixed_level_2"),
-                      single_mo_events())
+                      replayed(params, single_mo_events()))
         avg = (100 * 10002 + 300 * 10003) / 400
         lhs = res.objective - res.liquidation_value
         rhs = (res.S_T - params.lam * res.I_T) * res.I_T - avg * res.I_T
@@ -132,7 +133,7 @@ class TestRunDay:
         # only two ask levels, policy wants the 5th
         params = one_step_params()
         res = run_day(params, Policy.named("fixed_level_5"),
-                      quiet_day_events())
+                      replayed(params, quiet_day_events()))
         assert any("fallback" in f for f in res.flags)
 
     def test_determinism(self):
@@ -140,20 +141,10 @@ class TestRunDay:
         events, truth = generate_day(cfg, seed=1)
         table = backward_pass(truth.params)
         policy = Policy.named("optimal_forecast", table)
-        a = run_day(truth.params, policy, events)
-        b = run_day(truth.params, policy, events)
+        a = run_day(truth.params, policy, replayed(truth.params, events))
+        b = run_day(truth.params, policy, replayed(truth.params, events))
         assert (a.W_T, a.I_T, a.objective, a.liquidation_value, a.fills) == \
                (b.W_T, b.I_T, b.objective, b.liquidation_value, b.fills)
-
-    def test_accepts_prebuilt_replay(self):
-        cfg = SyntheticDayConfig(n_steps=100)
-        events, truth = generate_day(cfg, seed=2)
-        table = backward_pass(truth.params)
-        rep = replay(events, truth.params.grid, tick_size=cfg.tick_size)
-        policy = Policy.named("optimal_martingale", table)
-        a = run_day(truth.params, policy, events)
-        b = run_day(truth.params, policy, rep)
-        assert a.objective == b.objective
 
 
 def outcome(fn, *args, **kwargs):
@@ -308,7 +299,8 @@ def quiet_policies(n_days):
     table = backward_pass(params)
     policies = [Policy.named("optimal_martingale", table),
                 Policy.named("fixed_level_1")]
-    return params, policies, [quiet_day_events() for _ in range(n_days)]
+    return params, policies, [replayed(params, quiet_day_events())
+                              for _ in range(n_days)]
 
 
 def sweep(params, policies, days):
@@ -336,13 +328,12 @@ class TestCompareStrategies:
         assert entry["filtered"]["n_days"] == 4
 
     def test_failing_day_does_not_abort(self):
-        # run_day raises on a day the book rejects; the CLI records it as
+        # replay raises on a day the book rejects; the CLI records it as
         # an incomplete row, which summarize counts but does not average
         params, policies, days = quiet_policies(3)
-        days[1] = [ev(5, "add", "bid", 10000, 10, 1),
-                   ev(4, "add", "ask", 10001, 10, 2)]  # out of order
         with pytest.raises(BookError):
-            run_day(params, policies[1], days[1])
+            replayed(params, [ev(5, "add", "bid", 10000, 10, 1),
+                              ev(4, "add", "ask", 10001, 10, 2)])
         failed = DayResult(1, *[np.nan] * 5, fills=0, incomplete=True)
         rep = summarize({pol.name: [run_day(params, pol, days[0], day_id=0),
                                     failed,

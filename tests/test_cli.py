@@ -57,8 +57,8 @@ KEY_READER = {
     "params": "solve", "events": "estimate", "out": "report",
     "seed": "report", "workers": "backtest", "lambda": "estimate",
     "window": "estimate", "policies": "backtest", "n_paths": "simulate",
-    "chunk_size": "simulate", "S0": "simulate", "pi11_grid": "solve",
-    "inventory_grid": "solve", "n_steps": "estimate",
+    "S0": "simulate", "pi11_grid": "solve", "inventory_grid": "solve",
+    "n_steps": "estimate",
     "level_depth": "estimate", "tick_size": "estimate",
     "step_seconds": "estimate", "session_start_ns": "estimate",
     "break_quantile": "estimate", "order_volume": "backtest",
@@ -174,6 +174,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert str(events) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,unset", [("estimate", "events"),
+                                               ("backtest", "events"),
+                                               ("backtest", "params")])
+    def test_unset_input_directory(self, tmp_path, params_file, capsys,
+                                   monkeypatch, command, unset):
+        """An unset directory is missing, not the working directory, even
+        when that holds an event file and a day's params file."""
+        inputs = command_inputs(tmp_path, params_file, command, unset)
+        here = tmp_path / "here"
+        here.mkdir()
+        (here / "day_0000.bin").write_bytes(
+            (tmp_path / "events" / "day_0000.bin").read_bytes())
+        save_params(load_params(params_file), here / "params_day_0000.yaml")
+        monkeypatch.chdir(here)
+        assert main([command, *inputs, "--config",
+                     str(write_config(tmp_path))]) == 2
+        assert f"{unset} directory not found: None" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_mapping_params_file(self, tmp_path):
         bad = tmp_path / "list.yaml"
         bad.write_text("[1, 2]\n")
@@ -203,7 +222,6 @@ class TestExitCodes:
         assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("n_paths", 0), ("n_paths", -3),
-                                           ("chunk_size", 0),
                                            ("n_paths", "many"), ("seed", -1)])
     def test_simulate_bad_count_or_seed(self, tmp_path, params_file, capsys,
                                         key, value):
@@ -273,13 +291,15 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, params_file, capsys):
-        config = write_config(tmp_path, n_path=3)
-        out = tmp_path / "out"
-        assert main(["simulate", "--params", str(params_file),
-                     "--out", str(out), "--config", str(config)]) == 1
-        assert (f"invalid config: {config}: unknown key 'n_path'"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        # a misspelt key, and chunk_size, which no setting replaces
+        for key, value in (("n_path", 3), ("chunk_size", 300)):
+            config = write_config(tmp_path, **{key: value})
+            out = tmp_path / "out"
+            assert main(["simulate", "--params", str(params_file),
+                         "--out", str(out), "--config", str(config)]) == 1
+            assert (f"invalid config: {config}: unknown key {key!r}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("side,dropped", [("plus", ["mu_p2"]),
                                               ("minus", ["mu_p", "mu_p2"])])

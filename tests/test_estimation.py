@@ -214,8 +214,7 @@ class TestDailyMoments:
             valid_plus=np.asarray(v_p, bool),
             c_minus=np.asarray(c_m if c_m is not None else c_p, float),
             p_minus=np.asarray(p_m if p_m is not None else p_p, float),
-            valid_minus=np.asarray(v_m if v_m is not None else v_p, bool),
-            midprices=np.full(n, 10000.5))
+            valid_minus=np.asarray(v_m if v_m is not None else v_p, bool))
 
     def test_point_mass(self):
         day = self._day([100, 100, 0], [5, 5, 0], [True, True, False])
@@ -252,8 +251,7 @@ class TestRollingParams:
                 ind_minus=(rng.random(n) < 0.2).astype(np.int8),
                 c_plus=c, p_plus=p, valid_plus=v,
                 c_minus=c[::-1].copy(), p_minus=p[::-1].copy(),
-                valid_minus=v[::-1].copy(),
-                midprices=np.full(n, 10000.5)))
+                valid_minus=v[::-1].copy()))
         return store
 
     def test_window_one_passes_through_daily_moments(self):
@@ -293,7 +291,7 @@ class TestRollingParams:
 
 def last_forecast(m):
     """The drift forecast after the last midprice of ``m``."""
-    return drift_forecast_series(m)[0][-1]
+    return drift_forecast_series(m)[-1]
 
 
 class TestDriftForecast:
@@ -314,9 +312,8 @@ class TestDriftForecast:
         # step k's forecast uses the midprices up to k and no later one
         rng = np.random.default_rng(6)
         m = 10000.5 + np.cumsum(rng.normal(size=40))
-        out, warmup = drift_forecast_series(m)
-        assert warmup[:5].all() and not warmup[5:].any()
-        np.testing.assert_allclose(out[:5], 0.0)
+        out = drift_forecast_series(m)
+        np.testing.assert_array_equal(out[:5], 0.0)
         for k in range(5, 40):
             assert out[k] == pytest.approx(last_forecast(m[:k + 1]))
             assert out[k] == pytest.approx((m[k] - m[k - 5]) / 5)
@@ -338,9 +335,10 @@ class TestStructuralBreakFlags:
     def test_iid_flag_rate(self):
         rng = np.random.default_rng(21)
         n = 500
-        rep = structural_break_flags(list(range(n)), rng.normal(size=n),
-                                     rng.normal(size=n), rng.normal(size=n))
-        frac = len(rep.flagged) / n
+        flagged = structural_break_flags(list(range(n)), rng.normal(size=n),
+                                         rng.normal(size=n),
+                                         rng.normal(size=n))
+        frac = len(flagged) / n
         # union of three ~5% exceedance screens
         assert 0.08 < frac < 0.22
 
@@ -349,15 +347,15 @@ class TestStructuralBreakFlags:
         n = 100
         ep = rng.normal(size=n)
         ep[40] = 10 * np.max(np.abs(ep))
-        rep = structural_break_flags(list(range(n)), ep,
-                                     rng.normal(size=n), rng.normal(size=n))
-        assert 40 in rep.flagged
+        flagged = structural_break_flags(list(range(n)), ep,
+                                         rng.normal(size=n),
+                                         rng.normal(size=n))
+        assert 40 in flagged
 
     def test_identical_errors_flag_nothing(self):
         n = 50
         z = np.zeros(n)
-        rep = structural_break_flags(list(range(n)), z, z, z)
-        assert rep.flagged == []
+        assert structural_break_flags(list(range(n)), z, z, z) == []
 
     def test_pi11_uses_absolute_errors(self):
         rng = np.random.default_rng(23)
@@ -365,8 +363,7 @@ class TestStructuralBreakFlags:
         z = np.zeros(n)
         ej = rng.normal(size=n) * 0.01
         ej[10] = -5.0   # large negative deviation must still flag
-        rep = structural_break_flags(list(range(n)), z, z, ej)
-        assert 10 in rep.flagged
+        assert 10 in structural_break_flags(list(range(n)), z, z, ej)
 
 
 class TestComputeBreakErrors:
@@ -380,8 +377,7 @@ class TestComputeBreakErrors:
                 c_plus=np.full(n, cp), p_plus=np.ones(n),
                 valid_plus=np.ones(n, bool),
                 c_minus=np.full(n, 50.0), p_minus=np.ones(n),
-                valid_minus=np.ones(n, bool),
-                midprices=np.full(n, 10000.5))
+                valid_minus=np.ones(n, bool))
 
         store = [day(0, 100.0), day(1, 110.0), day(2, 90.0)]
         ids, ep, em, ej = compute_break_errors(store, window=2)

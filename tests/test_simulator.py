@@ -150,7 +150,7 @@ class TestRunEpisode:
         TwoPointIndependent((80, 120), (4, 6)),
         LognormalIndependent.from_moments(100.0, 10400.0, 5.0, 26.0),
     ])
-    def test_equals_monte_carlo_path(self, minus):
+    def test_equals_monte_carlo_path(self, monkeypatch, minus):
         # run_episode is the Monte-Carlo step loop on one path: with path
         # i's seed it reproduces path i of a chunked run bit for bit
         p = symmetric_params(100, 5, 0.3, 0.1, 0.001, 40)
@@ -159,10 +159,10 @@ class TestRunEpisode:
             demand=DemandDistribution(
                 plus=TwoPointIndependent((80, 120), (4, 6)), minus=minus),
             price=PriceModel(S0=100.0, drift=0.01, vol=0.05))
+        set_chunk_width(monkeypatch, market, 64)
         pol = Policy.named("optimal_martingale", backward_pass(p))
         n_paths, seed = 150, 31
-        _, (objectives,) = monte_carlo_values([pol], market, n_paths, seed,
-                                              chunk_size=64)
+        _, (objectives,) = monte_carlo_values([pol], market, n_paths, seed)
         children = np.random.SeedSequence(seed).spawn(n_paths)
         for i, child in enumerate(children):
             ep = run_episode(pol, market, child)
@@ -250,6 +250,17 @@ class TestMonteCarlo:
         assert monte_carlo_value(pol, market, 4000, 5) == \
             monte_carlo_value(pol, market, 4000, 5)
 
+    def test_forecast_policy_rejected(self):
+        # the step loop quotes with no forecast shift, so a forecast policy
+        # would silently run as the martingale rule
+        p, market = self._market()
+        pol = Policy.named("optimal_forecast", backward_pass(p))
+        with pytest.raises(ValueError, match="'optimal_forecast'"):
+            monte_carlo_values([Policy.named("optimal_martingale",
+                                             pol.table), pol], market, 10, 1)
+        with pytest.raises(ValueError, match="'optimal_forecast'"):
+            run_episode(pol, market, 1)
+
     def test_perturbations_do_not_improve(self):
         p, market = self._market()
         side = market.demand.plus.side_moments()
@@ -282,6 +293,14 @@ class ChunkRecorder:
 def spawned_words(seed, n_paths):
     return np.array([child.generate_state(4, np.uint64) for child in
                      np.random.SeedSequence(seed).spawn(n_paths)])
+
+
+def set_chunk_width(monkeypatch, market, width):
+    """Size the draw budget so that ``market``'s chunks are ``width`` paths
+    wide, or as many as a run has."""
+    cells = 6 * market.params.grid.n_steps * width
+    monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(simulator, "_MIN_CHUNK_PATHS", 1)
 
 
 def two_point_market(n_steps=12, pi_joint=0.05, **price_kwargs):
@@ -338,20 +357,20 @@ class TestPathSeeding:
             assert np.array_equal(u, u_ref) and np.array_equal(z, z_ref)
 
     # the pairs cross the 256-path draw blocks and the chunk edges
-    @pytest.mark.parametrize("n_paths,chunk_size", [
+    @pytest.mark.parametrize("n_paths,width", [
         (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100),
         (255, 8192), (257, 8192), (513, 300), (1000, 256), (300, 1),
         (1, 1)])
-    def test_objectives_equal_oracle(self, n_paths, chunk_size):
+    def test_objectives_equal_oracle(self, monkeypatch, n_paths, width):
         market = two_point_market(drift=0.01, vol=0.05)
+        set_chunk_width(monkeypatch, market, width)
         t = backward_pass(market.params)
         base = Policy.named("optimal_martingale", t)
         policies = [base, PerturbedPolicy(base, 0.3),
                     FixedSpreadPolicy(2.0, 3.0)]
-        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
-                                         chunk_size=chunk_size)
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17)
         stats_ref, objs_ref = mc_oracle.monte_carlo_values(
-            policies, market, n_paths, 17, chunk_size=chunk_size)
+            policies, market, n_paths, 17)
         for obj, obj_ref in zip(objs, objs_ref):
             assert np.array_equal(obj, obj_ref)
         np.testing.assert_array_equal(stats, stats_ref)
@@ -361,21 +380,21 @@ class TestPathSeeding:
     @pytest.mark.parametrize("price", [
         {}, {"drift": 0.01}, {"vol": np.where(np.arange(12) == 5, 0.05, 0)}],
         ids=["still", "drift", "vol_at_step_5"])
-    @pytest.mark.parametrize("n_paths,chunk_size", [
+    @pytest.mark.parametrize("n_paths,width", [
         (1, 8192), (2, 1), (7, 1), (150, 64), (200, 200), (333, 100),
         (255, 8192), (257, 8192), (513, 300), (1000, 256), (300, 1),
         (1, 1)])
-    def test_price_without_normals_equals_oracle(self, price, n_paths,
-                                                 chunk_size):
+    def test_price_without_normals_equals_oracle(self, monkeypatch, price,
+                                                 n_paths, width):
         market = two_point_market(**price)
+        set_chunk_width(monkeypatch, market, width)
         t = backward_pass(market.params)
         base = Policy.named("optimal_martingale", t)
         policies = [base, PerturbedPolicy(base, 0.3),
                     FixedSpreadPolicy(2.0, 3.0)]
-        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
-                                         chunk_size=chunk_size)
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17)
         stats_ref, objs_ref = mc_oracle.monte_carlo_values(
-            policies, market, n_paths, 17, chunk_size=chunk_size)
+            policies, market, n_paths, 17)
         for obj, obj_ref in zip(objs, objs_ref):
             assert np.array_equal(obj, obj_ref)
         np.testing.assert_array_equal(stats, stats_ref)
@@ -384,26 +403,24 @@ class TestPathSeeding:
             ep = run_episode(base, market, children[i])
             assert ep.terminal_objective == objs[0][i]
 
-    @pytest.mark.parametrize("chunk_size", [8192, 300])
-    def test_episode_equals_path_across_blocks(self, chunk_size):
+    @pytest.mark.parametrize("width", [8192, 300])
+    def test_episode_equals_path_across_blocks(self, monkeypatch, width):
         market = two_point_market(drift=0.01, vol=0.05)
+        set_chunk_width(monkeypatch, market, width)
         pol = Policy.named("optimal_martingale",
                            backward_pass(market.params))
-        _, (objectives,) = monte_carlo_values([pol], market, 600, 23,
-                                              chunk_size=chunk_size)
+        _, (objectives,) = monte_carlo_values([pol], market, 600, 23)
         children = np.random.SeedSequence(23).spawn(600)
         for i in (0, 255, 256, 599):
             ep = run_episode(pol, market, children[i])
             assert ep.terminal_objective == objectives[i]
 
     # the budget sets the width (3, and 301: one full 256-path draw block
-    # and a part block a chunk), the path floor sets it (7), or chunk_size
-    # caps it (5)
-    @pytest.mark.parametrize("cells,floor,chunk_size,width", [
-        (6 * 12 * 3, 1, 8192, 3), (0, 7, 8192, 7),
-        (6 * 12 * 301, 1, 8192, 301), (6 * 12 * 7, 1, 5, 5)])
+    # and a part block a chunk), or the path floor sets it (7)
+    @pytest.mark.parametrize("cells,floor,width", [
+        (6 * 12 * 3, 1, 3), (0, 7, 7), (6 * 12 * 301, 1, 301)])
     def test_budget_chunks_equal_oracle(self, monkeypatch, cells, floor,
-                                        chunk_size, width):
+                                        width):
         monkeypatch.setattr(simulator, "_CHUNK_CELLS", cells)
         monkeypatch.setattr(simulator, "_MIN_CHUNK_PATHS", floor)
         market = two_point_market(drift=0.01, vol=0.05)
@@ -412,8 +429,7 @@ class TestPathSeeding:
         policies = [ChunkRecorder(base), PerturbedPolicy(base, 0.3),
                     FixedSpreadPolicy(2.0, 3.0)]
         n_paths = 3 * width + 2
-        stats, objs = monte_carlo_values(policies, market, n_paths, 17,
-                                         chunk_size=chunk_size)
+        stats, objs = monte_carlo_values(policies, market, n_paths, 17)
         assert policies[0].widths == [width, width, width, 2]
         stats_ref, objs_ref = mc_oracle.monte_carlo_values(
             policies, market, n_paths, 17)

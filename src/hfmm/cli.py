@@ -332,6 +332,10 @@ def cmd_estimate(cfg) -> int:
     if files is None:
         return EXIT_MISSING_PARAMS
     out = _outdir(s["out"])
+    # an earlier run's files would pass for this run's: backtest reads every
+    # params file it finds, and report the break flags
+    for stale in [*out.glob("params_day_*.yaml"), out / "break_flags.json"]:
+        stale.unlink(missing_ok=True)
     tick = s["tick_size"]
     grid = TimeGrid(n_steps=s["n_steps"], step_seconds=s["step_seconds"],
                     session_start_ns=s["session_start_ns"])

@@ -24,6 +24,9 @@ from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
 __all__ = ["SyntheticDayConfig", "SyntheticTruth", "generate_day",
            "true_market_params"]
 
+# generate_day fills at most this many event slots (512 KiB) a block
+_BLOCK_SLOTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class SyntheticDayConfig:
@@ -81,6 +84,8 @@ def true_market_params(cfg: SyntheticDayConfig) -> MarketParams:
 
 def generate_day(cfg: SyntheticDayConfig, seed: int):
     """Build one day of events. Returns (events array, SyntheticTruth)."""
+    if cfg.depth < 1:
+        raise ValueError(f"depth must be at least 1, got {cfg.depth}")
     rng = np.random.default_rng(seed)
     n = cfg.n_steps
     params = true_market_params(cfg)
@@ -106,30 +111,24 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
     # Each step k owns one row of 6*depth + 2 event slots, in stream order:
     # the cancels of step k-1's ladder, the adds of step k's ladder (ask and
     # bid interleaved by level), then per side the market order and its
-    # executes. Slots that hold no event are masked out at the end.
+    # executes. ``keep`` marks the slots that hold an event. The rows are
+    # filled a block of steps at a time, and each block's kept records are
+    # copied whole to their place in ``events``, so no grid of the whole
+    # day is ever built.
     depth = cfg.depth
     ladder = 2 * depth
+    width = 6 * depth + 2
     step_ns = int(round(cfg.step_seconds * 1e9))
     t = grid.session_start_ns + np.rint(
         np.arange(n) * cfg.step_seconds * 1e9).astype(np.int64)
     rebuild_ts = (t - 100_000)[:, None]
     x = X[:, None]
     level = np.arange(depth)
-    refs = 1 + ladder * np.arange(n)[:, None] + np.arange(ladder)
-    ev = np.zeros((n, 6 * depth + 2), dtype=EVENT_DTYPE)
-    keep = np.zeros(ev.shape, dtype=bool)
-
-    def fill(cols, mask, ts, kind, side, price, size, ref=0,
-             rows=slice(None)):
-        block = ev[rows, cols]
-        block["ts_ns"], block["kind"], block["side"] = ts, kind, side
-        block["price_ticks"], block["size"] = price, size
-        block["order_ref"] = ref
-        keep[rows, cols] = mask
-
+    keep = np.empty((n, width), dtype=bool)
     price = np.empty((n, ladder), dtype=np.int64)
     size = np.empty_like(price)
     rest = np.empty_like(price)
+    orders = []
     col = 2 * ladder
     for side, ind, c, p, ts, touch in (
             (1, ind_p, c_p, p_p, t + step_ns // 3, x + 1 + level),
@@ -147,21 +146,45 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
         price[:, slots] = touch
         size[:, slots] = vol
         rest[:, slots] = np.where(hit, vol - take, vol)
-        fill(slice(col, col + 1), ind[:, None], ts[:, None], 3, side,
-             x + side, mo)
-        fill(slice(col + 1, col + 1 + depth), hit, ts[:, None], 2, side,
-             touch, take, refs[:, slots])
+        keep[:, col] = ind
+        keep[:, col + 1:col + 1 + depth] = hit
+        orders.append((col, side, slots, ts[:, None], mo, take))
         col += 1 + depth
-    sides = np.tile([1, 0], depth)
-    fill(slice(0, ladder), rest[:-1] > 0, rebuild_ts[1:], 1, sides,
-         price[:-1], rest[:-1], refs[:-1], rows=slice(1, None))
-    fill(slice(ladder, 2 * ladder), True, rebuild_ts, 0, sides, price, size,
-         refs)
+    keep[0, :ladder] = False
+    keep[1:, :ladder] = rest[:-1] > 0
+    keep[:, ladder:2 * ladder] = True
+    starts = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    events = np.empty(starts[-1], dtype=EVENT_DTYPE)
 
-    arr = ev[keep]
+    def fill(block, ts, kind, side, price, size, ref=0):
+        block["ts_ns"], block["kind"], block["side"] = ts, kind, side
+        block["price_ticks"], block["size"] = price, size
+        block["order_ref"] = ref
+
+    sides = np.tile([1, 0], depth)
+    block_steps = max(1, _BLOCK_SLOTS // width)
+    for a in range(0, n, block_steps):
+        b = min(a + block_steps, n)
+        ev = np.zeros((b - a, width), dtype=EVENT_DTYPE)
+        # refs[i] are the order refs of step a - 1 + i's ladder
+        refs = 1 + ladder * np.arange(a - 1, b)[:, None] + np.arange(ladder)
+        for col, side, slots, ts, mo, take in orders:
+            fill(ev[:, col:col + 1], ts[a:b], 3, side, x[a:b] + side, mo[a:b])
+            fill(ev[:, col + 1:col + 1 + depth], ts[a:b], 2, side,
+                 price[a:b, slots], take[a:b], refs[1:, slots])
+        first = max(a, 1)  # step 0 has no cancels
+        fill(ev[first - a:, :ladder], rebuild_ts[first:b], 1, sides,
+             price[first - 1:b - 1], rest[first - 1:b - 1], refs[first - a:-1])
+        fill(ev[:, ladder:2 * ladder], rebuild_ts[a:b], 0, sides, price[a:b],
+             size[a:b], refs[1:])
+        # Whole 32-byte records, since a structured copy goes field by field;
+        # "clip" writes straight into out (every index is in range).
+        np.take(ev.reshape(-1).view("V32"), np.flatnonzero(keep[a:b]),
+                out=events[starts[a]:starts[b]].view("V32"), mode="clip")
+
     truth = SyntheticTruth(config=cfg, params=params, mid_ticks=X,
                            regimes=regimes,
                            ind_plus=ind_p.astype(np.int8),
                            ind_minus=ind_m.astype(np.int8),
                            c_plus=c_p, p_plus=p_p, c_minus=c_m, p_minus=p_m)
-    return arr, truth
+    return events, truth

@@ -495,6 +495,33 @@ class TestPipeline:
         files = sorted(params_dir.glob("params_day_*.yaml"))
         assert [f.name for f in files] == ["params_day_0020.yaml"]
 
+    def test_rerun_clears_an_earlier_runs_files(self, tmp_path):
+        events_dir = make_days(tmp_path, 25)
+        params_dir = tmp_path / "calib"
+        notes = params_dir / "notes.txt"
+        for window in (20, 22):
+            if window == 22:
+                notes.write_text("not estimate's")
+            assert main(["estimate", "--events", str(events_dir),
+                         "--out", str(params_dir), "--config",
+                         str(write_config(tmp_path, window=window))]) == 0
+        assert sorted(f.name for f in params_dir.glob("params_day_*")) == [
+            f"params_day_{d:04d}.yaml" for d in (22, 23, 24)]
+        assert (params_dir / "break_flags.json").exists()
+        assert notes.read_text() == "not estimate's"
+        out = tmp_path / "bt"
+        assert main(["backtest", "--events", str(events_dir),
+                     "--params", str(params_dir), "--out", str(out),
+                     "--config", str(write_config(tmp_path))]) == 0
+        with open(out / "day_results.csv") as fh:
+            assert {r["day"] for r in csv.DictReader(fh)} == {
+                "22", "23", "24"}
+        # with no more days than the window, no break screen runs
+        assert main(["estimate", "--events", str(events_dir),
+                     "--out", str(params_dir), "--config",
+                     str(write_config(tmp_path, window=25))]) == 0
+        assert sorted(p.name for p in params_dir.iterdir()) == ["notes.txt"]
+
     def test_estimate_backtest_report(self, tmp_path):
         events_dir, params_dir = self._estimate(tmp_path, 26)
         files = sorted(params_dir.glob("params_day_*.yaml"))

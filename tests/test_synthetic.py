@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hfmm.synthetic
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
 import synthetic_oracle
@@ -84,3 +86,47 @@ def test_edge_days_have_the_expected_shape():
     assert np.all(np.bincount(executes["ts_ns"] // 10 ** 9)[1:] % 3 == 0)
     events, _ = assert_same_day(CONFIGS["one_step"], 3)
     assert not np.any(events["kind"] == 1)
+
+
+# The benchmark's own days, at the seed of day 0 under its seed 1
+BENCHMARK_SEED = 10000
+BENCHMARK_CONFIGS = {
+    "year": SyntheticDayConfig(n_steps=2000, p_values=(3.8, 5.0), lam=0.01),
+    "full_day": SyntheticDayConfig(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
+def test_matches_oracle_at_benchmark_sizes(name):
+    assert_same_day(BENCHMARK_CONFIGS[name], BENCHMARK_SEED)
+
+
+@pytest.mark.parametrize("slots", [1, 75, 1000, 1 << 20])
+def test_any_block_size_matches_oracle(monkeypatch, slots):
+    """Blocks of one step (1 slot), of one to three steps by the config's
+    row width (75 slots), that split the day unevenly (1,000 slots), and
+    the whole day in one block."""
+    monkeypatch.setattr(hfmm.synthetic, "_BLOCK_SLOTS", slots)
+    for name in ("default", "mo_beyond_depth", "busy_uneven"):
+        assert_same_day(CONFIGS[name], 4)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_rejected(depth):
+    with pytest.raises(ValueError, match=f"depth must be at least 1, got "
+                                         f"{depth}"):
+        generate_day(SyntheticDayConfig(n_steps=10, depth=depth), 0)
+
+
+def test_peak_memory_within_twice_the_stream():
+    """Only a block of the slot grid exists at a time, so the day's
+    transient memory, the events included, stays under twice the stream
+    on a full-length day."""
+    tracemalloc.start()
+    try:
+        events, _ = generate_day(BENCHMARK_CONFIGS["full_day"],
+                                 BENCHMARK_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * events.nbytes

@@ -43,7 +43,7 @@ _SAMPLE_FLOOR = 1e-9
 _BLOCK_PATHS = 256
 # A chunk holds at most _CHUNK_CELLS float64 draws (32 MB; 6 a path-step),
 # so its memory does not grow with the horizon, but never fewer than
-# _MIN_CHUNK_PATHS paths: each step costs about 33 us plus 36 ns a path, so
+# _MIN_CHUNK_PATHS paths: each step costs about 25 us plus 16 ns a path, so
 # narrower chunks of a long day would spend their time in per-step overhead.
 _CHUNK_CELLS = 1 << 22
 _MIN_CHUNK_PATHS = 1024
@@ -98,16 +98,30 @@ class TwoPointIndependent(SideDistribution):
         dc, dp = math.sqrt(var_c), math.sqrt(var_p)
         return cls((mu_c - dc, mu_c + dc), (mu_p - dp, mu_p + dp))
 
+    def __post_init__(self):
+        for name in ("c_prob_low", "p_prob_low"):
+            prob = getattr(self, name)
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {prob!r}")
+
     @cached_property
     def _floored(self):
         """(c_low, c_high, p_low, p_high), each at least _SAMPLE_FLOOR."""
         return tuple(float(max(v, _SAMPLE_FLOOR))
                      for v in (*self.c_values, *self.p_values))
 
-    def sample(self, u_c, u_p):
+    @cached_property
+    def _tables(self):
+        """The atoms of c and of p as [high, low]: entry 1 where u < prob."""
         c_low, c_high, p_low, p_high = self._floored
-        return (np.where(u_c < self.c_prob_low, c_low, c_high),
-                np.where(u_p < self.p_prob_low, p_low, p_high))
+        return np.array([c_high, c_low]), np.array([p_high, p_low])
+
+    def sample(self, u_c, u_p):
+        # a take indexed by the compare's bytes: np.where's select is
+        # branchy, and random masks mispredict about half its branches
+        c_table, p_table = self._tables
+        return (c_table.take((u_c < self.c_prob_low).view(np.uint8)),
+                p_table.take((u_p < self.p_prob_low).view(np.uint8)))
 
     def side_moments(self) -> SideMoments:
         return _moments_from_atoms(self.atoms())
@@ -171,10 +185,14 @@ class EpisodeResult:
 
 
 def _arrivals_vec(pp, pm, pj, u):
-    """Map uniforms to the joint arrival indicators of one step: both sides
-    below pi_joint, buy only up to pi_plus, sell only for the next
-    pi_minus - pi_joint."""
-    ind_p = (u < pj) | ((u >= pj) & (u < pp))
+    """Map uniforms to the joint arrival indicators of one step, whose
+    probabilities pp, pm and pj are floats: both sides below pi_joint, buy
+    only up to pi_plus, sell only for the next pi_minus - pi_joint.
+
+    The buy side is one compare, against pi_plus where pi_joint < pi_plus
+    and against pi_joint otherwise: so a NaN pi_plus leaves u < pi_joint
+    and a NaN pi_joint no buy, as the two intervals give."""
+    ind_p = u < (pp if pj < pp else pj)
     ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
     return ind_p, ind_m
 
@@ -282,11 +300,11 @@ def _steps(policy, market: SimMarket, u, z):
     """
     p = market.params
     n = p.grid.n_steps
-    drift = market.price.drift_array(n)
-    vol = market.price.vol_array(n)
-    pp = p.arrivals.pi_plus
-    pm = p.arrivals.pi_minus
-    pj = p.arrivals.pi_joint
+    drift = market.price.drift_array(n).tolist()
+    vol = market.price.vol_array(n).tolist()
+    a = p.arrivals
+    pp, pm, pj = a.pi_plus.tolist(), a.pi_minus.tolist(), a.pi_joint.tolist()
+    plus, minus = market.demand.plus, market.demand.minus
     m = u.shape[2]
     S = np.full(m, market.price.S0)
     W = np.zeros(m)
@@ -295,11 +313,20 @@ def _steps(policy, market: SimMarket, u, z):
         u_arr, u_cp, u_pp, u_cm, u_pm = u[k]
         ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u_arr)
         Lp, Lm = policy.spreads(k, S, I)
-        cp, ppr = market.demand.plus.sample(u_cp, u_pp)
-        cm, pmr = market.demand.minus.sample(u_cm, u_pm)
-        Qp = ind_p * cp * (ppr - Lp)
-        Qm = ind_m * cm * (pmr - Lm)
-        W += (S + Lp) * Qp - (S - Lm) * Qm
+        cp, ppr = plus.sample(u_cp, u_pp)
+        cm, pmr = minus.sample(u_cm, u_pm)
+        # Q = ind * c * (p - L) and W += (S + L+) Q+ - (S - L-) Q-, their
+        # products and sums taken in the same order but in place
+        Qp = ind_p * cp
+        Qp *= ppr - Lp
+        Qm = ind_m * cm
+        Qm *= pmr - Lm
+        cash = S + Lp
+        cash *= Qp
+        paid = S - Lm
+        paid *= Qm
+        cash -= paid
+        W += cash
         I += Qm - Qp
         S = S + drift[k]
         if z is not None:
@@ -352,8 +379,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     """Evaluate several policies on identical draws (common random numbers).
 
     Returns a list of (mean, std_error) tuples, one per policy, plus the
-    per-policy objective arrays for further analysis. A forecast policy
-    raises ValueError.
+    per-policy objective arrays for further analysis. A forecast policy,
+    or n_paths below 1, raises ValueError.
 
     Paths run in chunks on step-major draws. A chunk holds up to
     ``_CHUNK_CELLS`` draws, but never fewer than ``_MIN_CHUNK_PATHS`` paths.
@@ -363,6 +390,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
     chunk's columns. The budget counts the normals' cells for a still price
     too, so the width does not depend on the price.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     _reject_forecast(policies)
     n = market.params.grid.n_steps
     moving = market.price.vol_array(n).any()

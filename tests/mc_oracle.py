@@ -4,13 +4,47 @@ seeds were hashed for all paths in one array pass, and a path-major step
 loop that reads each step's draws as strided columns of an
 ``(n_paths, n_steps, 5)`` buffer. ``hfmm.simulator.monte_carlo_values``
 must give every path the same draws, and so the same objectives, bit for
-bit."""
+bit.
+
+The oracle keeps its own copies of the step's selects, in their plainest
+forms, so that it checks the simulator's rather than follows them: the
+arrival indicators as unions of intervals, a two-point draw as
+``np.where`` over the floored atoms, and the terminal objective."""
 
 import math
 
 import numpy as np
 
-from hfmm.simulator import SimMarket, _arrivals_vec, _objective
+from hfmm.simulator import SimMarket, TwoPointIndependent
+
+SAMPLE_FLOOR = 1e-9
+
+
+def _arrivals_vec(pp, pm, pj, u):
+    """Both sides below pi_joint, buy only up to pi_plus, sell only for the
+    next pi_minus - pi_joint; the probabilities may be arrays shaped as u."""
+    ind_p = (u < pj) | ((u >= pj) & (u < pp))
+    ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
+    return ind_p, ind_m
+
+
+def two_point_sample(dist: TwoPointIndependent, u_c, u_p):
+    """c and p each the low atom below its probability, else the high one,
+    every atom floored at SAMPLE_FLOOR."""
+    c_low, c_high, p_low, p_high = (float(max(v, SAMPLE_FLOOR))
+                                    for v in (*dist.c_values, *dist.p_values))
+    return (np.where(u_c < dist.c_prob_low, c_low, c_high),
+            np.where(u_p < dist.p_prob_low, p_low, p_high))
+
+
+def _sample(dist, u_c, u_p):
+    if isinstance(dist, TwoPointIndependent):
+        return two_point_sample(dist, u_c, u_p)
+    return dist.sample(u_c, u_p)
+
+
+def _objective(market: SimMarket, S, W, I):
+    return W + S * I - market.params.lam * I ** 2
 
 
 def _path_draws(seed_seq, n: int):
@@ -41,8 +75,8 @@ def _steps(policy, market: SimMarket, u, z):
     for k in range(n):
         ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u[:, k, 0])
         Lp, Lm = policy.spreads(k, S, I)
-        cp, ppr = market.demand.plus.sample(u[:, k, 1], u[:, k, 2])
-        cm, pmr = market.demand.minus.sample(u[:, k, 3], u[:, k, 4])
+        cp, ppr = _sample(market.demand.plus, u[:, k, 1], u[:, k, 2])
+        cm, pmr = _sample(market.demand.minus, u[:, k, 3], u[:, k, 4])
         Qp = ind_p * cp * (ppr - Lp)
         Qm = ind_m * cm * (pmr - Lm)
         W += (S + Lp) * Qp - (S - Lm) * Qm

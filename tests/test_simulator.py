@@ -14,6 +14,7 @@ from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
                             _path_state_words, monte_carlo_value,
                             monte_carlo_values, run_episode)
 from hfmm.solver import backward_pass, optimal_spreads
+from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
 import mc_oracle
 from conftest import FixedSpreadPolicy, PerturbedPolicy, symmetric_params
@@ -62,6 +63,116 @@ class TestSampleArrivals:
             freq = np.mean((ip == want_p) & (im == want_m))
             se = np.sqrt(prob * (1 - prob) / n)
             assert abs(freq - prob) < 3 * se
+
+
+NAN = float("nan")
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def around(*points):
+    """Each point, its float neighbours, and 0, 1 and NaN."""
+    out = [0.0, 1.0, NAN]
+    for x in points:
+        out += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.array(out, dtype=float)
+
+
+unit_floats = st.floats(0.0, 1.0)
+any_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, NAN]))
+
+
+class TestBranchFreeSelects:
+    """The step loop's take-based two-point draw and one-compare buy
+    indicator against the ``np.where`` and interval forms kept in
+    ``mc_oracle``, bit for bit."""
+
+    @staticmethod
+    def assert_sample_as_oracle(dist, u_c, u_p):
+        got = dist.sample(u_c, u_p)
+        want = mc_oracle.two_point_sample(dist, u_c, u_p)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @staticmethod
+    def assert_arrivals_as_oracle(pp, pm, pj, u):
+        got = _arrivals_vec(pp, pm, pj, u)
+        want = mc_oracle._arrivals_vec(pp, pm, pj, u)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("c_prob,p_prob", [
+        (0.5, 0.5), (0.3, 0.7), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0),
+        (1.0, 1.0)])
+    @pytest.mark.parametrize("c_values,p_values", [
+        ((80, 120), (4.0, 6.0)),    # distinct atoms
+        ((100, 100), (5.0, 5.0)),   # equal atoms
+        ((0, 120), (-3.0, 1e-12)),  # floored atoms
+        ((120.0, -0.0), (6.0, 4.0))])
+    def test_sample_at_thresholds(self, c_prob, p_prob, c_values,
+                                  p_values):
+        dist = TwoPointIndependent(c_values, p_values, c_prob_low=c_prob,
+                                   p_prob_low=p_prob)
+        self.assert_sample_as_oracle(dist, around(c_prob, p_prob),
+                                     around(p_prob, c_prob))
+
+    @settings(max_examples=200, deadline=None)
+    @given(atoms=st.lists(any_floats, min_size=4, max_size=4),
+           c_prob=unit_floats, p_prob=unit_floats,
+           u=st.lists(unit_floats, min_size=1, max_size=50))
+    def test_sample_random(self, atoms, c_prob, p_prob, u):
+        dist = TwoPointIndependent(tuple(atoms[:2]), tuple(atoms[2:]),
+                                   c_prob_low=c_prob, p_prob_low=p_prob)
+        u = np.array(u)
+        self.assert_sample_as_oracle(dist, u, u[::-1].copy())
+
+    # pi_joint = 0, = pi_plus, = pi_minus, > pi_plus and NaN; NaN pi_plus
+    # and pi_minus too
+    @pytest.mark.parametrize("pp,pm,pj", [
+        (0.3, 0.3, 0.0), (0.3, 0.4, 0.3), (0.3, 0.2, 0.2), (0.2, 0.3, 0.2),
+        (0.2, 0.3, 0.25), (0.3, 0.3, 0.05), (0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0), (0.3, 0.3, NAN), (NAN, 0.3, 0.05),
+        (0.3, NAN, 0.05), (NAN, NAN, NAN)])
+    def test_arrivals_at_thresholds(self, pp, pm, pj):
+        self.assert_arrivals_as_oracle(pp, pm, pj,
+                                       around(pj, pp, pp + pm - pj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pp=any_floats, pm=any_floats, pj=any_floats,
+           u=st.lists(st.one_of(unit_floats, st.just(NAN)), min_size=1,
+                      max_size=50))
+    def test_arrivals_random(self, pp, pm, pj, u):
+        self.assert_arrivals_as_oracle(pp, pm, pj, np.array(u))
+
+    @pytest.mark.parametrize("pi_joint", [0.0, 0.05])
+    def test_benchmark_shape_steps_as_oracle(self, pi_joint):
+        """``simulate``'s two-point market over 200 steps and one chunk of
+        3,495 paths, the draw budget's width there: every step's state,
+        quotes, fills and indicators equal the oracle's step loop."""
+        n = 200
+        p = true_market_params(SyntheticDayConfig(n_steps=n,
+                                                  pi_joint=pi_joint))
+        side = {name: TwoPointIndependent.from_mean_var(
+                    m.mu_c, m.mu_c2 - m.mu_c ** 2, m.mu_p,
+                    m.mu_p2 - m.mu_p ** 2)
+                for name, m in (("plus", p.moments.plus),
+                                ("minus", p.moments.minus))}
+        market = SimMarket(params=p, demand=DemandDistribution(**side),
+                           price=PriceModel(S0=100.0))
+        width = simulator._CHUNK_CELLS // (6 * n)
+        assert width == 3495
+        u = np.random.default_rng(8).random((n, 5, width))
+        pol = Policy.named("optimal_martingale", backward_pass(p))
+        steps = zip(simulator._steps(pol, market, u, None),
+                    mc_oracle._steps(pol, market, u.transpose(2, 0, 1),
+                                     np.zeros((width, n))))
+        for k, ((S, W, I, step), (S_r, W_r, I_r, step_r)) in enumerate(
+                steps):
+            for got, want in zip((S, W, I, *step), (S_r, W_r, I_r, *step_r)):
+                assert same_bits(got, want), k
+        assert k == n - 1
 
 
 class TestStepDynamics:
@@ -212,6 +323,19 @@ class TestSamplerMoments:
                                 (120.0, floor, (1 - 0.3) * 0.6),
                                 (120.0, floor, (1 - 0.3) * (1 - 0.6))]
 
+    @pytest.mark.parametrize("field", ["c_prob_low", "p_prob_low"])
+    @pytest.mark.parametrize("prob", [1.5, -0.5, NAN, float("inf")])
+    def test_probability_outside_unit_interval_rejected(self, field, prob):
+        # c_prob_low=1.5 gave mu_c = 60 from weights 1.5 and -0.5
+        with pytest.raises(ValueError, match=field):
+            TwoPointIndependent((80, 120), (4, 6), **{field: prob})
+
+    @pytest.mark.parametrize("prob", [0, 0.0, 1, 1.0])
+    def test_probability_at_unit_interval_ends_accepted(self, prob):
+        dist = TwoPointIndependent((80, 120), (4, 6), c_prob_low=prob,
+                                   p_prob_low=prob)
+        assert dist.side_moments().mu_c == (80.0 if prob else 120.0)
+
     def test_copula_hits_target_cross_moment(self):
         d = GaussianCopulaLognormal.from_moments(100.0, 10400.0, 5.0, 26.0,
                                                  508.0)
@@ -249,6 +373,15 @@ class TestMonteCarlo:
         pol = Policy.named("optimal_martingale", t)
         assert monte_carlo_value(pol, market, 4000, 5) == \
             monte_carlo_value(pol, market, 4000, 5)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_no_paths_rejected(self, n_paths):
+        p, market = self._market()
+        pol = FixedSpreadPolicy(2.0, 3.0)
+        with pytest.raises(ValueError, match="n_paths"):
+            monte_carlo_values([pol], market, n_paths, 1)
+        with pytest.raises(ValueError, match="n_paths"):
+            monte_carlo_value(pol, market, n_paths, 1)
 
     def test_forecast_policy_rejected(self):
         # the step loop quotes with no forecast shift, so a forecast policy
@@ -494,8 +627,8 @@ class TestPathSeeding:
             S.append(S[-1] + 0.02 + 0.1 * z[k])
         assert ep.S.tolist() == S
         a = market.params.arrivals
-        ind_p, ind_m = _arrivals_vec(a.pi_plus, a.pi_minus, a.pi_joint,
-                                     u[:, 0])
+        ind_p, ind_m = mc_oracle._arrivals_vec(a.pi_plus, a.pi_minus,
+                                               a.pi_joint, u[:, 0])
         assert np.array_equal(ep.ind_plus, ind_p.astype(int))
         assert np.array_equal(ep.ind_minus, ind_m.astype(int))
 

@@ -58,10 +58,13 @@ class Policy:
         if name in ("optimal_martingale", "optimal_forecast"):
             return cls(table=table, forecast=name == "optimal_forecast")
         prefix, _, level = name.rpartition("_")
-        if prefix != "fixed_level" or not level.isdecimal():
+        # ASCII digits only: str.isdecimal also takes other scripts' digits
+        if prefix != "fixed_level" or not (level.isascii()
+                                           and level.isdigit()):
             raise ValueError(f"unknown policy {name!r}")
-        if int(level) < 1:
-            raise ValueError(f"policy {name!r}: level must be >= 1")
+        if level[0] == "0":  # so that one level has one name
+            raise ValueError(f"policy {name!r}: level must be >= 1, "
+                             "written without leading zeros")
         return cls(level=int(level))
 
     def spreads(self, k: int, S, I, shift=0.0):
@@ -91,11 +94,23 @@ def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float):
     return max(ask_ticks, mid_floor + 1), min(bid_ticks, mid_ceil - 1)
 
 
+def _clamp_bounds(S: np.ndarray, tick_size: float):
+    """Array form of ``_clamp_quotes``' bounds: the lowest ask and the
+    highest bid, in int64 ticks, for each midprice in ``S``; exact while
+    |S / tick_size| < 2**62, and meaningless where it is not finite, where
+    the scalar form raises."""
+    with np.errstate(all="ignore"):
+        x = S / tick_size
+        return (np.floor(x + 1e-9).astype(np.int64) + 1,
+                np.ceil(x - 1e-9).astype(np.int64) - 1)
+
+
 def _quote(policy: Policy, level_px, k: int, S: float, I: float,
            shift: float, tick: float):
     """The step's (ask, bid) quote in ticks, kept a tick off the mid; a
     fixed level quotes ``level_px[k]``, its (bid, ask) prices, 0 for a side
-    the snapshot lacks."""
+    the snapshot lacks. The scalar form of a step's quote: ``run_day`` calls
+    it where a quote may fail, to raise what it raises there."""
     if policy.level:
         bid_ticks, ask_ticks = level_px[k]
         for side, price in (("ask", ask_ticks), ("bid", bid_ticks)):
@@ -109,18 +124,41 @@ def _quote(policy: Policy, level_px, k: int, S: float, I: float,
     return _clamp_quotes(ask_ticks, bid_ticks, S, tick)
 
 
+def _level_day(rep: ReplayResult, ask, bid, tick: float, order_volume: int):
+    """(W, I, fills) of resting ``order_volume`` shares at each step's
+    ``ask`` and ``bid`` ticks. Each MO takes its volume less what stood at
+    better prices, an interval's side fills the sum of its MOs' takes up to
+    the order size (as ``fill_quantity``), and the cash terms are summed in
+    step order, ask before bid, as a step loop adds them."""
+    k, side = rep.mo_interval, rep.mo_side
+    placed = np.where(side == 1, ask[k], bid[k])
+    take = np.maximum(rep.mo_volume - rep.better_priced_volume(
+        np.arange(len(k)), placed), 0)
+    # row k holds step k's ask-side (buy MO) and bid-side fill
+    q = np.bincount(2 * k + 1 - side, take, 2 * len(ask)).reshape(-1, 2)
+    Q = np.where(q <= order_volume, q, max(order_volume, 0))
+    filled = Q != 0
+    with np.errstate(all="ignore"):
+        cash = np.stack([ask * tick, -(bid * tick)], axis=1) * Q
+    # cumsum adds in order, unlike sum; the leading 0.0 is W's start
+    W = np.cumsum(np.concatenate([[0.0], cash[filled]]))[-1]
+    return (float(W), float(Q[:, 1].sum() - Q[:, 0].sum()),
+            int(np.count_nonzero(filled)))
+
+
 def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
             day_id=None, order_volume: int = DEFAULT_ORDER_VOLUME
             ) -> DayResult:
     """Run one replayed session under one policy, resting ``order_volume``
     shares on each side at every step. Deterministic.
 
-    Only the steps whose interval holds a market order are quoted one by
-    one: at any other step nothing fills, so cash, inventory and the fill
-    count stay as they are. What quoting does there is still taken at
-    every step, in array passes: a fixed level's fallback flag, and a quote
-    that cannot be formed (a non-finite spread, a one-sided snapshot),
-    which ends the day with the error it raises at the first such step."""
+    A fixed level's quotes do not depend on inventory, so its day is a few
+    array passes (``_level_day``). An optimal rule's quote does, so its day
+    steps through the intervals that hold a market order, the only steps at
+    which cash, inventory and the fill count can change. A quote that
+    cannot be formed at any step (a non-finite spread, a one-sided
+    snapshot) ends the day with the error it raises at the first such
+    step."""
     tick = params.tick_size
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
@@ -132,14 +170,10 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
         sides = rep.book_depth[:n]
         at = np.maximum(np.minimum(sides, policy.level), 1) - 1
         level_px = np.where(sides > 0, np.take_along_axis(
-            rep.book_prices[:n], at[:, :, None], 2)[:, :, 0], 0).tolist()
+            rep.book_prices[:n], at[:, :, None], 2)[:, :, 0], 0)
         depth = sides.min(axis=1)
-    quoted, flows = rep.interval_flows
-
-    W = 0.0
-    I = 0.0
-    fills = 0
-    held = [I]  # inventory before the first quoted step and after each
+    quoted, flows = ([], []) if policy.level else rep.interval_flows
+    held = [0.0]  # inventory before the first quoted step and after each
 
     def raise_first_failed_quote(stop):
         """Quote steps 0..stop-1 in one array pass, each at the inventory
@@ -162,28 +196,50 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
             _quote(policy, level_px, k, mids[k], inventory[k], drifts[k],
                    tick)
 
-    try:
-        for k, flow in zip(quoted, flows):
-            ask_ticks, bid_ticks = _quote(policy, level_px, k, mids[k], I,
-                                          drifts[k], tick)
-            Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
-            Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
-            if Qp:
-                W += ask_ticks * tick * Qp
-                I -= Qp
-                fills += 1
-            if Qm:
-                W -= bid_ticks * tick * Qm
-                I += Qm
-                fills += 1
-            held.append(I)
-    except (ValueError, ArithmeticError):  # unless a step before k failed
-        raise_first_failed_quote(k)
-        raise
-    raise_first_failed_quote(n)
-    flags = ([] if not policy.level else
-             [f"level fallback at step {k}"
-              for k in np.flatnonzero(depth < policy.level).tolist()])
+    if policy.level:
+        raise_first_failed_quote(n)
+        lo, hi = _clamp_bounds(mids[:n], tick)
+        W, I, fills = _level_day(rep, np.maximum(level_px[:, 1], lo),
+                                 np.minimum(level_px[:, 0], hi), tick,
+                                 order_volume)
+        flags = [f"level fallback at step {k}"
+                 for k in np.flatnonzero(depth < policy.level).tolist()]
+    else:
+        # optimal_spreads' terms, drift and clamp bounds at the quoted steps
+        t, at = policy.table, np.array(quoted, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            terms = [x.tolist() for x in (
+                mids[at], drifts[at], *_clamp_bounds(mids[at], tick),
+                t.A1_plus[at], t.A2_plus[at],
+                t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
+                t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
+                t.beta_minus[at] / (2 * t.gamma[at]))]
+        W = I = 0.0
+        fills = 0
+        try:
+            for (k, flow, S, F, lo, hi, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
+                 bgm) in zip(quoted, flows, *terms):
+                # optimal_spreads and _clamp_quotes, in the same order
+                ask, bid = quote_prices(S, a1p * I + a2p + a3p + bgp * F,
+                                        -a1m * I - a2m + a3m - bgm * F, tick)
+                ask_ticks = max(int(round(ask / tick)), lo)
+                bid_ticks = min(int(round(bid / tick)), hi)
+                Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
+                Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
+                if Qp:
+                    W += ask_ticks * tick * Qp
+                    I -= Qp
+                    fills += 1
+                if Qm:
+                    W -= bid_ticks * tick * Qm
+                    I += Qm
+                    fills += 1
+                held.append(I)
+        except (ValueError, ArithmeticError):  # unless a step before k failed
+            raise_first_failed_quote(k)
+            raise
+        raise_first_failed_quote(n)
+        flags = []
 
     bid, ask = rep.book_prices[-1, :, 0].tolist()
     S_T = ((bid + ask) / 2 * tick if rep.book_depth[-1].all()

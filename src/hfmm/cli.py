@@ -19,6 +19,7 @@ import operator
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from .model import (MarketParams, TimeGrid, joint_bounds, load_params,
                     save_params, validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
                         TwoPointIndependent, monte_carlo_value, run_episode)
-from .solver import backward_pass, optimal_spreads, table_to_csv
+from .solver import (backward_pass, optimal_spreads, table_to_csv,
+                     write_csv_rows)
 
 DEFAULT_SEED = 12345
 ENV_PREFIX = "HFMM_"
@@ -262,12 +264,11 @@ def cmd_solve(cfg) -> int:
         for I in inv_grid:
             Lp, Lm = optimal_spreads(t, slice(None), I)
             columns.append([f"{x:.10f}" for x in (Lp + Lm).tolist()])
-    with open(out / "spread_surface.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        header = ["k"] + [f"spread_pi11_{pi11}_I_{I}"
-                          for pi11 in pi11_grid for I in inv_grid]
-        w.writerow(header)
-        w.writerows(zip(range(p.grid.n_steps), *columns))
+    header = ["k"] + [f"spread_pi11_{pi11}_I_{I}"
+                      for pi11 in pi11_grid for I in inv_grid]
+    # no cell holds a comma, quote or line break
+    write_csv_rows(out / "spread_surface.csv", chain(
+        [header], zip(map(str, range(p.grid.n_steps)), *columns)))
     print(f"wrote {out / 'coefficients.csv'} and {out / 'spread_surface.csv'}")
     return EXIT_OK
 

@@ -99,6 +99,10 @@ class TwoPointIndependent(SideDistribution):
         return cls((mu_c - dc, mu_c + dc), (mu_p - dp, mu_p + dp))
 
     def __post_init__(self):
+        for name in ("c_values", "p_values"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must hold two atoms, got "
+                                 f"{getattr(self, name)!r}")
         for name in ("c_prob_low", "p_prob_low"):
             prob = getattr(self, name)
             if not 0.0 <= prob <= 1.0:

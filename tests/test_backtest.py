@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,9 +77,13 @@ class TestPolicy:
 
     @pytest.mark.parametrize("name", ["fixed_level_0", "fixed_level_-1",
                                       "fixed_level_x", "fixed_level_",
-                                      "optimal", "level_2"])
+                                      "optimal", "level_2", "fixed_level_01",
+                                      "fixed_level_00", "fixed_level_+1",
+                                      "fixed_level_\u0663",
+                                      "fixed_level_1\u0663", "fixed_level_1_0",
+                                      "fixed_level_ 1"])
     def test_unknown_or_bad_level_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=re.escape(name)):
             Policy.named(name)
 
     def test_spreads_are_the_solver_rule(self):
@@ -224,6 +229,99 @@ class TestRunDayMatchesOracle:
             outcomes.append(isinstance(self.same(params, policy, rep),
                                        DayResult))
         assert True in outcomes and False in outcomes
+
+    def test_level_fallback_at_some_steps(self):
+        # levels 2 and 3 fall back where a side is cut to one or two levels
+        params, rep, table, quiet = self.quiet_steps()
+        busy = sorted(set(rep.mo_interval.tolist()))
+        depth = rep.book_depth.copy()
+        cut = [quiet[1], busy[2], busy[5], quiet[7]]
+        depth[cut[0], 0] = depth[cut[1], 1] = 1
+        depth[cut[2], 0] = depth[cut[3], 1] = 2
+        rep = replace(rep, book_depth=depth)
+        for name, want in (("fixed_level_2", cut[:2]),
+                           ("fixed_level_3", cut)):
+            got = self.same(params, Policy.named(name), rep)
+            assert got.flags[:len(want)] == [f"level fallback at step {k}"
+                                             for k in sorted(want)]
+
+    def test_both_sides_in_one_interval_and_a_binding_cap(self):
+        params, rep, table, _ = self.quiet_steps()
+        assert len(np.intersect1d(rep.mo_interval[rep.mo_side == 0],
+                                  rep.mo_interval[rep.mo_side == 1]))
+        for name in self.NAMES:
+            policy = Policy.named(name, table)
+            capped = self.same(params, policy, rep, order_volume=3)
+            free = self.same(params, policy, rep, order_volume=10 ** 6)
+            # level 25 is beyond every MO's reach
+            assert (capped.W_T != free.W_T) == (name != "fixed_level_25")
+
+    def test_quotes_within_1e_9_of_a_tick(self):
+        # mids and quotes a whole or half number of ticks from a tick, give
+        # or take up to 2e-9 ticks, where the rounding's and the clamp's
+        # 1e-9 allowance decides; spreads below a tick, where the clamp binds
+        for tick in (1.0, 0.01):
+            events, truth = generate_day(
+                SyntheticDayConfig(n_steps=300, tick_size=tick), seed=5)
+            rep = replay(events, truth.params.grid, tick_size=tick)
+            rng = np.random.default_rng(3)
+            n = truth.params.grid.n_steps
+            off = [-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]
+            mids = np.where(rng.random(n) < 0.5, rep.midprices,
+                            (np.round(rep.midprices / tick)
+                             + rng.choice(off, n)) * tick)
+            near = [(rng.integers(-2, 8, n) / 2 + rng.choice(off, n)) * tick
+                    for _ in range(2)]
+            zero = np.zeros(n)
+            table = replace(backward_pass(truth.params), A1_plus=zero,
+                            A1_minus=zero, A2_plus=near[0], A2_minus=zero,
+                            A3_plus=zero, A3_minus=near[1], beta_plus=zero,
+                            beta_minus=zero)
+            for name in self.NAMES:
+                got = self.same(truth.params, Policy.named(name, table),
+                                replace(rep, midprices=mids))
+                assert isinstance(got, DayResult)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["busy_first", "quiet_first"])
+    @pytest.mark.parametrize("fault", ["spread", "overflow", "one_sided",
+                                       "mid"])
+    def test_first_failing_step_raises(self, fault, where):
+        # two faults that raise different errors, at a step with an MO and
+        # at one without: the earlier one's error ends the day
+        params, rep, table, quiet = self.quiet_steps()
+        busy = [k for k in sorted(set(rep.mo_interval.tolist()))
+                if k > quiet[2]]
+        k1, k2 = ((busy[0], next(k for k in quiet if k > busy[0]))
+                  if where == "busy_first" else
+                  (quiet[2], next(k for k in busy if k > quiet[2])))
+        A2, A3 = table.A2_plus.copy(), table.A3_plus.copy()
+        mids, depth = rep.midprices.copy(), rep.book_depth.copy()
+        if fault == "spread":
+            A2[k1], A2[k2] = np.nan, np.inf
+            want = {"optimal": ValueError, "level": None}
+        elif fault == "overflow":
+            A2[k1] = A3[k1] = 1e308  # Lp overflows to inf
+            A2[k2] = np.nan
+            want = {"optimal": OverflowError, "level": None}
+        elif fault == "one_sided":
+            depth[k1, 1] = depth[k2, 0] = 0
+            want = {"optimal": None, "level": "no ask levels"}
+        else:
+            mids[k1], mids[k2] = np.inf, np.nan
+            want = {"optimal": OverflowError, "level": OverflowError}
+        rep = replace(rep, midprices=mids, book_depth=depth)
+        table = replace(table, A2_plus=A2, A3_plus=A3)
+        for name in self.NAMES:
+            policy = Policy.named(name, table)
+            got = self.same(params, policy, rep)
+            expect = want["level" if policy.level else "optimal"]
+            if expect is None:
+                assert isinstance(got, DayResult)
+            elif isinstance(expect, str):
+                assert got[1].endswith(expect)
+            else:
+                assert got[0] is expect
 
     def test_one_sided_snapshot_without_mo_ends_day(self):
         params, rep, table, quiet = self.quiet_steps()

@@ -737,12 +737,16 @@ class TestFailedDays:
 
         monkeypatch.setattr("hfmm.cli._read_events", no_reads)
         out = tmp_path / "bt"
-        assert main(["backtest", "--events", str(events_dir),
-                     "--params", str(params_dir), "--out", str(out),
-                     "--policies", "optimal_martingale,fixed_level_0",
-                     "--config", str(write_config(tmp_path))]) == 1
-        assert "fixed_level_0" in capsys.readouterr().err
-        assert not (out / "day_results.csv").exists()
+        # fixed_level_01 was read as a second fixed_level_1, two rows a day
+        for policies in ("optimal_martingale,fixed_level_0",
+                         "fixed_level_1,fixed_level_01"):
+            assert main(["backtest", "--events", str(events_dir),
+                         "--params", str(params_dir), "--out", str(out),
+                         "--policies", policies,
+                         "--config", str(write_config(tmp_path))]) == 1
+            bad = policies.rpartition(",")[2]
+            assert bad in capsys.readouterr().err
+            assert not (out / "day_results.csv").exists()
 
     def test_report_counts_only_excluded_days_it_has(self, tmp_path):
         out = tmp_path / "bt"

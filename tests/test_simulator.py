@@ -330,6 +330,15 @@ class TestSamplerMoments:
         with pytest.raises(ValueError, match=field):
             TwoPointIndependent((80, 120), (4, 6), **{field: prob})
 
+    @pytest.mark.parametrize("c_values,p_values,field", [
+        ((80,), (4, 6, 7), "c_values"), ((80, 100, 120), (4, 6), "c_values"),
+        ((80, 120), (4,), "p_values"), ((80, 120), (), "p_values")])
+    def test_atom_count_other_than_two_rejected(self, c_values, p_values,
+                                                field):
+        # (80,), (4, 6, 7) gave mu_c = 42 from c atoms 80 and 4
+        with pytest.raises(ValueError, match=field):
+            TwoPointIndependent(c_values, p_values)
+
     @pytest.mark.parametrize("prob", [0, 0.0, 1, 1.0])
     def test_probability_at_unit_interval_ends_accepted(self, prob):
         dist = TwoPointIndependent((80, 120), (4, 6), c_prob_low=prob,

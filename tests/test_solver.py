@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,18 @@ class TestSweepOracle:
             solver_oracle.backward_pass(p)
 
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_arrival_length_must_match_the_grid(self, bench_params, extra):
+        arr = bench_params.arrivals
+        n = bench_params.grid.n_steps + extra
+        p = replace(bench_params, arrivals=ArrivalSchedule(
+            pi_plus=np.resize(arr.pi_plus, n),
+            pi_minus=np.resize(arr.pi_minus, n),
+            pi_joint=np.resize(arr.pi_joint, n)))
+        with pytest.raises(ValueError, match="arrival arrays"):
+            backward_pass(p)
+
+
 class TestClosedFormSpread:
     def test_benchmark_values(self):
         p0 = symmetric_params(100, 5, 0.2, 0.0, 0.0005, 5)
@@ -522,6 +535,9 @@ class TestTableCsv:
                   backward_pass(symmetric_params(100, 5, 0.2, 0.05, 5e-4, 60)),
                   backward_pass(true_market_params(
                       SyntheticDayConfig(n_steps=300)))]
+        # rows are written in blocks of 2048: 4096 rows in all, then 2501
+        tables += [backward_pass(true_market_params(
+            SyntheticDayConfig(n_steps=n))) for n in (4094, 2499)]
         for t in tables:
             table_to_csv(t, tmp_path / "new.csv")
             _csv_writer_table(t, tmp_path / "old.csv")

@@ -10,14 +10,13 @@ reconstruction, fill measurement), ``estimation`` (rolling calibration),
 
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
                     TimeGrid, load_params, save_params, validate_params)
-from .solver import (CoefficientTable, backward_pass, optimal_spreads,
-                     quote_prices)
+from .solver import CoefficientTable, backward_pass, optimal_spreads
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalSchedule", "DemandMoments", "MarketParams", "SideMoments",
     "TimeGrid", "load_params", "save_params", "validate_params",
-    "CoefficientTable", "backward_pass", "optimal_spreads", "quote_prices",
+    "CoefficientTable", "backward_pass", "optimal_spreads",
     "__version__",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .estimation import drift_forecast_series
 from .lob import BookError, ReplayResult, fill_quantity, liquidate
 from .model import MarketParams
-from .solver import CoefficientTable, optimal_spreads, quote_prices
+from .solver import CoefficientTable, optimal_spreads
 
 __all__ = [
     "Policy",
@@ -86,16 +86,22 @@ class DayResult:
     flags: list = field(default_factory=list)
 
 
-def _clamp_quotes(ask_ticks: int, bid_ticks: int, S: float, tick_size: float):
-    """Keep each quote at least a tick away from the rounded mid; quotes
-    already at that distance or beyond are untouched."""
-    mid_floor = math.floor(S / tick_size + 1e-9)
-    mid_ceil = math.ceil(S / tick_size - 1e-9)
-    return max(ask_ticks, mid_floor + 1), min(bid_ticks, mid_ceil - 1)
+def _quote_ticks(S: float, L_plus: float, L_minus: float, tick: float):
+    """The (ask, bid) quote in ticks for spreads (L+, L-) about the mid S:
+    S + L+ rounded up and S - L- rounded down onto the tick grid, 1e-9 of a
+    tick counting as on it, then each kept at least a tick off the mid
+    rounded the other way. A non-finite mid or spread raises what
+    ``math.ceil`` or ``math.floor`` raises: ValueError for NaN,
+    OverflowError for an infinity."""
+    ask = math.ceil((S + L_plus) / tick - 1e-9)
+    bid = math.floor((S - L_minus) / tick + 1e-9)
+    x = S / tick
+    return (max(ask, math.floor(x + 1e-9) + 1),
+            min(bid, math.ceil(x - 1e-9) - 1))
 
 
 def _clamp_bounds(S: np.ndarray, tick_size: float):
-    """Array form of ``_clamp_quotes``' bounds: the lowest ask and the
+    """Array form of ``_quote_ticks``' clamp: the lowest ask and the
     highest bid, in int64 ticks, for each midprice in ``S``; exact while
     |S / tick_size| < 2**62, and meaningless where it is not finite, where
     the scalar form raises."""
@@ -103,25 +109,6 @@ def _clamp_bounds(S: np.ndarray, tick_size: float):
         x = S / tick_size
         return (np.floor(x + 1e-9).astype(np.int64) + 1,
                 np.ceil(x - 1e-9).astype(np.int64) - 1)
-
-
-def _quote(policy: Policy, level_px, k: int, S: float, I: float,
-           shift: float, tick: float):
-    """The step's (ask, bid) quote in ticks, kept a tick off the mid; a
-    fixed level quotes ``level_px[k]``, its (bid, ask) prices, 0 for a side
-    the snapshot lacks. The scalar form of a step's quote: ``run_day`` calls
-    it where a quote may fail, to raise what it raises there."""
-    if policy.level:
-        bid_ticks, ask_ticks = level_px[k]
-        for side, price in (("ask", ask_ticks), ("bid", bid_ticks)):
-            if not price:
-                raise BookError(f"one-sided book: no {side} levels")
-    else:
-        Lp, Lm = policy.spreads(k, S, I, shift)
-        ask, bid = quote_prices(S, Lp, Lm, tick)
-        ask_ticks = int(round(ask / tick))
-        bid_ticks = int(round(bid / tick))
-    return _clamp_quotes(ask_ticks, bid_ticks, S, tick)
 
 
 def _level_day(rep: ReplayResult, ask, bid, tick: float, order_volume: int):
@@ -160,6 +147,8 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
     snapshot) ends the day with the error it raises at the first such
     step."""
     tick = params.tick_size
+    if not tick > 0:
+        raise ValueError("tick_size must be > 0")
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
     drifts = (drift_forecast_series(mids) if policy.forecast
@@ -176,25 +165,33 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
     held = [0.0]  # inventory before the first quoted step and after each
 
     def raise_first_failed_quote(stop):
-        """Quote steps 0..stop-1 in one array pass, each at the inventory
-        ``held`` after the ``quoted`` steps before it, then re-quote through
-        ``_quote``, in step order, each step whose quote may not be finite,
-        so that the first one that fails raises what it raises there."""
+        """Find in one array pass the steps 0..stop-1 whose quote may fail
+        (a one-sided snapshot for a fixed level, or a non-finite S + L+ or
+        S - L- in ticks, with a fixed level's spreads taken as 0 and an
+        optimal rule's at the inventory ``held`` after the ``quoted`` steps
+        before it), then re-quote them in step order, so that the first
+        one that fails raises what it raises there."""
         S = mids[:stop]
-        inventory = np.array(held)[np.searchsorted(quoted, np.arange(stop))]
         with np.errstate(all="ignore"):
-            bad = ~np.isfinite(S / tick)
             if policy.level:
-                bad |= depth[:stop] == 0
+                Lp = Lm = np.zeros(stop)
+                one_sided = depth[:stop] == 0
             else:
+                inventory = np.array(held)[np.searchsorted(quoted,
+                                                           np.arange(stop))]
                 Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
                                         drifts[:stop])
-                ask = np.ceil((S + Lp) / tick - 1e-9) * tick / tick
-                bid = np.floor((S - Lm) / tick + 1e-9) * tick / tick
-                bad |= ~np.isfinite(ask) | ~np.isfinite(bid) | (not tick > 0)
-        for k in np.flatnonzero(bad).tolist():
-            _quote(policy, level_px, k, mids[k], inventory[k], drifts[k],
-                   tick)
+                one_sided = False
+            bad = (one_sided | ~np.isfinite((S + Lp) / tick)
+                   | ~np.isfinite((S - Lm) / tick))
+            for k in np.flatnonzero(bad).tolist():
+                if policy.level:
+                    bid_px, ask_px = level_px[k]
+                    for side, px in (("ask", ask_px), ("bid", bid_px)):
+                        if not px:
+                            raise BookError(
+                                f"one-sided book: no {side} levels")
+                _quote_ticks(S[k], Lp[k], Lm[k], tick)
 
     if policy.level:
         raise_first_failed_quote(n)
@@ -205,25 +202,23 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
         flags = [f"level fallback at step {k}"
                  for k in np.flatnonzero(depth < policy.level).tolist()]
     else:
-        # optimal_spreads' terms, drift and clamp bounds at the quoted steps
+        # optimal_spreads' terms and the drift at the quoted steps
         t, at = policy.table, np.array(quoted, dtype=np.int64)
         with np.errstate(all="ignore"):
             terms = [x.tolist() for x in (
-                mids[at], drifts[at], *_clamp_bounds(mids[at], tick),
-                t.A1_plus[at], t.A2_plus[at],
+                mids[at], drifts[at], t.A1_plus[at], t.A2_plus[at],
                 t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
                 t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
                 t.beta_minus[at] / (2 * t.gamma[at]))]
         W = I = 0.0
         fills = 0
         try:
-            for (k, flow, S, F, lo, hi, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
+            for (k, flow, S, F, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
                  bgm) in zip(quoted, flows, *terms):
-                # optimal_spreads and _clamp_quotes, in the same order
-                ask, bid = quote_prices(S, a1p * I + a2p + a3p + bgp * F,
-                                        -a1m * I - a2m + a3m - bgm * F, tick)
-                ask_ticks = max(int(round(ask / tick)), lo)
-                bid_ticks = min(int(round(bid / tick)), hi)
+                # optimal_spreads' expression, in the same order
+                ask_ticks, bid_ticks = _quote_ticks(
+                    S, a1p * I + a2p + a3p + bgp * F,
+                    -a1m * I - a2m + a3m - bgm * F, tick)
                 Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
                 Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
                 if Qp:

@@ -41,12 +41,10 @@ class TimeGrid:
         if self.step_seconds <= 0:
             raise ValueError("step_seconds must be > 0")
 
-    def action_time_ns(self, k: int) -> int:
-        return self.session_start_ns + int(round(k * self.step_seconds * 1e9))
-
     def action_times_ns(self) -> np.ndarray:
-        """action_time_ns(k) for k = 0 .. n_steps (the session end T) as
-        one int64 array; np.rint rounds half to even, as round does."""
+        """The action times t_k = session_start_ns + round(k * step_seconds
+        * 1e9) for k = 0 .. n_steps (the session end T) as one int64 array;
+        np.rint rounds half to even, as round does."""
         k = np.arange(self.n_steps + 1)
         return self.session_start_ns + np.rint(
             k * self.step_seconds * 1e9).astype(np.int64)

@@ -2,15 +2,14 @@
 
 Computes, in one reverse sweep over the action grid, the per-step
 coefficients (gamma, beta, A1/A2/A3, xi) and the value-function terms
-(alpha, h, g), then exposes spread and quote evaluation on top of them.
-All recursions are implemented exactly as derived; in particular negative
-computed spreads are reported as-is — clamping is a backtest policy, not a
-solver concern.
+(alpha, h, g), and evaluates the optimal spreads from them. All recursions
+are implemented exactly as derived; in particular negative computed
+spreads are reported as-is: rounding onto the tick grid and clamping are
+the backtest's quoting rule, not a solver concern.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -22,7 +21,6 @@ __all__ = [
     "CoefficientTable",
     "backward_pass",
     "optimal_spreads",
-    "quote_prices",
     "table_to_csv",
     "write_csv_rows",
 ]
@@ -209,15 +207,6 @@ def optimal_spreads(table: CoefficientTable, k, I, shift=0.0):
     return L_plus, L_minus
 
 
-def quote_prices(S: float, L_plus: float, L_minus: float, tick_size: float):
-    """Round the raw quotes onto the price grid: ask up, bid down."""
-    if tick_size <= 0:
-        raise ValueError("tick_size must be > 0")
-    ask = math.ceil((S + L_plus) / tick_size - 1e-9) * tick_size
-    bid = math.floor((S - L_minus) / tick_size + 1e-9) * tick_size
-    return ask, bid
-
-
 _TABLE_COLUMNS = ("gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",
                   "A2_plus", "A2_minus", "A3_plus", "A3_minus", "xi", "alpha",
                   "h", "g")
@@ -225,14 +214,17 @@ _TABLE_COLUMNS = ("gamma", "beta_plus", "beta_minus", "A1_plus", "A1_minus",
 
 def table_to_csv(table: CoefficientTable, path) -> None:
     """Columnar export (one row per action time; terminal row carries only
-    alpha/h/g). Cells are the floats' shortest repr."""
+    alpha/h/g). Cells are the floats' shortest repr, converted
+    ``_ROW_BLOCK`` steps at a time."""
     n = table.n_steps
-    cols = [map(repr, getattr(table, name)[:n].tolist())
-            for name in _TABLE_COLUMNS]
+    cols = [getattr(table, name)[:n] for name in _TABLE_COLUMNS]
+    body = chain.from_iterable(
+        zip(map(str, range(lo, n)),
+            *(map(repr, x[lo:lo + _ROW_BLOCK].tolist()) for x in cols))
+        for lo in range(0, n, _ROW_BLOCK))
     last = [str(n)] + [""] * (len(_TABLE_COLUMNS) - 3) + [
         repr(getattr(table, name)[n].item()) for name in _TABLE_COLUMNS[-3:]]
-    write_csv_rows(path, chain([("step",) + _TABLE_COLUMNS],
-                               zip(map(str, range(n)), *cols), [last]))
+    write_csv_rows(path, chain([("step",) + _TABLE_COLUMNS], body, [last]))
 
 
 def write_csv_rows(path, rows) -> None:

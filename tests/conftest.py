@@ -7,6 +7,11 @@ from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid)
 
 
+def action_time_ns(grid: TimeGrid, k: int) -> int:
+    """The scalar form of ``grid.action_times_ns()[k]``."""
+    return grid.session_start_ns + int(round(k * grid.step_seconds * 1e9))
+
+
 def symmetric_params(mu_c: float, mu_p: float, pi: float, pi_joint: float,
                      lam: float, n_steps: int, *, step_seconds: float = 1.0,
                      tick_size: float = 1.0) -> MarketParams:

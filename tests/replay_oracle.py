@@ -16,6 +16,8 @@ import numpy as np
 from hfmm.lob import (EVENT_DTYPE, KIND_CODES, SIDE_CODES, SIDE_NAMES,
                       BookError, ReplayResult)
 
+from conftest import action_time_ns
+
 
 @dataclass(frozen=True)
 class BookState:
@@ -141,7 +143,7 @@ def _records(events):
 def oracle_replay(events, grid, K=20, tick_size=1.0):
     records = _records(events)
     n = grid.n_steps
-    times = [grid.action_time_ns(k) for k in range(n + 1)]
+    times = [action_time_ns(grid, k) for k in range(n + 1)]
     orders = {}
     levels = ({}, {})  # bid, ask: price -> aggregate size
     snapshots = [None] * n

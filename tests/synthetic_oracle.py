@@ -11,6 +11,8 @@ import numpy as np
 from hfmm.lob import EVENT_DTYPE
 from hfmm.synthetic import SyntheticDayConfig, SyntheticTruth, true_market_params
 
+from conftest import action_time_ns
+
 
 def generate_day(cfg: SyntheticDayConfig, seed: int):
     """Build one day of events. Returns (events array, SyntheticTruth)."""
@@ -48,7 +50,7 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
     depth = cfg.depth
 
     for k in range(n):
-        t_k = grid.action_time_ns(k)
+        t_k = action_time_ns(grid, k)
         rebuild_ts = t_k - 100_000
         # clear the previous ladder
         for ref, (side_code, price, remaining) in live.items():

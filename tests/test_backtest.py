@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfmm.backtest import (DayResult, Policy, aggregate, report_to_csv,
                            report_to_json, run_day, subsample_bootstrap_ci,
                            summarize)
-from hfmm.backtest import _clamp_quotes
+from hfmm.backtest import _quote_ticks
 from hfmm.lob import BookError, BookEvent, replay
 from hfmm.model import TimeGrid
 from hfmm.solver import backward_pass, optimal_spreads
@@ -57,16 +59,63 @@ def single_mo_events():
     return events
 
 
-class TestClampQuotes:
-    def test_half_tick_mid(self):
-        assert _clamp_quotes(10000, 10001, 10000.5, 1.0) == (10001, 10000)
+def outcome(fn, *args, **kwargs):
+    """The result, or the raised error's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
 
-    def test_integer_mid(self):
-        assert _clamp_quotes(10000, 10000, 10000.0, 1.0) == (10001, 9999)
 
-    def test_never_widens(self):
-        ask, bid = _clamp_quotes(10005, 9995, 10000.5, 1.0)
-        assert (ask, bid) == (10005, 9995)
+def oracle_quote_ticks(S, L_plus, L_minus, tick):
+    """The oracle's tick rules composed: prices rounded outward, converted
+    to ticks, then kept a tick off the mid."""
+    ask, bid = backtest_oracle.quote_prices(S, L_plus, L_minus, tick)
+    return backtest_oracle.clamp_quotes(int(round(ask / tick)),
+                                        int(round(bid / tick)), S, tick)
+
+
+def _spread_in_ticks():
+    return st.one_of(
+        st.floats(-1e12, 1e12),       # negative, and up to 1e12 ticks
+        st.floats(-1.0, 1.0),         # below a tick
+        st.integers(-50, 50).map(float),  # on the grid
+        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestQuoteTicks:
+    """The one tick rule: S + L+ rounded up and S - L- down onto the tick
+    grid, then each kept a tick off the mid rounded the other way."""
+
+    @pytest.mark.parametrize("S,Lp,Lm,tick,want", [
+        # the mid rounded down, plus a tick, floors the ask, and the mid
+        # rounded up, less a tick, caps the bid
+        pytest.param(10000.5, -0.5, -0.5, 1.0, (10001, 10000),
+                     id="half_tick_mid"),
+        pytest.param(10000.0, 0.0, 0.0, 1.0, (10001, 9999),
+                     id="integer_mid"),
+        pytest.param(10000.5, 4.5, 5.5, 1.0, (10005, 9995),
+                     id="never_widens"),
+        pytest.param(100.0, 2.61, 2.61, 0.01, (10261, 9739), id="on_grid"),
+        pytest.param(100.005, 2.5, 2.5, 0.01, (10251, 9750),
+                     id="rounds_outward"),
+        pytest.param(100.0, 0.001, 0.001, 0.01, (10001, 9999),
+                     id="minimal_spread_preserved"),
+    ])
+    def test_case(self, S, Lp, Lm, tick, want):
+        assert _quote_ticks(S, Lp, Lm, tick) == want
+
+    @given(tick=st.sampled_from([1.0, 0.5, 0.01]),
+           m=st.integers(1, 10 ** 7),
+           off=st.one_of(st.sampled_from([0.0, 0.5]),
+                         st.floats(-2e-9, 2e-9)),
+           lp=_spread_in_ticks(), lm=_spread_in_ticks())
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_oracle(self, tick, m, off, lp, lm):
+        # a mid on a tick, on a half tick or within 2e-9 ticks of one
+        S, Lp, Lm = (m + off) * tick, lp * tick, lm * tick
+        assert (outcome(_quote_ticks, S, Lp, Lm, tick)
+                == outcome(oracle_quote_ticks, S, Lp, Lm, tick))
 
 
 class TestPolicy:
@@ -141,6 +190,16 @@ class TestRunDay:
                       replayed(params, quiet_day_events()))
         assert any("fallback" in f for f in res.flags)
 
+    @pytest.mark.parametrize("tick", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["optimal_forecast",
+                                      "optimal_martingale", "fixed_level_1"])
+    def test_non_positive_tick_rejected(self, name, tick):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=200), seed=4)
+        rep = replay(events, truth.params.grid)
+        policy = Policy.named(name, backward_pass(truth.params))
+        with pytest.raises(ValueError, match=r"^tick_size must be > 0$"):
+            run_day(replace(truth.params, tick_size=tick), policy, rep)
+
     def test_determinism(self):
         cfg = SyntheticDayConfig(n_steps=200)
         events, truth = generate_day(cfg, seed=1)
@@ -150,14 +209,6 @@ class TestRunDay:
         b = run_day(truth.params, policy, replayed(truth.params, events))
         assert (a.W_T, a.I_T, a.objective, a.liquidation_value, a.fills) == \
                (b.W_T, b.I_T, b.objective, b.liquidation_value, b.fills)
-
-
-def outcome(fn, *args, **kwargs):
-    """The DayResult, or the raised error's type and message."""
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 class TestRunDayMatchesOracle:

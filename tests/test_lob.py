@@ -12,6 +12,7 @@ from hfmm.lob import (EVENT_DTYPE, BookError, BookEvent, IntervalFlow,
 from hfmm.model import TimeGrid
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
+from conftest import action_time_ns
 from event_csv import write_events_csv
 from replay_oracle import (BookState, as_objects, mo, oracle_replay,
                            sequential_fill, to_arrays)
@@ -261,7 +262,7 @@ class TestReplay:
         assert len(res.midprices) == 3
         assert res.book_prices.shape == res.book_sizes.shape == (4, 2, 20)
         assert res.book_depth.shape == (4, 2)
-        assert self._grid().action_time_ns(0) == 10 ** 9
+        assert action_time_ns(self._grid(), 0) == 10 ** 9
         assert res.midprices[0] == pytest.approx(10000.5)
 
     def test_determinism_bit_identical(self):

@@ -11,7 +11,7 @@ from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid, load_params, params_from_dict,
                         params_to_dict, save_params, validate_params)
 
-from conftest import random_valid_params, symmetric_params
+from conftest import action_time_ns, random_valid_params, symmetric_params
 
 
 def _const_params(pi_p, pi_m, pi_j, n=4, **side_overrides):
@@ -143,8 +143,8 @@ class TestRandomParamsFixture:
 class TestTimeGrid:
     def test_action_times(self):
         g = TimeGrid(n_steps=3, step_seconds=0.5, session_start_ns=10 ** 9)
-        assert g.action_time_ns(0) == 10 ** 9
-        assert g.action_time_ns(2) == 2 * 10 ** 9
+        assert action_time_ns(g, 0) == 10 ** 9
+        assert action_time_ns(g, 2) == 2 * 10 ** 9
 
     @given(st.integers(1, 300),
            st.one_of(st.floats(1e-9, 100.0),
@@ -157,7 +157,7 @@ class TestTimeGrid:
         g = TimeGrid(n_steps=n, step_seconds=step, session_start_ns=start)
         times = g.action_times_ns()
         assert times.dtype == np.int64
-        assert times.tolist() == [g.action_time_ns(k) for k in range(n + 1)]
+        assert times.tolist() == [action_time_ns(g, k) for k in range(n + 1)]
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

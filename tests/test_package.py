@@ -1,5 +1,6 @@
-"""Package-shape guards: every public name of an ``hfmm`` module is code the
-program runs, not code that only tests call."""
+"""Package-shape guards: every public name, module-level function and class,
+and non-dunder method of an ``hfmm`` module is code the program runs, not
+code that only tests call."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,21 @@ def _exported(tree):
     return []
 
 
+def _defined(tree):
+    """The module's top-level functions and classes, and each class's
+    methods other than dunders, as ``name`` or ``Class.method``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, defs) and not (
+                          m.name.startswith("__") and m.name.endswith("__"))]
+    return names
+
+
 def _read_names(tree):
     """Every name the code loads and every attribute it reads."""
     names = set()
@@ -34,15 +50,39 @@ def _read_names(tree):
     return names
 
 
-def unread_exports():
-    modules = sorted(p for p in PACKAGE.glob("*.py")
-                     if p.name != "__init__.py")
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _program_reads():
+    """What the package (outside ``__init__``) and the benchmark harness,
+    less its tests, read."""
+    bench = sorted(p for p in BENCH.rglob("*.py")
+                   if "tests" not in p.relative_to(BENCH).parts)
     read = set()
-    for path in modules + sorted(BENCH.rglob("*.py")):
+    for path in _modules() + bench:
         read |= _read_names(_tree(path))
-    return sorted(name for path in modules
+    return read
+
+
+def unread_exports():
+    read = _program_reads()
+    return sorted(name for path in _modules()
                   for name in _exported(_tree(path)) if name not in read)
+
+
+def unread_definitions():
+    """``module.name`` of each definition whose name (a method's own name)
+    no program code reads."""
+    read = _program_reads()
+    return sorted(f"{path.stem}.{name}" for path in _modules()
+                  for name in _defined(_tree(path))
+                  if name.rpartition(".")[2] not in read)
 
 
 def test_every_exported_name_is_read_by_the_program():
     assert unread_exports() == []
+
+
+def test_every_function_class_and_method_is_read_by_the_program():
+    assert unread_definitions() == []

@@ -8,7 +8,7 @@ import pytest
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
                         SideMoments, TimeGrid)
 from hfmm.solver import (CoefficientTable, backward_pass, optimal_spreads,
-                         quote_prices, table_to_csv)
+                         table_to_csv)
 from hfmm.synthetic import SyntheticDayConfig, true_market_params
 
 import solver_oracle
@@ -190,21 +190,6 @@ class TestPositiveSpread:
                 I = float(rng.uniform(-1e4, 1e4))
                 Lp, Lm = optimal_spreads(t, k, I)
                 assert Lp + Lm > 0
-
-
-class TestQuotePrices:
-    def test_on_grid(self):
-        assert quote_prices(100.0, 2.61, 2.61, 0.01) == (102.61, 97.39)
-
-    def test_rounds_outward(self):
-        ask, bid = quote_prices(100.005, 2.5, 2.5, 0.01)
-        assert ask == pytest.approx(102.51)
-        assert bid == pytest.approx(97.50)
-
-    def test_minimal_spread_preserved(self):
-        ask, bid = quote_prices(100.0, 0.001, 0.001, 0.01)
-        assert ask == pytest.approx(100.01)
-        assert bid == pytest.approx(99.99)
 
 
 class TestValueFunction:

@@ -100,37 +100,108 @@ def _quote_ticks(S: float, L_plus: float, L_minus: float, tick: float):
             min(bid, math.ceil(x - 1e-9) - 1))
 
 
-def _clamp_bounds(S: np.ndarray, tick_size: float):
-    """Array form of ``_quote_ticks``' clamp: the lowest ask and the
-    highest bid, in int64 ticks, for each midprice in ``S``; exact while
-    |S / tick_size| < 2**62, and meaningless where it is not finite, where
-    the scalar form raises."""
+def _level_day(rep: ReplayResult, level: int, mids, tick: float,
+               order_volume: int):
+    """(W, I, fills, flags) of quoting book ``level`` (a side's deepest
+    level where it has fewer: a level fallback), clamped as by
+    ``_quote_ticks``. Each MO takes its volume less what stood at better
+    prices, a side fills its MOs' takes up to the order size (as
+    ``fill_quantity``), and W sums the cash in step order, ask before bid.
+    The first one-sided snapshot raises BookError, ask side first, or
+    else the first non-finite mid raises through ``_quote_ticks``."""
+    n = len(mids)
+    sides = rep.book_depth[:n]
+    depth = sides.min(axis=1)
     with np.errstate(all="ignore"):
-        x = S / tick_size
-        return (np.floor(x + 1e-9).astype(np.int64) + 1,
-                np.ceil(x - 1e-9).astype(np.int64) - 1)
-
-
-def _level_day(rep: ReplayResult, ask, bid, tick: float, order_volume: int):
-    """(W, I, fills) of resting ``order_volume`` shares at each step's
-    ``ask`` and ``bid`` ticks. Each MO takes its volume less what stood at
-    better prices, an interval's side fills the sum of its MOs' takes up to
-    the order size (as ``fill_quantity``), and the cash terms are summed in
-    step order, ask before bid, as a step loop adds them."""
+        x = mids / tick
+        bad = (depth == 0) | ~np.isfinite(x)
+        for k in np.flatnonzero(bad)[:1].tolist():
+            for side, d in (("ask", sides[k, 1]), ("bid", sides[k, 0])):
+                if not d:
+                    raise BookError(f"one-sided book: no {side} levels")
+            _quote_ticks(mids[k], 0.0, 0.0, tick)
+    at = np.minimum(sides, level) - 1
+    px = np.take_along_axis(rep.book_prices[:n], at[:, :, None], 2)[:, :, 0]
+    # the lowest ask and the highest bid _quote_ticks allows, in int64
+    # ticks; exact while |x| < 2**62
+    ask = np.maximum(px[:, 1], np.floor(x + 1e-9).astype(np.int64) + 1)
+    bid = np.minimum(px[:, 0], np.ceil(x - 1e-9).astype(np.int64) - 1)
     k, side = rep.mo_interval, rep.mo_side
     placed = np.where(side == 1, ask[k], bid[k])
     take = np.maximum(rep.mo_volume - rep.better_priced_volume(
         np.arange(len(k)), placed), 0)
     # row k holds step k's ask-side (buy MO) and bid-side fill
-    q = np.bincount(2 * k + 1 - side, take, 2 * len(ask)).reshape(-1, 2)
+    q = np.bincount(2 * k + 1 - side, take, 2 * n).reshape(-1, 2)
     Q = np.where(q <= order_volume, q, max(order_volume, 0))
     filled = Q != 0
     with np.errstate(all="ignore"):
         cash = np.stack([ask * tick, -(bid * tick)], axis=1) * Q
     # cumsum adds in order, unlike sum; the leading 0.0 is W's start
     W = np.cumsum(np.concatenate([[0.0], cash[filled]]))[-1]
+    flags = [f"level fallback at step {k}"
+             for k in np.flatnonzero(depth < level).tolist()]
     return (float(W), float(Q[:, 1].sum() - Q[:, 0].sum()),
-            int(np.count_nonzero(filled)))
+            int(np.count_nonzero(filled)), flags)
+
+
+def _optimal_day(rep: ReplayResult, policy: Policy, mids, tick: float,
+                 order_volume: int):
+    """(W, I, fills, no flags) of quoting the optimal rule, shifted by the
+    drift forecast for ``optimal_forecast``: a loop over the intervals that
+    hold an MO, the only steps at which W, I and fills can change. The
+    first step whose S + L+ or S - L- in ticks is not finite at the
+    inventory held there raises through ``_quote_ticks``."""
+    drifts = (drift_forecast_series(mids) if policy.forecast
+              else np.zeros(len(mids)))
+    quoted, flows = rep.interval_flows
+    held = [0.0]  # inventory before the first quoted step and after each
+
+    def raise_first_failed_quote(stop):
+        """Re-quote, so that it raises, the first of steps 0..stop-1 whose
+        quote is not finite at the inventory ``held`` there."""
+        S = mids[:stop]
+        inventory = np.array(held)[np.searchsorted(quoted, np.arange(stop))]
+        with np.errstate(all="ignore"):
+            Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
+                                    drifts[:stop])
+            bad = ~(np.isfinite((S + Lp) / tick)
+                    & np.isfinite((S - Lm) / tick))
+            for k in np.flatnonzero(bad)[:1].tolist():
+                _quote_ticks(S[k], Lp[k], Lm[k], tick)
+
+    # optimal_spreads' terms and the drift at the quoted steps
+    t, at = policy.table, np.array(quoted, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        terms = [x.tolist() for x in (
+            mids[at], drifts[at], t.A1_plus[at], t.A2_plus[at],
+            t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
+            t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
+            t.beta_minus[at] / (2 * t.gamma[at]))]
+    W = I = 0.0
+    fills = 0
+    try:
+        for (k, flow, S, F, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
+             bgm) in zip(quoted, flows, *terms):
+            # optimal_spreads' expression, in the same order
+            ask_ticks, bid_ticks = _quote_ticks(
+                S, a1p * I + a2p + a3p + bgp * F,
+                -a1m * I - a2m + a3m - bgm * F, tick)
+            Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
+            Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
+            if Qp:
+                W += ask_ticks * tick * Qp
+                I -= Qp
+                fills += 1
+            if Qm:
+                W -= bid_ticks * tick * Qm
+                I += Qm
+                fills += 1
+            held.append(I)
+    except (ValueError, ArithmeticError):  # unless a step before k failed
+        raise_first_failed_quote(k)
+        raise
+    raise_first_failed_quote(len(mids))
+    return W, I, fills, []
 
 
 def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
@@ -139,102 +210,21 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
     """Run one replayed session under one policy, resting ``order_volume``
     shares on each side at every step. Deterministic.
 
-    A fixed level's quotes do not depend on inventory, so its day is a few
-    array passes (``_level_day``). An optimal rule's quote does, so its day
-    steps through the intervals that hold a market order, the only steps at
-    which cash, inventory and the fill count can change. A quote that
-    cannot be formed at any step (a non-finite spread, a one-sided
-    snapshot) ends the day with the error it raises at the first such
-    step."""
+    The day runs as a fixed level's array passes (``_level_day``) or an
+    optimal rule's loop over the intervals with an MO (``_optimal_day``),
+    each raising its quote's error at the first step it cannot quote; then
+    come the closing mid, the objective and the liquidation."""
     tick = params.tick_size
     if not tick > 0:
         raise ValueError("tick_size must be > 0")
     n = params.grid.n_steps
     mids = np.asarray(rep.midprices, dtype=float)
-    drifts = (drift_forecast_series(mids) if policy.forecast
-              else np.zeros(n))
-    level_px = depth = None
     if policy.level:
-        # each side's price at the level, or at its deepest one; 0 if empty
-        sides = rep.book_depth[:n]
-        at = np.maximum(np.minimum(sides, policy.level), 1) - 1
-        level_px = np.where(sides > 0, np.take_along_axis(
-            rep.book_prices[:n], at[:, :, None], 2)[:, :, 0], 0)
-        depth = sides.min(axis=1)
-    quoted, flows = ([], []) if policy.level else rep.interval_flows
-    held = [0.0]  # inventory before the first quoted step and after each
-
-    def raise_first_failed_quote(stop):
-        """Find in one array pass the steps 0..stop-1 whose quote may fail
-        (a one-sided snapshot for a fixed level, or a non-finite S + L+ or
-        S - L- in ticks, with a fixed level's spreads taken as 0 and an
-        optimal rule's at the inventory ``held`` after the ``quoted`` steps
-        before it), then re-quote them in step order, so that the first
-        one that fails raises what it raises there."""
-        S = mids[:stop]
-        with np.errstate(all="ignore"):
-            if policy.level:
-                Lp = Lm = np.zeros(stop)
-                one_sided = depth[:stop] == 0
-            else:
-                inventory = np.array(held)[np.searchsorted(quoted,
-                                                           np.arange(stop))]
-                Lp, Lm = policy.spreads(np.arange(stop), S, inventory,
-                                        drifts[:stop])
-                one_sided = False
-            bad = (one_sided | ~np.isfinite((S + Lp) / tick)
-                   | ~np.isfinite((S - Lm) / tick))
-            for k in np.flatnonzero(bad).tolist():
-                if policy.level:
-                    bid_px, ask_px = level_px[k]
-                    for side, px in (("ask", ask_px), ("bid", bid_px)):
-                        if not px:
-                            raise BookError(
-                                f"one-sided book: no {side} levels")
-                _quote_ticks(S[k], Lp[k], Lm[k], tick)
-
-    if policy.level:
-        raise_first_failed_quote(n)
-        lo, hi = _clamp_bounds(mids[:n], tick)
-        W, I, fills = _level_day(rep, np.maximum(level_px[:, 1], lo),
-                                 np.minimum(level_px[:, 0], hi), tick,
-                                 order_volume)
-        flags = [f"level fallback at step {k}"
-                 for k in np.flatnonzero(depth < policy.level).tolist()]
+        W, I, fills, flags = _level_day(rep, policy.level, mids[:n], tick,
+                                        order_volume)
     else:
-        # optimal_spreads' terms and the drift at the quoted steps
-        t, at = policy.table, np.array(quoted, dtype=np.int64)
-        with np.errstate(all="ignore"):
-            terms = [x.tolist() for x in (
-                mids[at], drifts[at], t.A1_plus[at], t.A2_plus[at],
-                t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
-                t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
-                t.beta_minus[at] / (2 * t.gamma[at]))]
-        W = I = 0.0
-        fills = 0
-        try:
-            for (k, flow, S, F, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
-                 bgm) in zip(quoted, flows, *terms):
-                # optimal_spreads' expression, in the same order
-                ask_ticks, bid_ticks = _quote_ticks(
-                    S, a1p * I + a2p + a3p + bgp * F,
-                    -a1m * I - a2m + a3m - bgm * F, tick)
-                Qp = fill_quantity(ask_ticks, order_volume, "ask", flow)
-                Qm = fill_quantity(bid_ticks, order_volume, "bid", flow)
-                if Qp:
-                    W += ask_ticks * tick * Qp
-                    I -= Qp
-                    fills += 1
-                if Qm:
-                    W -= bid_ticks * tick * Qm
-                    I += Qm
-                    fills += 1
-                held.append(I)
-        except (ValueError, ArithmeticError):  # unless a step before k failed
-            raise_first_failed_quote(k)
-            raise
-        raise_first_failed_quote(n)
-        flags = []
+        W, I, fills, flags = _optimal_day(rep, policy, mids[:n], tick,
+                                          order_volume)
 
     bid, ask = rep.book_prices[-1, :, 0].tolist()
     S_T = ((bid + ask) / 2 * tick if rep.book_depth[-1].all()

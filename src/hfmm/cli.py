@@ -244,31 +244,27 @@ def cmd_solve(cfg) -> int:
     table_to_csv(table, out / "coefficients.csv")
 
     pi11_grid, inv_grid = s["pi11_grid"], s["inventory_grid"]
-    # the variants differ from p only in pi_joint: one sweep per distinct one
-    solved = {p.arrivals.pi_joint.tobytes(): table}
-    tables = []
+    arr = p.arrivals
+    bounds = joint_bounds(arr.pi_plus, arr.pi_minus)
+    # the variants differ from p only in pi_joint: one sweep per distinct
+    # one, dropped once its spread sums are taken; cells are formatted as
+    # the rows are written
+    sums, columns = {}, []
     for pi11 in pi11_grid:
-        arr = p.arrivals
-        pj = np.clip(np.full_like(arr.pi_plus, pi11),
-                     *joint_bounds(arr.pi_plus, arr.pi_minus))
-        if pj.tobytes() not in solved:
-            variant = MarketParams(
-                grid=p.grid,
-                arrivals=type(arr)(pi_plus=arr.pi_plus,
-                                   pi_minus=arr.pi_minus, pi_joint=pj),
-                moments=p.moments, lam=p.lam, tick_size=p.tick_size)
-            solved[pj.tobytes()] = backward_pass(variant)
-        tables.append(solved[pj.tobytes()])
-    columns = []
-    for t in tables:
-        for I in inv_grid:
-            Lp, Lm = optimal_spreads(t, slice(None), I)
-            columns.append([f"{x:.10f}" for x in (Lp + Lm).tolist()])
+        pj = np.clip(np.full_like(arr.pi_plus, pi11), *bounds)
+        if (key := pj.tobytes()) not in sums:
+            t = (table if key == arr.pi_joint.tobytes() else backward_pass(
+                replace(p, arrivals=replace(arr, pi_joint=pj))))
+            sums[key] = [np.add(*optimal_spreads(t, slice(None), I)).tolist()
+                         for I in inv_grid]
+            del t
+        columns += sums[key]
     header = ["k"] + [f"spread_pi11_{pi11}_I_{I}"
                       for pi11 in pi11_grid for I in inv_grid]
     # no cell holds a comma, quote or line break
-    write_csv_rows(out / "spread_surface.csv", chain(
-        [header], zip(map(str, range(p.grid.n_steps)), *columns)))
+    write_csv_rows(out / "spread_surface.csv", chain([header], zip(
+        map(str, range(p.grid.n_steps)),
+        *(map("{:.10f}".format, c) for c in columns))))
     print(f"wrote {out / 'coefficients.csv'} and {out / 'spread_surface.csv'}")
     return EXIT_OK
 
@@ -463,25 +459,35 @@ def cmd_report(cfg) -> int:
     if not results_path.exists():
         print(f"results file not found: {results_path}", file=sys.stderr)
         return EXIT_EMPTY_REPORT
-    by_policy = {}
-    with open(results_path, newline="") as fh:
-        r = _csv.reader(fh)
-        next(r, None)
-        for row in r:
-            if row:
-                by_policy.setdefault(row[1], []).append(bt.DayResult(
-                    day_id=int(row[0]), objective=float(row[2]),
-                    liquidation_value=float(row[3]), W_T=float(row[4]),
-                    I_T=float(row[5]), S_T=float(row[6]), fills=int(row[7]),
-                    incomplete=bool(int(row[8]))))
+    by_policy, flagged, where = {}, set(), results_path
+    flags_path = Path(s["break_flags"] or out / "break_flags.json")
+    try:
+        with open(results_path, newline="") as fh:
+            r = _csv.reader(fh)
+            next(r, None)
+            for row in filter(None, r):
+                where = f"{results_path}: line {r.line_num}"
+                day, name, obj, liq, W, I, S, fills, incomplete = row
+                by_policy.setdefault(name, []).append(bt.DayResult(
+                    day_id=int(day), objective=float(obj),
+                    liquidation_value=float(liq), W_T=float(W),
+                    I_T=float(I), S_T=float(S), fills=int(fills),
+                    incomplete=bool(int(incomplete))))
+        where = flags_path
+        if flags_path.exists():
+            with open(flags_path) as fh:
+                doc = json.load(fh)
+            flagged = doc.get("flagged", []) if isinstance(doc, dict) else 0
+            if not (isinstance(flagged, list)
+                    and all(isinstance(d, int) for d in flagged)):
+                raise ValueError('expected {"flagged": [day, ...]}')
+            flagged = set(flagged)
+    except ValueError as exc:
+        print(f"invalid report input: {where}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if all(r.incomplete for rows in by_policy.values() for r in rows):
         print("empty report", file=sys.stderr)
         return EXIT_EMPTY_REPORT
-    flagged = set()
-    flags_path = Path(s["break_flags"] or out / "break_flags.json")
-    if flags_path.exists():
-        with open(flags_path) as fh:
-            flagged = set(json.load(fh).get("flagged", []))
     report = bt.summarize(dict(sorted(by_policy.items())), flagged,
                           bootstrap_seed=s["seed"])
     bt.report_to_csv(report, out / "report.csv")

@@ -460,18 +460,24 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
 # ---------------------------------------------------------------------------
 
 def read_events_csv(path):
+    """The file's events; ValueError naming the file, and the line of a
+    row without six fields or with a number that is not an integer."""
     out = []
     with open(path, newline="") as fh:
         r = _csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         expected = ["ts_ns", "kind", "side", "price_ticks", "size",
                     "order_ref"]
         if header != expected:
-            raise ValueError(f"unexpected header {header}")
+            raise ValueError(f"{path}: unexpected header {header}")
         for row in r:
-            out.append(BookEvent(ts_ns=int(row[0]), kind=row[1], side=row[2],
-                                 price_ticks=int(row[3]), size=int(row[4]),
-                                 order_ref=int(row[5])))
+            try:
+                ts, kind, side, price, size, ref = row
+                out.append(BookEvent(ts_ns=int(ts), kind=kind, side=side,
+                                     price_ticks=int(price), size=int(size),
+                                     order_ref=int(ref)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
     return out
 
 

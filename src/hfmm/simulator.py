@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DemandMoments, MarketParams, SideMoments
+from .model import MarketParams
 
 __all__ = [
     "SideDistribution",
@@ -50,37 +50,15 @@ _MIN_CHUNK_PATHS = 1024
 
 
 # ---------------------------------------------------------------------------
-# Demand families. Each one maps two uniform channels to (c, p) samples and
-# knows its own moments analytically; discrete families also expose their
-# atoms for exhaustive enumeration.
+# Demand families. Each one maps two uniform channels to (c, p) samples;
+# the tests derive their moments and atoms (tests/demand_families.py).
 # ---------------------------------------------------------------------------
 
 class SideDistribution:
-    """Interface: sample(u_c, u_p) -> (c, p); side_moments(); atoms()."""
+    """Interface: sample(u_c, u_p) -> (c, p)."""
 
     def sample(self, u_c, u_p):
         raise NotImplementedError
-
-    def side_moments(self) -> SideMoments:
-        raise NotImplementedError
-
-    def atoms(self):
-        """List of (c, p, prob) for finite-support families, else None."""
-        return None
-
-
-def _moments_from_atoms(atoms) -> SideMoments:
-    arr = np.array([(c, p, w) for c, p, w in atoms], dtype=float)
-    c, p, w = arr[:, 0], arr[:, 1], arr[:, 2]
-    return SideMoments(
-        mu_c=float(w @ c),
-        mu_c2=float(w @ c ** 2),
-        mu_cp=float(w @ (c * p)),
-        mu_c2p=float(w @ (c ** 2 * p)),
-        mu_c2p2=float(w @ (c ** 2 * p ** 2)),
-        mu_p=float(w @ p),
-        mu_p2=float(w @ p ** 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -127,25 +105,11 @@ class TwoPointIndependent(SideDistribution):
         return (c_table.take((u_c < self.c_prob_low).view(np.uint8)),
                 p_table.take((u_p < self.p_prob_low).view(np.uint8)))
 
-    def side_moments(self) -> SideMoments:
-        return _moments_from_atoms(self.atoms())
-
-    def atoms(self):
-        c_low, c_high, p_low, p_high = self._floored
-        wc, wp = self.c_prob_low, self.p_prob_low
-        return [(c, p, w_c * w_p)
-                for c, w_c in ((c_low, wc), (c_high, 1 - wc))
-                for p, w_p in ((p_low, wp), (p_high, 1 - wp))]
-
 
 @dataclass(frozen=True)
 class DemandDistribution:
     plus: SideDistribution
     minus: SideDistribution
-
-    def moments(self) -> DemandMoments:
-        return DemandMoments(plus=self.plus.side_moments(),
-                             minus=self.minus.side_moments())
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ class CoefficientTable:
     alpha: np.ndarray
     h: np.ndarray
     g: np.ndarray
-    lam: float
 
     @property
     def n_steps(self) -> int:
@@ -191,7 +190,7 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
     return CoefficientTable(gamma=gamma, beta_plus=beta_p, beta_minus=beta_m,
                             A1_plus=A1p, A1_minus=A1m, A2_plus=A2p,
                             A2_minus=A2m, A3_plus=A3p, A3_minus=A3m,
-                            xi=xi, alpha=alpha, h=h, g=g, lam=p.lam)
+                            xi=xi, alpha=alpha, h=h, g=g)
 
 
 def optimal_spreads(table: CoefficientTable, k, I, shift=0.0):

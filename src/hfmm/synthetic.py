@@ -119,8 +119,7 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
     ladder = 2 * depth
     width = 6 * depth + 2
     step_ns = int(round(cfg.step_seconds * 1e9))
-    t = grid.session_start_ns + np.rint(
-        np.arange(n) * cfg.step_seconds * 1e9).astype(np.int64)
+    t = grid.action_times_ns()[:n]
     rebuild_ts = (t - 100_000)[:, None]
     x = X[:, None]
     level = np.arange(depth)

@@ -1,7 +1,8 @@
 """Demand families that only the tests sample: a point mass and two
 lognormal families (independent, and joined by a Gaussian copula). The
 ``simulate`` command builds only ``TwoPointIndependent``, so these and
-their ``scipy`` dependency live here, not in the package."""
+their ``scipy`` dependency live here, not in the package, as do ``atoms``
+and ``side_moments``, which give any family's atoms and moments."""
 
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from scipy.special import ndtri
 
 from hfmm.model import SideMoments
 from hfmm.simulator import (_SAMPLE_FLOOR, SideDistribution,
-                            _moments_from_atoms)
+                            TwoPointIndependent)
 
 
 @dataclass(frozen=True)
@@ -23,11 +24,40 @@ class PointMass(SideDistribution):
         shape = np.shape(u_c)
         return np.full(shape, self.c), np.full(shape, self.p)
 
-    def side_moments(self) -> SideMoments:
-        return _moments_from_atoms(self.atoms())
 
-    def atoms(self):
-        return [(self.c, self.p, 1.0)]
+def atoms(dist):
+    """(c, p, prob) of each atom of a finite-support family (a two-point
+    side's floored atoms, which it samples), or None."""
+    if isinstance(dist, PointMass):
+        return [(dist.c, dist.p, 1.0)]
+    if isinstance(dist, TwoPointIndependent):
+        c_low, c_high, p_low, p_high = dist._floored
+        wc, wp = dist.c_prob_low, dist.p_prob_low
+        return [(c, p, w_c * w_p)
+                for c, w_c in ((c_low, wc), (c_high, 1 - wc))
+                for p, w_p in ((p_low, wp), (p_high, 1 - wp))]
+    return None
+
+
+def moments_from_atoms(atoms) -> SideMoments:
+    arr = np.array([(c, p, w) for c, p, w in atoms], dtype=float)
+    c, p, w = arr[:, 0], arr[:, 1], arr[:, 2]
+    return SideMoments(
+        mu_c=float(w @ c),
+        mu_c2=float(w @ c ** 2),
+        mu_cp=float(w @ (c * p)),
+        mu_c2p=float(w @ (c ** 2 * p)),
+        mu_c2p2=float(w @ (c ** 2 * p ** 2)),
+        mu_p=float(w @ p),
+        mu_p2=float(w @ p ** 2),
+    )
+
+
+def side_moments(dist) -> SideMoments:
+    """The family's conditional demand moments: over its atoms for a
+    finite support, else its own analytic ``side_moments``."""
+    found = atoms(dist)
+    return moments_from_atoms(found) if found else dist.side_moments()
 
 
 def _lognormal_moment(m, s, order):

@@ -9,6 +9,8 @@ from hfmm.model import MarketParams
 from hfmm.simulator import SimMarket
 from hfmm.solver import CoefficientTable
 
+from demand_families import atoms
+
 
 def one_step_objective(p: MarketParams, table: CoefficientTable, k: int,
                        I: float, L_plus: float, L_minus: float,
@@ -60,8 +62,8 @@ def brute_force_value_small(market: SimMarket, control_grid):
     n = p.grid.n_steps
     if n > 3:
         raise ValueError("brute force restricted to at most 3 steps")
-    atoms_p = market.demand.plus.atoms()
-    atoms_m = market.demand.minus.atoms()
+    atoms_p = atoms(market.demand.plus)
+    atoms_m = atoms(market.demand.minus)
     if atoms_p is None or atoms_m is None:
         raise ValueError("brute force requires finite demand supports")
     if np.any(market.price.vol_array(n) != 0):

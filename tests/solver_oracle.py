@@ -126,7 +126,7 @@ def backward_pass(p: MarketParams) -> CoefficientTable:
     return CoefficientTable(gamma=gamma, beta_plus=beta_p, beta_minus=beta_m,
                             A1_plus=A1p, A1_minus=A1m, A2_plus=A2p,
                             A2_minus=A2m, A3_plus=A3p, A3_minus=A3m,
-                            xi=xi, alpha=alpha, h=h, g=g, lam=p.lam)
+                            xi=xi, alpha=alpha, h=h, g=g)
 
 
 def _g_step(g_next, pp, pm, pj, a, mom_p, mom_m, ed_p, ed_m,

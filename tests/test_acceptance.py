@@ -19,6 +19,7 @@ from hfmm.synthetic import (SyntheticDayConfig, generate_day,
                             true_market_params)
 
 from conftest import PerturbedPolicy, random_valid_params, symmetric_params
+from demand_families import side_moments
 from forecast_oracle import ForecastVector, forecast_shift
 from sim_oracle import brute_force_value_small
 from solver_oracle import inventory_threshold
@@ -40,7 +41,7 @@ def benchmark_market(n_steps=50):
     demand = DemandDistribution(
         plus=TwoPointIndependent.from_mean_var(100.0, 400.0, 5.0, 1.0),
         minus=TwoPointIndependent.from_mean_var(100.0, 400.0, 5.0, 1.0))
-    side = demand.plus.side_moments()
+    side = side_moments(demand.plus)
     base = benchmark_params(0.0, n_steps)
     params = MarketParams(grid=base.grid, arrivals=base.arrivals,
                           moments=DemandMoments(plus=side, minus=side),
@@ -167,7 +168,7 @@ def test_criterion_06_brute_force_two_step():
     p = symmetric_params(10.0, 4.0, 0.5, 0.0, 0.01, 2)
     demand = DemandDistribution(plus=TwoPointIndependent((8, 12), (3, 5)),
                                 minus=TwoPointIndependent((8, 12), (3, 5)))
-    side = demand.plus.side_moments()
+    side = side_moments(demand.plus)
     solver_p = MarketParams(grid=p.grid, arrivals=p.arrivals,
                             moments=DemandMoments(plus=side, minus=side),
                             lam=p.lam)

@@ -383,6 +383,22 @@ class TestRunDayMatchesOracle:
             got = self.same(params, Policy.named(name, table), rep)
             assert isinstance(got, DayResult) != bool(Policy.named(name).level)
 
+    @pytest.mark.parametrize("empty,want", [((0,), "no bid levels"),
+                                            ((0, 1), "no ask levels")],
+                             ids=["bids", "both"])
+    def test_missing_side_named(self, empty, want):
+        # a fixed level names the empty side, the asks first when both are
+        params, rep, table, quiet = self.quiet_steps()
+        depth = rep.book_depth.copy()
+        depth[quiet[3], list(empty)] = 0
+        rep = replace(rep, book_depth=depth)
+        for name in self.NAMES:
+            got = self.same(params, Policy.named(name, table), rep)
+            if Policy.named(name).level:
+                assert got[0] is BookError and got[1].endswith(want)
+            else:
+                assert isinstance(got, DayResult)
+
 
 class TestAggregate:
     def _res(self, obj, incomplete=False):

@@ -623,6 +623,27 @@ class TestFailedDays:
         assert sorted(f.name for f in out.glob("params_day_*.yaml")) == [
             "params_day_0021.yaml"]
 
+    @pytest.mark.parametrize("row,error", [
+        ("1000,add,bid", "not enough values to unpack (expected 6, got 3)"),
+        ("1000,add,bid,x,5,1", "invalid literal for int() with base 10: "
+                               "'x'")], ids=["short_row", "non_integer"])
+    def test_bad_csv_row_fails_its_day(self, tmp_path, capsys, row, error):
+        events_dir = make_days(tmp_path, 22)
+        (events_dir / "day_0000.bin").unlink()
+        bad = events_dir / "day_0000.csv"
+        bad.write_text("ts_ns,kind,side,price_ticks,size,order_ref\n"
+                       f"0,add,bid,10000,100,1\n{row}\n")
+        out = tmp_path / "calib"
+        assert main(["estimate", "--events", str(events_dir), "--out",
+                     str(out), "--config", str(write_config(tmp_path))]) == 0
+        captured = capsys.readouterr()
+        assert f"day day_0000.csv failed: {bad}: line 3: {error}" in \
+            captured.err
+        assert "estimated 21 days" in captured.out
+        assert "1 failures" in captured.out
+        assert sorted(f.name for f in out.glob("params_day_*.yaml")) == [
+            "params_day_0021.yaml"]
+
     @pytest.mark.parametrize("field,rule", [
         ("pi_plus", "pi_plus[3] not in (0,1]: 1.7"),
         ("lambda", "lambda must be finite and >= 0 (got nan)")],
@@ -765,6 +786,32 @@ class TestFailedDays:
         report = json.loads((out / "report.json").read_text())
         assert report["n_excluded"] == 2
         assert report["policies"]["fixed_level_1"]["filtered"]["n_days"] == 4
+
+    @pytest.mark.parametrize("name,text,error", [
+        ("day_results.csv", "day,policy,objective\n20,fixed_level_1,1.0,2.0\n",
+         "line 2: not enough values to unpack (expected 9, got 4)"),
+        ("day_results.csv", "day\n20,fixed_level_1,x,1,0,0,1,0,0\n",
+         "line 2: could not convert string to float: 'x'"),
+        ("break_flags.json", "{bad", "Expecting property name"),
+        ("break_flags.json", "[3, 21]", 'expected {"flagged": [day, ...]}'),
+        ("break_flags.json", '{"flagged": "21"}',
+         'expected {"flagged": [day, ...]}'),
+        ("break_flags.json", '{"flagged": ["21", 24]}',
+         'expected {"flagged": [day, ...]}')],
+        ids=["short_row", "non_number", "not_json", "not_a_mapping",
+             "not_a_list", "not_day_numbers"])
+    def test_report_malformed_input_named(self, tmp_path, capsys, name,
+                                          text, error):
+        out = tmp_path / "bt"
+        out.mkdir()
+        (out / "day_results.csv").write_text(
+            "day,policy,objective,liquidation_value,W_T,I_T,S_T,fills,"
+            "incomplete\n20,fixed_level_1,1.0,1.0,0.0,0.0,1.0,0,0\n")
+        (out / name).write_text(text)
+        assert main(["report", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / name}: {error}" in err
+        assert not (out / "report.json").exists()
 
 
 def test_readme_parameter_example_solves(tmp_path):

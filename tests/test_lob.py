@@ -293,6 +293,19 @@ class TestEventIO:
         with pytest.raises(ValueError):
             read_events_csv(path)
 
+    @pytest.mark.parametrize("row,error", [
+        ("1000,add,bid", "not enough values to unpack (expected 6, got 3)"),
+        ("1000,add,bid,10000,1.5,3",
+         "invalid literal for int() with base 10: '1.5'")],
+        ids=["short_row", "non_integer"])
+    def test_csv_bad_row_names_file_and_line(self, tmp_path, row, error):
+        path = tmp_path / "day_0000.csv"
+        write_events_csv(self._events(), path)
+        path.write_text(path.read_text() + row + "\r\n")
+        with pytest.raises(ValueError) as info:
+            read_events_csv(path)
+        assert str(info.value) == f"{path}: line 5: {error}"
+
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "events.bin"
         write_events_binary(self._events(), path)

@@ -19,7 +19,7 @@ from hfmm.synthetic import SyntheticDayConfig, true_market_params
 import mc_oracle
 from conftest import FixedSpreadPolicy, PerturbedPolicy, symmetric_params
 from demand_families import (GaussianCopulaLognormal, LognormalIndependent,
-                             PointMass)
+                             PointMass, atoms, side_moments)
 from forecast_oracle import ForecastVector, forecast_shift
 from sim_oracle import brute_force_value_small, one_step_objective
 
@@ -293,7 +293,7 @@ class TestSamplerMoments:
         rng = np.random.default_rng(17)
         n = 1_000_000
         c, p = dist.sample(rng.random(n), rng.random(n))
-        m = dist.side_moments()
+        m = side_moments(dist)
         checks = [
             (c, m.mu_c), (c ** 2, m.mu_c2), (c * p, m.mu_cp),
             (c ** 2 * p, m.mu_c2p), (c ** 2 * p ** 2, m.mu_c2p2),
@@ -318,7 +318,7 @@ class TestSamplerMoments:
         assert np.array_equal(c, c_ref) and np.array_equal(p, p_ref)
         assert set(c.tolist()) == {floor, 120.0}
         assert set(p.tolist()) == {floor}
-        assert dist.atoms() == [(floor, floor, 0.3 * 0.6),
+        assert atoms(dist) == [(floor, floor, 0.3 * 0.6),
                                 (floor, floor, 0.3 * (1 - 0.6)),
                                 (120.0, floor, (1 - 0.3) * 0.6),
                                 (120.0, floor, (1 - 0.3) * (1 - 0.6))]
@@ -343,12 +343,12 @@ class TestSamplerMoments:
     def test_probability_at_unit_interval_ends_accepted(self, prob):
         dist = TwoPointIndependent((80, 120), (4, 6), c_prob_low=prob,
                                    p_prob_low=prob)
-        assert dist.side_moments().mu_c == (80.0 if prob else 120.0)
+        assert side_moments(dist).mu_c == (80.0 if prob else 120.0)
 
     def test_copula_hits_target_cross_moment(self):
         d = GaussianCopulaLognormal.from_moments(100.0, 10400.0, 5.0, 26.0,
                                                  508.0)
-        assert d.side_moments().mu_cp == pytest.approx(508.0, rel=1e-6)
+        assert side_moments(d).mu_cp == pytest.approx(508.0, rel=1e-6)
 
 
 class TestMonteCarlo:
@@ -363,7 +363,7 @@ class TestMonteCarlo:
     def test_matches_g0(self):
         p, market = self._market()
         # match the solver table to the sampler's exact implied moments
-        side = market.demand.plus.side_moments()
+        side = side_moments(market.demand.plus)
         p = MarketParams(grid=p.grid, arrivals=p.arrivals,
                          moments=DemandMoments(plus=side, minus=side),
                          lam=p.lam)
@@ -376,8 +376,8 @@ class TestMonteCarlo:
         p, market = self._market()
         t = backward_pass(MarketParams(
             grid=p.grid, arrivals=p.arrivals,
-            moments=DemandMoments(plus=market.demand.plus.side_moments(),
-                                  minus=market.demand.minus.side_moments()),
+            moments=DemandMoments(plus=side_moments(market.demand.plus),
+                                  minus=side_moments(market.demand.minus)),
             lam=p.lam))
         pol = Policy.named("optimal_martingale", t)
         assert monte_carlo_value(pol, market, 4000, 5) == \
@@ -405,7 +405,7 @@ class TestMonteCarlo:
 
     def test_perturbations_do_not_improve(self):
         p, market = self._market()
-        side = market.demand.plus.side_moments()
+        side = side_moments(market.demand.plus)
         t = backward_pass(MarketParams(
             grid=p.grid, arrivals=p.arrivals,
             moments=DemandMoments(plus=side, minus=side), lam=p.lam))
@@ -678,7 +678,7 @@ class TestBruteForce:
                 plus=TwoPointIndependent((8, 12), (3, 5)),
                 minus=TwoPointIndependent((8, 12), (3, 5))),
             price=PriceModel(S0=100.0))
-        side = market.demand.plus.side_moments()
+        side = side_moments(market.demand.plus)
         solver_p = MarketParams(grid=p.grid, arrivals=p.arrivals,
                                 moments=DemandMoments(plus=side, minus=side),
                                 lam=p.lam)
@@ -695,7 +695,7 @@ class TestBruteForce:
         arrivals = ArrivalSchedule(pi_plus=np.array([0.8]),
                                    pi_minus=np.array([1e-9]),
                                    pi_joint=np.array([0.0]))
-        side = TwoPointIndependent((8, 12), (3, 5)).side_moments()
+        side = side_moments(TwoPointIndependent((8, 12), (3, 5)))
         p = MarketParams(grid=TimeGrid(n_steps=n), arrivals=arrivals,
                          moments=DemandMoments(plus=side, minus=side),
                          lam=0.0)
@@ -719,7 +719,7 @@ class TestBruteForce:
                 plus=TwoPointIndependent((8, 12), (3, 5)),
                 minus=TwoPointIndependent((8, 12), (3, 5))),
             price=PriceModel(S0=100.0, drift=drift))
-        side = market.demand.plus.side_moments()
+        side = side_moments(market.demand.plus)
         solver_p = MarketParams(grid=p.grid, arrivals=p.arrivals,
                                 moments=DemandMoments(plus=side, minus=side),
                                 lam=p.lam)

@@ -516,7 +516,7 @@ class TestTableCsv:
             "A2_plus", "A2_minus", "A3_plus", "A3_minus", "xi")}
         terminal = {name: rng.permutation(CSV_FLOATS + [-3.0e-20])
                     for name in ("alpha", "h", "g")}
-        tables = [CoefficientTable(lam=5e-4, **per_step, **terminal),
+        tables = [CoefficientTable(**per_step, **terminal),
                   backward_pass(symmetric_params(100, 5, 0.2, 0.05, 5e-4, 60)),
                   backward_pass(true_market_params(
                       SyntheticDayConfig(n_steps=300)))]

@@ -108,7 +108,11 @@ def _level_day(rep: ReplayResult, level: int, mids, tick: float,
     prices, a side fills its MOs' takes up to the order size (as
     ``fill_quantity``), and W sums the cash in step order, ask before bid.
     The first one-sided snapshot raises BookError, ask side first, or
-    else the first non-finite mid raises through ``_quote_ticks``."""
+    else the first non-finite mid raises through ``_quote_ticks``; a level
+    deeper than the replay kept raises ValueError."""
+    if level > rep.book_prices.shape[2]:
+        raise ValueError(f"policy fixed_level_{level}: the replay kept "
+                         f"{rep.book_prices.shape[2]} levels a side")
     n = len(mids)
     sides = rep.book_depth[:n]
     depth = sides.min(axis=1)

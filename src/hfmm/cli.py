@@ -28,7 +28,8 @@ import yaml
 from . import backtest as bt
 from .estimation import (compute_break_errors, estimate_day, rolling_params,
                          structural_break_flags)
-from .lob import BookError, read_events_binary, read_events_csv, replay
+from .lob import (BOOK_LEVELS, BookError, read_events_binary, read_events_csv,
+                  replay)
 from .model import (MarketParams, TimeGrid, joint_bounds, load_params,
                     save_params, validate_params)
 from .simulator import (DemandDistribution, PriceModel, SimMarket,
@@ -148,7 +149,9 @@ def _read(kind, key, v, bounds=()):
     elif kind == POLICY:
         try:
             if isinstance(v, str):
-                return bt.Policy.named(v)
+                policy = bt.Policy.named(v)
+                if policy.level <= BOOK_LEVELS:  # the depth replay keeps
+                    return policy
         except ValueError:
             pass
     elif isinstance(v, list) and (v or kind == REALS):
@@ -478,8 +481,9 @@ def cmd_report(cfg) -> int:
             with open(flags_path) as fh:
                 doc = json.load(fh)
             flagged = doc.get("flagged", []) if isinstance(doc, dict) else 0
+            # type, not isinstance: a bool is an int, and no day
             if not (isinstance(flagged, list)
-                    and all(isinstance(d, int) for d in flagged)):
+                    and all(type(d) is int for d in flagged)):
                 raise ValueError('expected {"flagged": [day, ...]}')
             flagged = set(flagged)
     except ValueError as exc:

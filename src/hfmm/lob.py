@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "BookEvent",
     "BookError",
     "IntervalFlow",
     "LiquidationResult",
@@ -44,7 +43,6 @@ __all__ = [
 
 KIND_CODES = {"add": 0, "cancel": 1, "execute": 2, "trade": 3}
 SIDE_CODES = {"bid": 0, "ask": 1}
-SIDE_NAMES = {0: "bid", 1: "ask"}
 
 EVENT_DTYPE = np.dtype([
     ("ts_ns", "<i8"),
@@ -57,22 +55,14 @@ EVENT_DTYPE = np.dtype([
     ("pad2", "<i4"),
 ])
 assert EVENT_DTYPE.itemsize == 32
+_CSV_FIELDS = [f for f in EVENT_DTYPE.names if not f.startswith("pad")]
+BOOK_LEVELS = 20  # the levels a side replay keeps by default
 
 # replay's book: at most _BLOCK_ROWS cut points and _BLOCK_CELLS cells a block
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 1 << 21
 # the order pass holds event indices, life numbers and levels as int32
 _MAX_EVENTS = 2 ** 31 - 1
-
-
-@dataclass(frozen=True)
-class BookEvent:
-    ts_ns: int
-    kind: str
-    side: str
-    price_ticks: int
-    size: int
-    order_ref: int
 
 
 class BookError(ValueError):
@@ -222,17 +212,6 @@ def liquidate(rep: ReplayResult, inventory: float,
 # Stream replay
 # ---------------------------------------------------------------------------
 
-def _as_array(events) -> np.ndarray:
-    """The stream as one EVENT_DTYPE array. BookEvent sequences convert,
-    with kind and side names outside the schema as code 255."""
-    if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
-        return events
-    return np.array([(ev.ts_ns, KIND_CODES.get(ev.kind, 255),
-                      SIDE_CODES.get(ev.side, 255), 0,
-                      ev.price_ticks, ev.size, ev.order_ref, 0)
-                     for ev in events], dtype=EVENT_DTYPE)
-
-
 def _resolve(ev: np.ndarray):
     """Order-level pass: (ops, level, change, level_price, n_bid_levels,
     error) = the add, cancel and execute events, the ladder level each one
@@ -377,22 +356,23 @@ def _ladders(states, cols, level_price, n_bid_levels):
     return seg, np.arange(len(px)) - head, px, sz, cum, starts
 
 
-def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
+def replay(events, grid, K: int = BOOK_LEVELS,
+           tick_size: float = 1.0) -> ReplayResult:
     """The as-of-t_k snapshots (every event strictly before t_k applied)
     and the market orders of a time-sorted stream, as a ReplayResult.
 
     ``grid`` is the model TimeGrid; the session covers [t_0, t_N + step).
-    ``events`` is an EVENT_DTYPE array or a sequence of BookEvent; the
-    snapshots keep the best ``K`` >= 1 levels per side. A one-sided
-    snapshot raises BookError("one-sided book"); otherwise the first event
-    a one-pass book would reject raises BookError with its index, if no
-    snapshot due before it is one-sided.
+    ``events`` is an EVENT_DTYPE array, taken without a copy, or a sequence
+    of its record tuples; the snapshots keep the best ``K`` >= 1 levels per
+    side. A one-sided snapshot raises BookError("one-sided book");
+    otherwise the first event a one-pass book would reject raises BookError
+    with its index, if no snapshot due before it is one-sided.
 
     The book is a tick ladder; the events between consecutive cut points
     (action times, in-session trade markers, the end) are applied as one
     array operation per block of cuts.
     """
-    ev = _as_array(events)
+    ev = np.asarray(events, dtype=EVENT_DTYPE)
     if len(ev) > _MAX_EVENTS:
         raise BookError(f"{len(ev)} events: replay takes at most "
                         f"{_MAX_EVENTS}")
@@ -459,30 +439,42 @@ def replay(events, grid, K: int = 20, tick_size: float = 1.0) -> ReplayResult:
 # Event file I/O
 # ---------------------------------------------------------------------------
 
-def read_events_csv(path):
-    """The file's events; ValueError naming the file, and the line of a
-    row without six fields or with a number that is not an integer."""
-    out = []
+def read_events_csv(path) -> np.ndarray:
+    """The EVENT_DTYPE records of a CSV event file, with kind and side by
+    name; ValueError naming the file, and the line of a row without six
+    fields, with a kind or side outside the schema, or with a number that
+    is not an integer or does not fit its field."""
+    rows = []
     with open(path, newline="") as fh:
         r = _csv.reader(fh)
         header = next(r, None)
-        expected = ["ts_ns", "kind", "side", "price_ticks", "size",
-                    "order_ref"]
-        if header != expected:
+        if header != _CSV_FIELDS:
             raise ValueError(f"{path}: unexpected header {header}")
         for row in r:
             try:
                 ts, kind, side, price, size, ref = row
-                out.append(BookEvent(ts_ns=int(ts), kind=kind, side=side,
-                                     price_ticks=int(price), size=int(size),
-                                     order_ref=int(ref)))
+                if kind not in KIND_CODES:
+                    raise ValueError(f"unknown kind {kind!r}")
+                if side not in SIDE_CODES:
+                    raise ValueError(f"unknown side {side!r}")
+                t, p, z, o = int(ts), int(price), int(size), int(ref)
+                rec = (t, KIND_CODES[kind], SIDE_CODES[side], 0, p, z, o, 0)
+                # int64 time and ref, int32 price and size
+                if not (-2 ** 63 <= t < 2 ** 63 and -2 ** 63 <= o < 2 ** 63
+                        and -2 ** 31 <= p < 2 ** 31
+                        and -2 ** 31 <= z < 2 ** 31):
+                    for name, v in zip(EVENT_DTYPE.names, rec):
+                        info = np.iinfo(EVENT_DTYPE[name])
+                        if not info.min <= v <= info.max:
+                            raise ValueError(f"{name} {v} out of range")
+                rows.append(rec)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
-    return out
+    return np.array(rows, dtype=EVENT_DTYPE)
 
 
 def write_events_binary(events, path) -> None:
-    _as_array(events).tofile(path)
+    np.asarray(events, dtype=EVENT_DTYPE).tofile(path)
 
 
 def read_events_binary(path) -> np.ndarray:

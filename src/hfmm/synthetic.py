@@ -51,7 +51,6 @@ class SyntheticTruth:
     config: SyntheticDayConfig
     params: MarketParams
     mid_ticks: np.ndarray   # best-bid tick X_k per action time
-    regimes: np.ndarray
     ind_plus: np.ndarray
     ind_minus: np.ndarray
     c_plus: np.ndarray
@@ -182,7 +181,6 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
                 out=events[starts[a]:starts[b]].view("V32"), mode="clip")
 
     truth = SyntheticTruth(config=cfg, params=params, mid_ticks=X,
-                           regimes=regimes,
                            ind_plus=ind_p.astype(np.int8),
                            ind_minus=ind_m.astype(np.int8),
                            c_plus=c_p, p_plus=p_p, c_minus=c_m, p_minus=p_m)

@@ -13,10 +13,11 @@ from operator import neg
 
 import numpy as np
 
-from hfmm.lob import (EVENT_DTYPE, KIND_CODES, SIDE_CODES, SIDE_NAMES,
-                      BookError, ReplayResult)
+from hfmm.lob import EVENT_DTYPE, SIDE_CODES, BookError, ReplayResult
 
 from conftest import action_time_ns
+
+SIDE_NAMES = {code: name for name, code in SIDE_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,9 @@ def as_objects(rep):
 
 
 def _records(events):
-    if isinstance(events, np.ndarray) and events.dtype == EVENT_DTYPE:
-        return [(int(r[0]), int(r[1]), int(r[2]), int(r[4]), int(r[5]),
-                 int(r[6])) for r in events.tolist()]
-    return [(ev.ts_ns, KIND_CODES.get(ev.kind, 255),
-             SIDE_CODES.get(ev.side, 255), ev.price_ticks, ev.size,
-             ev.order_ref) for ev in events]
+    """(ts_ns, kind, side, price_ticks, size, order_ref) of each event."""
+    return [(r[0], r[1], r[2], r[4], r[5], r[6])
+            for r in np.asarray(events, dtype=EVENT_DTYPE).tolist()]
 
 
 def oracle_replay(events, grid, K=20, tick_size=1.0):

@@ -104,7 +104,6 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
 
     arr = np.array(events, dtype=EVENT_DTYPE)
     truth = SyntheticTruth(config=cfg, params=params, mid_ticks=X,
-                           regimes=regimes,
                            ind_plus=ind_p.astype(np.int8),
                            ind_minus=ind_m.astype(np.int8),
                            c_plus=c_p, p_plus=p_p, c_minus=c_m, p_minus=p_m)

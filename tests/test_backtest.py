@@ -13,7 +13,7 @@ from hfmm.backtest import (DayResult, Policy, aggregate, report_to_csv,
                            report_to_json, run_day, subsample_bootstrap_ci,
                            summarize)
 from hfmm.backtest import _quote_ticks
-from hfmm.lob import BookError, BookEvent, replay
+from hfmm.lob import KIND_CODES, SIDE_CODES, BookError, replay
 from hfmm.model import TimeGrid
 from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import (SyntheticDayConfig, generate_day,
@@ -24,8 +24,8 @@ from conftest import symmetric_params
 
 
 def ev(ts, kind, side, price, size, ref):
-    return BookEvent(ts_ns=ts, kind=kind, side=side, price_ticks=price,
-                     size=size, order_ref=ref)
+    """One event as an EVENT_DTYPE record tuple, kind and side by name."""
+    return (ts, KIND_CODES[kind], SIDE_CODES[side], 0, price, size, ref, 0)
 
 
 def replayed(params, events):
@@ -190,6 +190,26 @@ class TestRunDay:
                       replayed(params, quiet_day_events()))
         assert any("fallback" in f for f in res.flags)
 
+    def test_level_deeper_than_the_replay_rejected(self):
+        # a 30-level book: replayed at the default 20 levels, level 20 is
+        # quoted at every step and levels 21 and 25 are not in the replay
+        events, truth = generate_day(SyntheticDayConfig(n_steps=200,
+                                                        depth=30), seed=1)
+        params = truth.params
+
+        def fallbacks(name, rep):
+            return [f for f in run_day(params, Policy.named(name), rep).flags
+                    if "fallback" in f]
+
+        rep = replayed(params, events)
+        assert fallbacks("fixed_level_20", rep) == []
+        for name in ("fixed_level_21", "fixed_level_25"):
+            with pytest.raises(ValueError, match=f"^policy {name}: the "
+                               "replay kept 20 levels a side$"):
+                run_day(params, Policy.named(name), rep)
+        deep = replay(events, params.grid, K=30, tick_size=params.tick_size)
+        assert fallbacks("fixed_level_25", deep) == []
+
     @pytest.mark.parametrize("tick", [0.0, -1.0])
     @pytest.mark.parametrize("name", ["optimal_forecast",
                                       "optimal_martingale", "fixed_level_1"])
@@ -216,7 +236,7 @@ class TestRunDayMatchesOracle:
     loop it replaced must give the same DayResult or the same error."""
 
     NAMES = ("optimal_forecast", "optimal_martingale", "fixed_level_1",
-             "fixed_level_2", "fixed_level_3", "fixed_level_25")
+             "fixed_level_2", "fixed_level_3", "fixed_level_20")
 
     def same(self, params, policy, rep, **kwargs):
         got = outcome(run_day, params, policy, rep, day_id=7, **kwargs)
@@ -304,8 +324,8 @@ class TestRunDayMatchesOracle:
             policy = Policy.named(name, table)
             capped = self.same(params, policy, rep, order_volume=3)
             free = self.same(params, policy, rep, order_volume=10 ** 6)
-            # level 25 is beyond every MO's reach
-            assert (capped.W_T != free.W_T) == (name != "fixed_level_25")
+            # level 20 is beyond every MO's reach
+            assert (capped.W_T != free.W_T) == (name != "fixed_level_20")
 
     def test_quotes_within_1e_9_of_a_tick(self):
         # mids and quotes a whole or half number of ticks from a tick, give

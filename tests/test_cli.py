@@ -23,6 +23,7 @@ from hfmm.solver import backward_pass, optimal_spreads
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
 from conftest import symmetric_params
+from event_csv import write_events_csv
 
 N_STEPS = 60
 
@@ -566,6 +567,36 @@ class TestPipeline:
         with open(out / "report.csv") as fh:
             assert len(list(csv.reader(fh))) == 11  # header + 5 x 2
 
+    def test_csv_and_binary_days_give_the_same_run(self, tmp_path):
+        """The same days as .csv and as .bin event files give byte-identical
+        params files, break flags, day results and reports."""
+        bin_dir = make_days(tmp_path, 8)
+        csv_dir = tmp_path / "csv_events"
+        csv_dir.mkdir()
+        for path in bin_dir.iterdir():
+            write_events_csv(read_events_binary(path),
+                             csv_dir / f"{path.stem}.csv")
+        outputs = []
+        for events in (bin_dir, csv_dir):
+            run = tmp_path / f"run_{events.name}"
+            config = str(write_config(tmp_path, window=3, break_flags=str(
+                run / "calib" / "break_flags.json")))
+            assert main(["estimate", "--events", str(events),
+                         "--out", str(run / "calib"),
+                         "--config", config]) == 0
+            assert main(["backtest", "--events", str(events),
+                         "--params", str(run / "calib"),
+                         "--out", str(run / "bt"), "--config", config]) == 0
+            assert main(["report", "--out", str(run / "bt"),
+                         "--config", config]) == 0
+            outputs.append({p.relative_to(run): p.read_bytes()
+                            for p in sorted(run.rglob("*")) if p.is_file()})
+        assert sorted(map(str, outputs[0])) == [
+            "bt/day_results.csv", "bt/report.csv", "bt/report.json",
+            "calib/break_flags.json"] + [
+            f"calib/params_day_{d:04d}.yaml" for d in range(3, 8)]
+        assert outputs[0] == outputs[1]
+
 
 class NotAPolicy:
     """Passes for a Policy until the backtest calls dataclasses.replace on
@@ -626,7 +657,11 @@ class TestFailedDays:
     @pytest.mark.parametrize("row,error", [
         ("1000,add,bid", "not enough values to unpack (expected 6, got 3)"),
         ("1000,add,bid,x,5,1", "invalid literal for int() with base 10: "
-                               "'x'")], ids=["short_row", "non_integer"])
+                               "'x'"),
+        ("1000,ADD,bid,10000,5,1", "unknown kind 'ADD'"),
+        ("1000,add,bid,4294967296,5,1",
+         "price_ticks 4294967296 out of range")],
+        ids=["short_row", "non_integer", "unknown_kind", "out_of_range"])
     def test_bad_csv_row_fails_its_day(self, tmp_path, capsys, row, error):
         events_dir = make_days(tmp_path, 22)
         (events_dir / "day_0000.bin").unlink()
@@ -758,16 +793,18 @@ class TestFailedDays:
 
         monkeypatch.setattr("hfmm.cli._read_events", no_reads)
         out = tmp_path / "bt"
-        # fixed_level_01 was read as a second fixed_level_1, two rows a day
+        # fixed_level_01 was read as a second fixed_level_1, two rows a day;
+        # replay keeps 20 levels a side, so fixed_level_21 quoted level 20
         for policies in ("optimal_martingale,fixed_level_0",
-                         "fixed_level_1,fixed_level_01"):
+                         "fixed_level_1,fixed_level_01",
+                         "fixed_level_1,fixed_level_21"):
             assert main(["backtest", "--events", str(events_dir),
                          "--params", str(params_dir), "--out", str(out),
                          "--policies", policies,
                          "--config", str(write_config(tmp_path))]) == 1
             bad = policies.rpartition(",")[2]
             assert bad in capsys.readouterr().err
-            assert not (out / "day_results.csv").exists()
+            assert not out.exists()
 
     def test_report_counts_only_excluded_days_it_has(self, tmp_path):
         out = tmp_path / "bt"
@@ -797,9 +834,11 @@ class TestFailedDays:
         ("break_flags.json", '{"flagged": "21"}',
          'expected {"flagged": [day, ...]}'),
         ("break_flags.json", '{"flagged": ["21", 24]}',
+         'expected {"flagged": [day, ...]}'),
+        ("break_flags.json", '{"flagged": [true]}',
          'expected {"flagged": [day, ...]}')],
         ids=["short_row", "non_number", "not_json", "not_a_mapping",
-             "not_a_list", "not_day_numbers"])
+             "not_a_list", "not_day_numbers", "boolean_day"])
     def test_report_malformed_input_named(self, tmp_path, capsys, name,
                                           text, error):
         out = tmp_path / "bt"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfmm.lob import (EVENT_DTYPE, BookError, BookEvent, IntervalFlow,
-                      ReplayResult, fill_quantity, liquidate,
+from hfmm.lob import (EVENT_DTYPE, KIND_CODES, SIDE_CODES, BookError,
+                      IntervalFlow, ReplayResult, fill_quantity, liquidate,
                       read_events_binary, read_events_csv, replay,
                       write_events_binary)
 from hfmm.model import TimeGrid
@@ -19,8 +19,8 @@ from replay_oracle import (BookState, as_objects, mo, oracle_replay,
 
 
 def ev(ts, kind, side, price, size, ref):
-    return BookEvent(ts_ns=ts, kind=kind, side=side, price_ticks=price,
-                     size=size, order_ref=ref)
+    """One event as an EVENT_DTYPE record tuple, kind and side by name."""
+    return (ts, KIND_CODES[kind], SIDE_CODES[side], 0, price, size, ref, 0)
 
 
 EMPTY = BookState(bids=(), asks=())
@@ -96,9 +96,10 @@ class TestApplyEvent:
     def test_malformed_events_rejected(self):
         assert rejected_at([ev(0, "add", "bid", 9000, 0, 1)]) == 0
         assert rejected_at([ev(0, "add", "bid", -5, 10, 1)]) == 0
-        assert rejected_at([ev(0, "add", "middle", 9000, 10, 1)]) == 0
+        # side code 2 and kind code 4 are outside the schema
+        assert rejected_at([(0, 0, 2, 0, 9000, 10, 1, 0)]) == 0
         assert rejected_at([ev(0, "add", "bid", 9000, 10, 1),
-                            ev(1, "amend", "bid", 9000, 10, 1)]) == 1
+                            (1, 4, 0, 0, 9000, 10, 1, 0)]) == 1
 
 
 def midprice(bid, ask, tick_size):
@@ -285,7 +286,7 @@ class TestEventIO:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "events.csv"
         write_events_csv(self._events(), path)
-        assert read_events_csv(path) == self._events()
+        assert read_events_csv(path).tolist() == self._events()
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -296,8 +297,17 @@ class TestEventIO:
     @pytest.mark.parametrize("row,error", [
         ("1000,add,bid", "not enough values to unpack (expected 6, got 3)"),
         ("1000,add,bid,10000,1.5,3",
-         "invalid literal for int() with base 10: '1.5'")],
-        ids=["short_row", "non_integer"])
+         "invalid literal for int() with base 10: '1.5'"),
+        ("1000,ADD,bid,10000,5,3", "unknown kind 'ADD'"),
+        ("1000,add,buy,10000,5,3", "unknown side 'buy'"),
+        ("1000,add,bid,4294967296,5,3", "price_ticks 4294967296 out of range"),
+        ("1000,add,bid,10000,-2147483649,3", "size -2147483649 out of range"),
+        (f"{2 ** 63},add,bid,10000,5,3", f"ts_ns {2 ** 63} out of range"),
+        (f"1000,add,bid,10000,5,{-2 ** 63 - 1}",
+         f"order_ref {-2 ** 63 - 1} out of range")],
+        ids=["short_row", "non_integer", "unknown_kind", "unknown_side",
+             "price_too_large", "size_too_small", "ts_too_large",
+             "ref_too_small"])
     def test_csv_bad_row_names_file_and_line(self, tmp_path, row, error):
         path = tmp_path / "day_0000.csv"
         write_events_csv(self._events(), path)
@@ -313,7 +323,7 @@ class TestEventIO:
         assert arr.dtype == EVENT_DTYPE
         assert arr.nbytes == 32 * 3
         assert [int(r["price_ticks"]) for r in arr] == [10000, 10001, 10001]
-        # binary and object inputs replay identically
+        # array and record-tuple inputs replay identically
         grid = TimeGrid(n_steps=1, step_seconds=1.0, session_start_ns=10)
         a = replay(self._events(), grid)
         b = replay(arr, grid)
@@ -361,14 +371,10 @@ class TestColumnarReplayMatchesOracle:
         assert_same_replay(replay(events, truth.params.grid),
                            oracle_replay(events, truth.params.grid))
 
-    def test_book_event_input_and_small_K(self):
+    def test_record_tuple_input_and_small_K(self):
         events, truth = generate_day(SyntheticDayConfig(n_steps=50), seed=4)
-        kinds = ("add", "cancel", "execute", "trade")
-        objs = [ev(int(r["ts_ns"]), kinds[r["kind"]], ("bid", "ask")[r["side"]],
-                   int(r["price_ticks"]), int(r["size"]), int(r["order_ref"]))
-                for r in events]
         grid = truth.params.grid
-        assert_same_replay(replay(objs, grid, K=3, tick_size=0.01),
+        assert_same_replay(replay(events.tolist(), grid, K=3, tick_size=0.01),
                            oracle_replay(events, grid, K=3, tick_size=0.01))
 
     def test_sizes_beyond_int32(self):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimation import drift_forecast_series
 from .lob import BookError, ReplayResult, fill_quantity, liquidate
-from .model import MarketParams
+from .model import MarketParams, penalized_wealth
 from .solver import CoefficientTable, optimal_spreads
 
 __all__ = [
@@ -233,7 +233,7 @@ def run_day(params: MarketParams, policy: Policy, rep: ReplayResult,
     bid, ask = rep.book_prices[-1, :, 0].tolist()
     S_T = ((bid + ask) / 2 * tick if rep.book_depth[-1].all()
            else float(mids[-1]))
-    objective = W + S_T * I - params.lam * I ** 2
+    objective = penalized_wealth(W, S_T, I, params.lam)
     if I != 0:
         liq = liquidate(rep, I, tick)
         if liq.insufficient_depth:

@@ -6,7 +6,8 @@ randomness in a run flows from the single configured seed, so repeated runs
 with identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 invalid inputs or total failure, 2 missing
-parameter/config file or event files, 3 empty report.
+parameter/config file or event files, 3 empty report. A failed check raises
+_Fatal, which ``main`` prints to stderr and returns as the exit code.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ EXIT_EMPTY_REPORT = 3
 # calibration or solve, an unreadable file. Anything else is a programming
 # error and ends the run, under any --workers.
 _DAY_ERRORS = (BookError, ValueError, ArithmeticError, OSError)
+
+
+class _Fatal(Exception):
+    """A failed check that ends the command: (exit code, message)."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +106,25 @@ _BOUND = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 def load_run_config(args) -> dict:
     """The config values that were set: config file <- environment <-
-    flags."""
+    flags; _Fatal for a missing or bad config file or HFMM_* value."""
     cfg = {}
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         if not Path(config_path).exists():
-            raise FileNotFoundError(config_path)
+            raise _Fatal(EXIT_MISSING_PARAMS,
+                         f"config file not found: {config_path}")
+        bad = f"invalid config: {config_path}:"
         try:
             with open(config_path) as fh:
                 doc = yaml.safe_load(fh) or {}
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{config_path}: not a readable YAML file: "
-                             f"{exc}") from None
+            raise _Fatal(EXIT_FAILURE, f"{bad} not a readable YAML file: "
+                                       f"{exc}") from None
         if not isinstance(doc, dict):
-            raise ValueError(f"{config_path}: config file is not a mapping")
+            raise _Fatal(EXIT_FAILURE, f"{bad} config file is not a mapping")
         for key in doc:
             if key not in CONFIG_KEYS:
-                raise ValueError(f"{config_path}: unknown key {key!r}")
+                raise _Fatal(EXIT_FAILURE, f"{bad} unknown key {key!r}")
         cfg.update(doc)
     for key, (kind, _, _, flag) in CONFIG_KEYS.items():
         if flag is None:
@@ -127,8 +134,9 @@ def load_run_config(args) -> dict:
             try:
                 cfg[key] = cast(os.environ[var])
             except ValueError:
-                raise ValueError(f"{var}={os.environ[var]!r} is not a valid "
-                                 f"{cast.__name__}") from None
+                raise _Fatal(EXIT_FAILURE, f"invalid config: {var}="
+                             f"{os.environ[var]!r} is not a valid "
+                             f"{cast.__name__}") from None
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     return cfg
@@ -136,7 +144,9 @@ def load_run_config(args) -> dict:
 
 def _read(kind, key, v, bounds=()):
     """v as a value of ``kind`` within ``bounds``, a policy name as its
-    Policy; else ValueError(what ``key`` needs, the first bad value)."""
+    Policy; else ValueError(what ``key`` needs, the first bad value, and
+    for a policy name the reason it was refused)."""
+    why = ()
     if kind in (INT, REAL):
         if not (isinstance(v, bool)
                 or not isinstance(v, int if kind == INT else (int, float))
@@ -146,27 +156,28 @@ def _read(kind, key, v, bounds=()):
     elif kind == PATH:
         if isinstance(v, str):
             return v
-    elif kind == POLICY:
+    elif kind == POLICY and isinstance(v, str):
         try:
-            if isinstance(v, str):
-                policy = bt.Policy.named(v)
-                if policy.level <= BOOK_LEVELS:  # the depth replay keeps
-                    return policy
-        except ValueError:
-            pass
-    elif isinstance(v, list) and (v or kind == REALS):
+            policy = bt.Policy.named(v)
+        except ValueError as exc:
+            why = exc.args
+        else:
+            if policy.level <= BOOK_LEVELS:
+                return policy
+            why = (f"the replay keeps {BOOK_LEVELS} levels a side",)
+    elif kind in _ENTRY and isinstance(v, list) and (v or kind == REALS):
         got = [_read(_ENTRY[kind], f"{key}[{i}]", x) for i, x in enumerate(v)]
         if kind == REALS or len(set(v)) == len(v):
             return got
     need = " and ".join(f"{op} {b}" for op, b in bounds)
     article = "an" if kind == INT else "a"
-    raise ValueError(f"{article} {kind} {key} {need}".rstrip(), v)
+    raise ValueError(f"{article} {kind} {key} {need}".rstrip(), v, *why)
 
 
 def _checked(command, cfg, *keys):
     """{key: value} for each key, read by its kind from cfg or else from
-    its default, or None at the first bad value, which is printed as
-    '<command> needs ..., not v'."""
+    its default; _Fatal at the first bad value, as '<command> needs ...,
+    not v'."""
     got = {}
     for key in keys:
         kind, default, bounds, _ = CONFIG_KEYS[key]
@@ -175,33 +186,28 @@ def _checked(command, cfg, *keys):
             got[key] = (None if v is None and kind == PATH and key not in cfg
                         else _read(kind, key, v, bounds))
         except ValueError as exc:
-            what, bad = exc.args
-            print(f"{command} needs {what}, not {bad!r}", file=sys.stderr)
-            return None
+            what, bad, *why = exc.args
+            raise _Fatal(EXIT_FAILURE, ": ".join(
+                [f"{command} needs {what}, not {bad!r}", *why])) from None
     return got
 
 
-def _load_params_or_exit(command, cfg, path) -> MarketParams:
+def _load_params(command, cfg, path) -> MarketParams:
     """The params file at ``path``, with the configured lambda if one is
-    set; exits 2 when it is missing and 1 when it is bad."""
+    set; _Fatal with exit 2 when it is missing and 1 when it is bad."""
     if not path or not Path(path).exists():
-        print(f"parameter file not found: {path!r}", file=sys.stderr)
-        sys.exit(EXIT_MISSING_PARAMS)
+        raise _Fatal(EXIT_MISSING_PARAMS,
+                     f"parameter file not found: {path!r}")
     try:
         p = load_params(path)
     except ValueError as exc:
-        print(f"invalid params: {exc}", file=sys.stderr)
-        sys.exit(EXIT_FAILURE)
+        raise _Fatal(EXIT_FAILURE, f"invalid params: {exc}") from None
     if "lambda" in cfg:
-        s = _checked(command, cfg, "lambda")
-        if s is None:
-            sys.exit(EXIT_FAILURE)
-        p = replace(p, lam=s["lambda"])
+        p = replace(p, lam=_checked(command, cfg, "lambda")["lambda"])
     violations = validate_params(p)
     if violations:
-        for v in violations:
-            print(f"invalid params: {v}", file=sys.stderr)
-        sys.exit(EXIT_FAILURE)
+        raise _Fatal(EXIT_FAILURE, "\n".join(f"invalid params: {v}"
+                                             for v in violations))
     return p
 
 
@@ -218,18 +224,17 @@ def _read_events(path: Path):
 
 
 def _day_files(s, *dirs):
-    """The event files in directory s["events"], in day order; None, with
-    the reason printed, when it or the directory of another key in ``dirs``
-    is unset or missing, or when it holds no event file."""
+    """The event files in directory s["events"], in day order; _Fatal with
+    exit 2 when it or the directory of another key in ``dirs`` is unset or
+    missing, or when it holds no event file."""
     for key in ("events", *dirs):
         if s[key] is None or not Path(s[key]).is_dir():
-            print(f"{key} directory not found: {s[key]!r}", file=sys.stderr)
-            return None
+            raise _Fatal(EXIT_MISSING_PARAMS,
+                         f"{key} directory not found: {s[key]!r}")
     files = sorted(p for p in Path(s["events"]).iterdir()
                    if p.suffix in (".bin", ".csv"))
     if not files:
-        print(f"no event files in {s['events']}", file=sys.stderr)
-        return None
+        raise _Fatal(EXIT_MISSING_PARAMS, f"no event files in {s['events']}")
     return files
 
 
@@ -239,9 +244,7 @@ def _day_files(s, *dirs):
 
 def cmd_solve(cfg) -> int:
     s = _checked("solve", cfg, "params", "out", "pi11_grid", "inventory_grid")
-    if s is None:
-        return EXIT_FAILURE
-    p = _load_params_or_exit("solve", cfg, s["params"])
+    p = _load_params("solve", cfg, s["params"])
     out = _outdir(s["out"])
     table = backward_pass(p)
     table_to_csv(table, out / "coefficients.csv")
@@ -274,16 +277,13 @@ def cmd_solve(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     s = _checked("simulate", cfg, "params", "out", "n_paths", "seed", "S0")
-    if s is None:
-        return EXIT_FAILURE
-    p = _load_params_or_exit("simulate", cfg, s["params"])
+    p = _load_params("simulate", cfg, s["params"])
     mom = p.moments
     for name, side in (("plus", mom.plus), ("minus", mom.minus)):
         for key in ("mu_p", "mu_p2"):
             if getattr(side, key) is None:
-                print(f"simulate needs moments.{name}.{key} in the "
-                      f"parameter file {s['params']}", file=sys.stderr)
-                return EXIT_FAILURE
+                raise _Fatal(EXIT_FAILURE, f"simulate needs moments.{name}."
+                             f"{key} in the parameter file {s['params']}")
     out = _outdir(s["out"])
     table = backward_pass(p)
     demand = DemandDistribution(
@@ -326,11 +326,7 @@ def cmd_estimate(cfg) -> int:
     s = _checked("estimate", cfg, "events", "out", "n_steps", "window",
                  "level_depth", "tick_size", "step_seconds",
                  "session_start_ns", "lambda", "break_quantile")
-    if s is None:
-        return EXIT_FAILURE
     files = _day_files(s)
-    if files is None:
-        return EXIT_MISSING_PARAMS
     out = _outdir(s["out"])
     # an earlier run's files would pass for this run's: backtest reads every
     # params file it finds, and report the break flags
@@ -351,8 +347,7 @@ def cmd_estimate(cfg) -> int:
             print(f"day {path.name} failed: {exc}", file=sys.stderr)
             failures += 1
     if not store:
-        print("all days failed", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Fatal(EXIT_FAILURE, "all days failed")
     # Day i is calibrated on the last ``window`` estimated days before it
     # and named by its file index, so a failed day shifts nothing.
     day_ids = [d.day_id for d in store]
@@ -413,11 +408,7 @@ def _backtest_one_day(task):
 def cmd_backtest(cfg) -> int:
     s = _checked("backtest", cfg, "events", "params", "out", "policies",
                  "order_volume", "workers")
-    if s is None:
-        return EXIT_FAILURE
     files = _day_files(s, "params")
-    if files is None:
-        return EXIT_MISSING_PARAMS
     out = _outdir(s["out"])
     tasks = []
     for i, path in enumerate(files):
@@ -426,8 +417,7 @@ def cmd_backtest(cfg) -> int:
             tasks.append((i, str(pp), str(path), s["policies"],
                           s["order_volume"]))
     if not tasks:
-        print("no days with calibrated parameters", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Fatal(EXIT_FAILURE, "no days with calibrated parameters")
     if s["workers"] > 1:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
@@ -440,8 +430,7 @@ def cmd_backtest(cfg) -> int:
     for day, error in failures:
         print(f"day {day} failed: {error}", file=sys.stderr)
     if len(failures) == len(tasks):
-        print("all days failed", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Fatal(EXIT_FAILURE, "all days failed")
     with open(out / "day_results.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["day", "policy", "objective", "liquidation_value",
@@ -455,13 +444,11 @@ def cmd_backtest(cfg) -> int:
 
 def cmd_report(cfg) -> int:
     s = _checked("report", cfg, "out", "seed", "results", "break_flags")
-    if s is None:
-        return EXIT_FAILURE
     out = _outdir(s["out"])
     results_path = Path(s["results"] or out / "day_results.csv")
     if not results_path.exists():
-        print(f"results file not found: {results_path}", file=sys.stderr)
-        return EXIT_EMPTY_REPORT
+        raise _Fatal(EXIT_EMPTY_REPORT,
+                     f"results file not found: {results_path}")
     by_policy, flagged, where = {}, set(), results_path
     flags_path = Path(s["break_flags"] or out / "break_flags.json")
     try:
@@ -487,11 +474,10 @@ def cmd_report(cfg) -> int:
                 raise ValueError('expected {"flagged": [day, ...]}')
             flagged = set(flagged)
     except ValueError as exc:
-        print(f"invalid report input: {where}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _Fatal(EXIT_FAILURE,
+                     f"invalid report input: {where}: {exc}") from None
     if all(r.incomplete for rows in by_policy.values() for r in rows):
-        print("empty report", file=sys.stderr)
-        return EXIT_EMPTY_REPORT
+        raise _Fatal(EXIT_EMPTY_REPORT, "empty report")
     report = bt.summarize(dict(sorted(by_policy.items())), flagged,
                           bootstrap_seed=s["seed"])
     bt.report_to_csv(report, out / "report.csv")
@@ -521,14 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_run_config(args)
-    except FileNotFoundError as exc:
-        print(f"config file not found: {exc}", file=sys.stderr)
-        return EXIT_MISSING_PARAMS
-    except ValueError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     handler = {
         "solve": cmd_solve,
         "simulate": cmd_simulate,
@@ -536,7 +514,12 @@ def main(argv=None) -> int:
         "backtest": cmd_backtest,
         "report": cmd_report,
     }[args.command]
-    return handler(cfg)
+    try:
+        return handler(load_run_config(args))
+    except _Fatal as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

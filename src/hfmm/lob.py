@@ -441,16 +441,16 @@ def replay(events, grid, K: int = BOOK_LEVELS,
 
 def read_events_csv(path) -> np.ndarray:
     """The EVENT_DTYPE records of a CSV event file, with kind and side by
-    name; ValueError naming the file, and the line of a row without six
-    fields, with a kind or side outside the schema, or with a number that
-    is not an integer or does not fit its field."""
+    name, empty lines skipped; ValueError naming the file, and the line of
+    a row without six fields, with a kind or side outside the schema, or
+    with a number that is not an integer or does not fit its field."""
     rows = []
     with open(path, newline="") as fh:
         r = _csv.reader(fh)
         header = next(r, None)
         if header != _CSV_FIELDS:
             raise ValueError(f"{path}: unexpected header {header}")
-        for row in r:
+        for row in filter(None, r):
             try:
                 ts, kind, side, price, size, ref = row
                 if kind not in KIND_CODES:

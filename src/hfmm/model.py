@@ -21,6 +21,8 @@ __all__ = [
     "ArrivalSchedule",
     "MarketParams",
     "joint_bounds",
+    "arrival_indicators",
+    "penalized_wealth",
     "validate_params",
     "load_params",
     "save_params",
@@ -132,6 +134,25 @@ def joint_bounds(pi_plus, pi_minus):
     lo = pi_plus + pi_minus - 1.0
     return (np.where(0.0 > lo, 0.0, lo),
             np.where(pi_minus < pi_plus, pi_minus, pi_plus))
+
+
+def arrival_indicators(pp, pm, pj, u):
+    """Map uniforms to the joint arrival indicators of one step, whose
+    probabilities pp, pm and pj are floats: both sides below pi_joint, buy
+    only up to pi_plus, sell only for the next pi_minus - pi_joint.
+
+    The buy side is one compare, against pi_plus where pi_joint < pi_plus
+    and against pi_joint otherwise: so a NaN pi_plus leaves u < pi_joint
+    and a NaN pi_joint no buy, as the two intervals give."""
+    ind_p = u < (pp if pj < pp else pj)
+    ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
+    return ind_p, ind_m
+
+
+def penalized_wealth(W, S, I, lam):
+    """The terminal objective W + S*I - lam*I^2: wealth with the inventory
+    marked at S, less the quadratic inventory penalty."""
+    return W + S * I - lam * I ** 2
 
 
 def validate_params(p: MarketParams) -> list[str]:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MarketParams
+from .model import MarketParams, arrival_indicators, penalized_wealth
 
 __all__ = [
     "SideDistribution",
@@ -152,19 +152,6 @@ class EpisodeResult:
     terminal_objective: float
 
 
-def _arrivals_vec(pp, pm, pj, u):
-    """Map uniforms to the joint arrival indicators of one step, whose
-    probabilities pp, pm and pj are floats: both sides below pi_joint, buy
-    only up to pi_plus, sell only for the next pi_minus - pi_joint.
-
-    The buy side is one compare, against pi_plus where pi_joint < pi_plus
-    and against pi_joint otherwise: so a NaN pi_plus leaves u < pi_joint
-    and a NaN pi_joint no buy, as the two intervals give."""
-    ind_p = u < (pp if pj < pp else pj)
-    ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
-    return ind_p, ind_m
-
-
 # SeedSequence's hashing and PCG64's seeding, as numpy defines them (both
 # fixed by its stream-compatibility policy).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -279,7 +266,7 @@ def _steps(policy, market: SimMarket, u, z):
     I = np.zeros(m)
     for k in range(n):
         u_arr, u_cp, u_pp, u_cm, u_pm = u[k]
-        ind_p, ind_m = _arrivals_vec(pp[k], pm[k], pj[k], u_arr)
+        ind_p, ind_m = arrival_indicators(pp[k], pm[k], pj[k], u_arr)
         Lp, Lm = policy.spreads(k, S, I)
         cp, ppr = plus.sample(u_cp, u_pp)
         cm, pmr = minus.sample(u_cm, u_pm)
@@ -300,10 +287,6 @@ def _steps(policy, market: SimMarket, u, z):
         if z is not None:
             S += vol[k] * z[k]
         yield S, W, I, (Lp, Lm, Qp, Qm, ind_p, ind_m)
-
-
-def _objective(market: SimMarket, S, W, I):
-    return W + S * I - market.params.lam * I ** 2
 
 
 def _reject_forecast(policies):
@@ -339,7 +322,8 @@ def run_episode(policy, market: SimMarket, rng_seed) -> EpisodeResult:
     return EpisodeResult(S=S_log, W=W_log, I=I_log, L_plus=Lp, L_minus=Lm,
                          Q_plus=Qp, Q_minus=Qm, ind_plus=ind_p.astype(int),
                          ind_minus=ind_m.astype(int),
-                         terminal_objective=_objective(market, S, W, I)[0])
+                         terminal_objective=penalized_wealth(
+                             W, S, I, market.params.lam)[0])
 
 
 def monte_carlo_values(policies, market: SimMarket, n_paths: int,
@@ -389,7 +373,8 @@ def monte_carlo_values(policies, market: SimMarket, n_paths: int,
         for pol_idx, policy in enumerate(policies):
             for S, W, I, _ in _steps(policy, market, u, z):
                 pass
-            objectives[pol_idx][start:stop] = _objective(market, S, W, I)
+            objectives[pol_idx][start:stop] = penalized_wealth(
+                W, S, I, market.params.lam)
 
     out = []
     for obj in objectives:

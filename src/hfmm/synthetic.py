@@ -19,7 +19,7 @@ import numpy as np
 
 from .lob import EVENT_DTYPE
 from .model import (ArrivalSchedule, DemandMoments, MarketParams, SideMoments,
-                    TimeGrid)
+                    TimeGrid, arrival_indicators)
 
 __all__ = ["SyntheticDayConfig", "SyntheticTruth", "generate_day",
            "true_market_params"]
@@ -99,9 +99,8 @@ def generate_day(cfg: SyntheticDayConfig, seed: int):
 
     # arrivals and demand draws
     u = rng.random(n)
-    pj, pp, pm = cfg.pi_joint, cfg.pi_plus, cfg.pi_minus
-    ind_p = (u < pj) | ((u >= pj) & (u < pp))
-    ind_m = (u < pj) | ((u >= pp) & (u < pp + pm - pj))
+    ind_p, ind_m = arrival_indicators(cfg.pi_plus, cfg.pi_minus,
+                                      cfg.pi_joint, u)
     c_p = rng.choice(cfg.c_values, size=n)
     p_p = rng.choice(cfg.p_values, size=n)
     c_m = rng.choice(cfg.c_values, size=n)

@@ -93,11 +93,13 @@ def read_surface(path):
 
 
 class TestExitCodes:
-    def test_missing_params_file(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--params", str(tmp_path / "nope.yaml"),
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_missing_params_file(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.yaml")
+        assert main([command, "--params", missing,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert (f"parameter file not found: {missing!r}"
+                in capsys.readouterr().err)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -158,10 +160,8 @@ class TestExitCodes:
                               value):
         out = tmp_path / "out"
         config = write_config(tmp_path, **{"lambda": value})
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--params", str(params_file), "--out", str(out),
-                  "--config", str(config)])
-        assert exc.value.code == 1
+        assert main([command, "--params", str(params_file), "--out", str(out),
+                     "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert " lambda" in err and f"not {value!r}" in err
         assert not out.exists()  # rejected before anything was solved
@@ -329,14 +329,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 1
         assert f"{var}={value!r}" in capsys.readouterr().err
 
-    def test_invalid_params_rejected(self, tmp_path, params_file):
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_invalid_params_rejected(self, tmp_path, params_file, capsys,
+                                     command):
         text = params_file.read_text().replace("0.2", "1.7")
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--params", str(bad),
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 1
+        assert main([command, "--params", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "invalid params: " in capsys.readouterr().err
 
     def test_nan_lambda_in_params_file_rejected(self, tmp_path, params_file,
                                                 capsys):
@@ -345,9 +346,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.yaml"
         bad.write_text(text.replace("\nlambda: 0.0005\n", "\nlambda: .nan\n"))
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--params", str(bad), "--out", str(out)])
-        assert exc.value.code == 1
+        assert main(["solve", "--params", str(bad), "--out", str(out)]) == 1
         assert "lambda must be finite" in capsys.readouterr().err
         assert not (out / "spread_surface.csv").exists()
 
@@ -795,15 +794,21 @@ class TestFailedDays:
         out = tmp_path / "bt"
         # fixed_level_01 was read as a second fixed_level_1, two rows a day;
         # replay keeps 20 levels a side, so fixed_level_21 quoted level 20
-        for policies in ("optimal_martingale,fixed_level_0",
-                         "fixed_level_1,fixed_level_01",
-                         "fixed_level_1,fixed_level_21"):
+        written = "level must be >= 1, written without leading zeros"
+        for policies, why in (
+                ("optimal_martingale,fixed_level_0",
+                 f"policy 'fixed_level_0': {written}"),
+                ("fixed_level_1,fixed_level_01",
+                 f"policy 'fixed_level_01': {written}"),
+                ("fixed_level_1,fixed_level_21",
+                 "the replay keeps 20 levels a side")):
             assert main(["backtest", "--events", str(events_dir),
                          "--params", str(params_dir), "--out", str(out),
                          "--policies", policies,
                          "--config", str(write_config(tmp_path))]) == 1
             bad = policies.rpartition(",")[2]
-            assert bad in capsys.readouterr().err
+            assert (f"backtest needs a policy name policies[1], not {bad!r}: "
+                    f"{why}\n") == capsys.readouterr().err
             assert not out.exists()
 
     def test_report_counts_only_excluded_days_it_has(self, tmp_path):

@@ -316,6 +316,21 @@ class TestEventIO:
             read_events_csv(path)
         assert str(info.value) == f"{path}: line 5: {error}"
 
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", "\n\n"])
+    def test_csv_blank_lines_skipped(self, tmp_path, blank):
+        path = tmp_path / "day_0000.csv"
+        write_events_csv(self._events(), path)
+        text = path.read_bytes()
+        path.write_bytes(text + blank.encode())
+        assert read_events_csv(path).tolist() == self._events()
+        # a short row after them still fails, on its own line
+        path.write_bytes(text + blank.encode() + b"1000,add,bid\r\n")
+        with pytest.raises(ValueError) as info:
+            read_events_csv(path)
+        line = 5 + blank.count("\n")
+        assert str(info.value) == (f"{path}: line {line}: not enough values "
+                                   "to unpack (expected 6, got 3)")
+
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "events.bin"
         write_events_binary(self._events(), path)

@@ -475,10 +475,8 @@ class TestBrokenParamsFile:
             path.write_text("grid: {n_steps: 5\narrivals: [\n")
         else:
             path = self._write(tmp_path, section)
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--params", str(path),
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 1
+        assert main(["solve", "--params", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"invalid params: {path}" in err
         assert "Traceback" not in err

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hfmm import simulator
 from hfmm.backtest import Policy
 from hfmm.model import (ArrivalSchedule, DemandMoments, MarketParams,
-                        TimeGrid)
+                        TimeGrid, arrival_indicators)
 from hfmm.simulator import (DemandDistribution, PriceModel, SimMarket,
-                            TwoPointIndependent, _arrivals_vec, _path_draws,
+                            TwoPointIndependent, _path_draws,
                             _path_state_words, monte_carlo_value,
                             monte_carlo_values, run_episode)
 from hfmm.solver import backward_pass, optimal_spreads
@@ -47,17 +47,19 @@ def sure_arrivals_market(pi_plus, pi_minus, c=100.0, pv=5.0):
 
 class TestSampleArrivals:
     def test_degenerate_always_joint(self):
-        ip, im = _arrivals_vec(1.0, 1.0, 1.0, np.array([0.0, 0.3, 0.999]))
+        ip, im = arrival_indicators(1.0, 1.0, 1.0,
+                                    np.array([0.0, 0.3, 0.999]))
         assert ip.all() and im.all()
 
     def test_comonotone_boundary(self):
-        ip, im = _arrivals_vec(0.4, 0.4, 0.4, np.linspace(0.001, 0.999, 37))
+        ip, im = arrival_indicators(0.4, 0.4, 0.4,
+                                    np.linspace(0.001, 0.999, 37))
         np.testing.assert_array_equal(ip, im)
 
     def test_joint_frequencies(self):
         rng = np.random.default_rng(0)
         n = 200_000
-        ip, im = _arrivals_vec(0.2, 0.2, 0.04, rng.random(n))
+        ip, im = arrival_indicators(0.2, 0.2, 0.04, rng.random(n))
         probs = {(1, 1): 0.04, (1, 0): 0.16, (0, 1): 0.16, (0, 0): 0.64}
         for (want_p, want_m), prob in probs.items():
             freq = np.mean((ip == want_p) & (im == want_m))
@@ -99,7 +101,7 @@ class TestBranchFreeSelects:
 
     @staticmethod
     def assert_arrivals_as_oracle(pp, pm, pj, u):
-        got = _arrivals_vec(pp, pm, pj, u)
+        got = arrival_indicators(pp, pm, pj, u)
         want = mc_oracle._arrivals_vec(pp, pm, pj, u)
         assert all(same_bits(g, w) for g, w in zip(got, want))
 

@@ -340,7 +340,9 @@ def cmd_estimate(cfg) -> int:
     failures = 0
     for i, path in enumerate(files):
         try:
-            rep = replay(_read_events(path), grid, tick_size=tick)
+            # estimate_day reads only the touch, whether each side is
+            # non-empty, the mid and the MOs' ladders, which K does not cut
+            rep = replay(_read_events(path), grid, K=1, tick_size=tick)
             store.append(estimate_day(rep, i, level_depth=s["level_depth"],
                                       tick_size=tick))
         except _DAY_ERRORS as exc:
@@ -388,8 +390,9 @@ def _backtest_one_day(task):
         violations = validate_params(p)
         if violations:
             raise ValueError(f"{params_path}: " + "; ".join(violations))
-        events = _read_events(Path(events_path))
-        rep = replay(events, p.grid, tick_size=p.tick_size)
+        # the event array goes as replay returns, before the day's runs
+        rep = replay(_read_events(Path(events_path)), p.grid,
+                     tick_size=p.tick_size)
         table = (backward_pass(p) if any(not pol.level for pol in policies)
                  else None)
         rows = []

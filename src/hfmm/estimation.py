@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,16 @@ class DayEstimates:
     c_minus: np.ndarray
     p_minus: np.ndarray
     valid_minus: np.ndarray
+
+    @cached_property
+    def moments(self) -> DemandMoments:
+        """The day's daily_moments, computed once: each rolling window
+        that holds the day reads them again."""
+        return DemandMoments(
+            plus=_side_daily_moments(self.c_plus, self.p_plus,
+                                     self.valid_plus),
+            minus=_side_daily_moments(self.c_minus, self.p_minus,
+                                      self.valid_minus))
 
 
 def _fit_quadratic(series: np.ndarray) -> np.ndarray:
@@ -153,11 +164,9 @@ def _side_daily_moments(c, p, valid) -> SideMoments:
 
 def daily_moments(day: DayEstimates) -> DemandMoments:
     """Arithmetic means of per-interval regression products over valid
-    intervals, conditioning on that side's arrival."""
-    return DemandMoments(
-        plus=_side_daily_moments(day.c_plus, day.p_plus, day.valid_plus),
-        minus=_side_daily_moments(day.c_minus, day.p_minus, day.valid_minus),
-    )
+    intervals, conditioning on that side's arrival; ValueError for a side
+    with no valid interval."""
+    return day.moments
 
 
 def _mean_side(sides) -> SideMoments:

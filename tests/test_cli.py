@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -565,6 +566,29 @@ class TestPipeline:
         assert "ci_bootstrap" in block
         with open(out / "report.csv") as fh:
             assert len(list(csv.reader(fh))) == 11  # header + 5 x 2
+
+    def test_backtest_drops_each_days_events_once_replayed(
+            self, tmp_path, monkeypatch):
+        events_dir, params_dir = self._estimate(tmp_path, 22)
+        read, run_day, refs = hfmm.cli._read_events, bt.run_day, []
+
+        def read_and_watch(path):
+            events = read(path)
+            refs.append(weakref.ref(events))
+            return events
+
+        def run_day_after_release(*args, **kwargs):
+            # the day's event array is gone before its first run
+            assert refs and all(ref() is None for ref in refs)
+            return run_day(*args, **kwargs)
+
+        monkeypatch.setattr("hfmm.cli._read_events", read_and_watch)
+        monkeypatch.setattr(bt, "run_day", run_day_after_release)
+        out = tmp_path / "bt"
+        assert main(["backtest", "--events", str(events_dir),
+                     "--params", str(params_dir), "--out", str(out),
+                     "--config", str(write_config(tmp_path))]) == 0
+        assert len(refs) == 2
 
     def test_csv_and_binary_days_give_the_same_run(self, tmp_path):
         """The same days as .csv and as .bin event files give byte-identical

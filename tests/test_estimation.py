@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from hfmm.estimation import (DayEstimates, compute_break_errors,
                              estimate_day, fit_arrival_curves,
                              nearest_rank_quantile, rolling_params,
                              structural_break_flags)
+from hfmm import estimation
 from hfmm.estimation import _fit_quadratic
-from hfmm.lob import replay
+from hfmm.lob import BookError, replay
 from hfmm.model import TimeGrid, validate_params
 from hfmm.synthetic import SyntheticDayConfig, generate_day
 
@@ -203,6 +206,51 @@ class TestEstimateDayMatchesOracle:
             assert max(want.c_plus[0], want.c_minus[0]) < 1e-14
 
 
+class TestEstimateDayOnOneLevel:
+    """``estimate`` replays with K=1: estimate_day reads the touch, whether
+    each side is non-empty, the mid and the MOs' ladders, and no level
+    below the touch."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [2, 12])
+    @pytest.mark.parametrize("tick", [1.0, 0.5, 0.01])
+    def test_synthetic_days(self, tick, depth, seed):
+        cfg = SyntheticDayConfig(n_steps=300, tick_size=tick, depth=depth)
+        events, truth = generate_day(cfg, seed=seed)
+        grid = truth.params.grid
+        full = replay(events, grid, tick_size=tick)
+        top = replay(events, grid, K=1, tick_size=tick)
+        assert top.book_prices.shape[2] == 1
+        for level_depth in (2, 10, 25):
+            want = estimate_day(full, seed, level_depth=level_depth,
+                                tick_size=tick)
+            got = estimate_day(top, seed, level_depth=level_depth,
+                               tick_size=tick)
+            for f in fields(DayEstimates):
+                assert np.array_equal(getattr(got, f.name),
+                                      getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("fault", ["one_sided", "bad_size"])
+    def test_failed_day_raises_the_same_error(self, fault):
+        cfg = SyntheticDayConfig(n_steps=50, depth=4)
+        events, truth = generate_day(cfg, seed=1)
+        if fault == "one_sided":
+            # step 20's bid ladder never stands: no bids at t_20
+            ladder = 2 * cfg.depth
+            bid_refs = 1 + ladder * 20 + np.arange(1, ladder, 2)
+            events = events[~np.isin(events["order_ref"], bid_refs)]
+            want = ("one-sided book", None)
+        else:
+            bad = len(events) // 2
+            events = events.copy()
+            events["size"][bad] = 0
+            want = (f"event {bad}: size and price must be positive", bad)
+        for one_level in ({"K": 1}, {}):
+            with pytest.raises(BookError) as err:
+                replay(events, truth.params.grid, **one_level)
+            assert (str(err.value), err.value.event_index) == want
+
+
 class TestDailyMoments:
     def _day(self, c_p, p_p, v_p, c_m=None, p_m=None, v_m=None):
         n = len(c_p)
@@ -275,6 +323,29 @@ class TestRollingParams:
         d1 = daily_moments(store[1])
         assert params.moments.plus.mu_c == pytest.approx(
             (d0.plus.mu_c + d1.plus.mu_c) / 2)
+
+    @pytest.mark.filterwarnings("ignore:joint arrival curve clamped")
+    def test_each_days_moments_computed_once(self, monkeypatch):
+        store = self._store(np.random.default_rng(15), n_days=6)
+        side_moments, calls = estimation._side_daily_moments, []
+
+        def counted(*args):
+            calls.append(args)
+            return side_moments(*args)
+
+        monkeypatch.setattr(estimation, "_side_daily_moments", counted)
+        for i in range(2, 6):
+            rolling_params(i, store, window=2)
+        assert len(calls) == 2 * 5  # two sides of days 0-4, once each
+
+    def test_no_valid_side_fails_every_window(self):
+        rng = np.random.default_rng(16)
+        store = self._store(rng, n_days=4)
+        store[1].valid_minus[:] = False
+        for i in (2, 3):
+            with pytest.raises(ValueError, match="no valid intervals"):
+                rolling_params(i, store, window=2)
+        rolling_params(4, store, window=2)  # days 2-3 have valid sides
 
     def test_insufficient_history_raises(self):
         rng = np.random.default_rng(13)

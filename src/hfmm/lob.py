@@ -212,7 +212,32 @@ def liquidate(rep: ReplayResult, inventory: float,
 # Stream replay
 # ---------------------------------------------------------------------------
 
-def _resolve(ev: np.ndarray):
+def _stream(ev, times):
+    """The stream pass: what the later passes read of the records, taken
+    before replay lets them go, as (columns, disorder, cut, mos).
+    ``columns`` holds each event's kind, side, size, price_ticks and
+    order_ref as contiguous arrays; ``disorder`` is the index of the first
+    event earlier than the one before it (len(ev) if none); ``cut[k]``, for
+    k < n, counts the events before ``disorder`` that are earlier than t_k;
+    and ``mos`` is (index, interval, side, volume) of each trade marker
+    inside the session [t_0, t_n), in stream order, as int64 arrays."""
+    n = len(times) - 1
+    columns = {name: ev[name].copy()
+               for name in ("kind", "side", "size", "price_ticks", "order_ref")}
+    ts = ev["ts_ns"]
+    down = np.flatnonzero(ts[1:] < ts[:-1])
+    disorder = int(down[0]) + 1 if len(down) else len(ev)
+    cut = np.searchsorted(ts[:disorder], times[:n])
+    mo = np.flatnonzero(columns["kind"] == 3)
+    interval = np.searchsorted(times[:n], ts[mo], "right") - 1
+    inside = (interval >= 0) & (ts[mo] < times[n])
+    mo = mo[inside]
+    return columns, disorder, cut, (
+        mo, interval[inside], columns["side"][mo].astype(np.int64),
+        columns["size"][mo].astype(np.int64))
+
+
+def _resolve(columns, disorder):
     """Order-level pass: (ops, level, change, level_price, n_bid_levels,
     error) = the add, cancel and execute events, the ladder level each one
     changes and its signed shares, each level's price (the first
@@ -220,32 +245,68 @@ def _resolve(ev: np.ndarray):
     best-first), and None or (index, message, last) for the first event a
     one-pass book rejects, where the time of event ``last`` is the last
     that triggers snapshots (the rejected one's, unless it is out of time
-    order).
+    order). ``columns`` are _stream's and ``disorder`` its first
+    out-of-order index.
 
     A stable argsort on order_ref groups each order's events in stream
     order; every add opens a life of its ref, and cumsums of the shares
     taken within a life decide unknown refs, over-cancels and duplicates.
 
-    This pass sets replay's peak memory, so each array takes the narrowest
-    dtype that holds its values exactly and goes once used up: int32 for
-    event indices, life numbers and levels (each below the event count,
-    which replay keeps under 2**31) and for single sizes; int64 only for
-    sums of shares.
+    This pass sets replay's peak memory. It takes each column out of
+    ``columns`` and drops it once used: order_ref after the sort, keeping
+    one ref per life for the error message, and price_ticks and side once
+    the levels are numbered, before the running sums. Each array takes the
+    narrowest dtype that holds its values exactly and goes once used up:
+    int32 for event indices, life numbers and levels (each below the event
+    count, which replay keeps under 2**31) and for single sizes; int64 only
+    for sums of shares.
     """
-    ts, kind, side = ev["ts_ns"], ev["kind"], ev["side"]
-    price, ref, size = ev["price_ticks"], ev["order_ref"], ev["size"]
+    kind, side = columns.pop("kind"), columns.pop("side")
+    size, price = columns.pop("size"), columns.pop("price_ticks")
+    # (event index, check number, message) of each check's first failure
+    found = []
+    if disorder < len(kind):
+        found.append((disorder, 0, "events out of order"))
+    for number, (msg, mask, value) in enumerate((
+            ("unknown kind code {}", kind > 3, kind),
+            ("unknown side code {}", side > 1, side),
+            ("size and price must be positive", (size <= 0) | (price <= 0),
+             size)), 1):
+        if mask.any():
+            e = int(np.argmax(mask))
+            found.append((e, number, msg.format(value[e])))
+    del mask, value
     ops = np.flatnonzero(kind <= 2).astype(np.int32)
+    ref = columns.pop("order_ref")
     by_ref = np.argsort(ref[ops], kind="stable").astype(np.int32)
     idx = ops[by_ref]
-    r, z = ref[idx], size[idx]
-    is_add = kind[idx] == 0
+    r = ref[idx]
+    del ref
+    z, is_add = size[idx], kind[idx] == 0
+    del kind, size
     new_ref = np.ones(len(idx), dtype=bool)
     new_ref[1:] = r[1:] != r[:-1]
-    del r
     opens = is_add | new_ref
+    life_ref = r[opens]
+    del r
     life = np.cumsum(opens, dtype=np.int32)
     life -= 1
     opens_add = is_add[opens]  # per life: opened by an add
+
+    # slots L - 1 - rank (bids) and L + rank (asks) over the L add prices,
+    # compacted to the slots some add uses: levels stay below the adds
+    add = idx[is_add]
+    prices, rank = np.unique(price[add], return_inverse=True)
+    L = len(prices)
+    slot = np.where(side[add] == 1, L + rank, L - 1 - rank)
+    del add, rank, price, side
+    used = np.zeros(2 * L, dtype=bool)
+    used[slot] = True
+    n_bid_levels = np.count_nonzero(used[:L])
+    level_price = np.concatenate([prices[::-1], prices])[used].astype(np.int64)
+    life_level = np.zeros(len(opens_add), dtype=np.int32)
+    life_level[opens_add] = (np.cumsum(used) - 1)[slot]
+    del slot
 
     # left[i]: shares of event i's order still standing before it, its
     # add's size less what its life took before i, from one running sum
@@ -258,53 +319,28 @@ def _resolve(ev: np.ndarray):
     left += taken
     duplicate = np.zeros(len(idx), dtype=bool)
     duplicate[1:] = is_add[1:] & ~new_ref[1:] & (left[:-1] > taken[:-1])
-    unknown = ~is_add & (left <= 0)
-    oversize = ~is_add & (left > 0) & (left < taken)
-    del left, taken
+    for number, (msg, mask) in enumerate((
+            ("duplicate order_ref {}", duplicate),
+            ("unknown order_ref {}", ~is_add & (left <= 0)),
+            ("size exceeds remaining", ~is_add & (left > 0) & (left < taken))),
+            4):
+        at = np.flatnonzero(mask)  # ops in ref order: the first in the stream
+        if len(at):
+            p = at[np.argmin(idx[at])]
+            found.append((int(idx[p]), number,
+                          msg.format(life_ref[life[p]])))
+    del left, taken, duplicate, mask, life_ref
 
-    # slots L - 1 - rank (bids) and L + rank (asks) over the L add prices,
-    # compacted to the slots some add uses: levels stay below the adds
-    add = idx[is_add]
-    prices, rank = np.unique(price[add], return_inverse=True)
-    L = len(prices)
-    slot = np.where(side[add] == 1, L + rank, L - 1 - rank)
-    del add, rank
-    used = np.zeros(2 * L, dtype=bool)
-    used[slot] = True
-    n_bid_levels = np.count_nonzero(used[:L])
-    level_price = np.concatenate([prices[::-1], prices])[used].astype(np.int64)
-    life_level = np.zeros(len(opens_add), dtype=np.int32)
-    life_level[opens_add] = (np.cumsum(used) - 1)[slot]
-    del slot
     level, change = np.empty((2, len(idx)), dtype=np.int32)
     level[by_ref] = life_level[life]
     del life
     change[by_ref] = np.where(is_add, z, -z)
     del z, by_ref
 
-    def at(mask):  # a mask over the ops in ref order, in stream order
-        out = np.zeros(len(ev), dtype=bool)
-        out[idx[mask]] = True
-        return out
-
-    disorder = np.zeros(len(ev), dtype=bool)
-    disorder[1:] = ts[1:] < ts[:-1]
-    checks = (
-        ("events out of order", disorder),
-        ("unknown kind code {kind}", kind > 3),
-        ("unknown side code {side}", side > 1),
-        ("size and price must be positive", (size <= 0) | (price <= 0)),
-        ("duplicate order_ref {ref}", at(duplicate)),
-        ("unknown order_ref {ref}", at(unknown)),
-        ("size exceeds remaining", at(oversize)),
-    )
-    bad = np.logical_or.reduce([mask for _, mask in checks])
     error = None
-    if bad.any():
-        e = int(np.argmax(bad))
-        msg = next(msg for msg, mask in checks if mask[e])
-        error = (e, msg.format(kind=kind[e], side=side[e], ref=ref[e]),
-                 e - int(disorder[e]))
+    if found:
+        e, number, msg = min(found)
+        error = (e, msg, e - (number == 0))
     return ops, level, change, level_price, n_bid_levels, error
 
 
@@ -362,36 +398,43 @@ def replay(events, grid, K: int = BOOK_LEVELS,
     and the market orders of a time-sorted stream, as a ReplayResult.
 
     ``grid`` is the model TimeGrid; the session covers [t_0, t_N + step).
-    ``events`` is an EVENT_DTYPE array, taken without a copy, or a sequence
-    of its record tuples; the snapshots keep the best ``K`` >= 1 levels per
-    side. A one-sided snapshot raises BookError("one-sided book");
-    otherwise the first event a one-pass book would reject raises BookError
-    with its index, if no snapshot due before it is one-sided.
+    ``events`` is an EVENT_DTYPE array or a sequence of its record tuples;
+    the snapshots keep the best ``K`` >= 1 levels per side. A one-sided
+    snapshot raises BookError("one-sided book"); otherwise the first event
+    a one-pass book would reject raises BookError with its index, if no
+    snapshot due before it is one-sided.
+
+    One stream pass reads the records and keeps only what the later passes
+    use (see _stream); replay then drops its references to them, so records
+    that the caller does not hold, as in ``replay(read_events_binary(path),
+    grid)``, are freed before the order pass, and records that it does hold
+    come back unchanged. Before the first out-of-order event the stream is
+    sorted, so the snapshots due before a rejected event follow from the
+    cut positions over that prefix.
 
     The book is a tick ladder; the events between consecutive cut points
     (action times, in-session trade markers, the end) are applied as one
     array operation per block of cuts.
     """
     ev = np.asarray(events, dtype=EVENT_DTYPE)
-    if len(ev) > _MAX_EVENTS:
-        raise BookError(f"{len(ev)} events: replay takes at most "
-                        f"{_MAX_EVENTS}")
-    ts, kind = ev["ts_ns"], ev["kind"]
+    del events
+    n_ev = len(ev)
+    if n_ev > _MAX_EVENTS:
+        raise BookError(f"{n_ev} events: replay takes at most {_MAX_EVENTS}")
     n = grid.n_steps
-    ops, level, change, level_price, n_bid_levels, error = _resolve(ev)
-    # computed after the order pass: freeing these temporaries before it
-    # raised that pass's peak memory by 0.3-0.5 MB on a 19,800-step day
     times = grid.action_times_ns()
-    applied, n_snap = len(ev), n
+    columns, disorder, cut, mos = _stream(ev, times)
+    del ev  # the records are freed here unless the caller holds them
+    ops, level, change, level_price, n_bid_levels, error = _resolve(
+        columns, disorder)
+    applied, n_snap = n_ev, n
     if error is not None:
         applied = error[0]
-        n_snap = int(np.searchsorted(times[:n], ts[error[2]], "right"))
-    snap_cut = np.searchsorted(ts[:applied], times[:n_snap])
-    mo = np.flatnonzero(kind[:applied] == 3)
-    interval = np.searchsorted(times[:n], ts[mo], "right") - 1
-    inside = (interval >= 0) & (ts[mo] < times[n])
-    mo, interval = mo[inside], interval[inside]
-    mo_side = ev["side"][mo].astype(np.int64)
+        # the prefix before ``disorder`` is sorted and holds event error[2]
+        n_snap = int(np.searchsorted(cut, error[2], "right"))
+    snap_cut = cut[:n_snap]  # none past ``applied``
+    m = np.searchsorted(mos[0], applied)
+    mo, interval, mo_side, mo_volume = (x[:m] for x in mos)
 
     # cut c is the book after events [0, c): snapshots, MOs, then the end
     cuts = np.concatenate([snap_cut, mo, [applied]])
@@ -430,7 +473,7 @@ def replay(events, grid, K: int = BOOK_LEVELS,
     return ReplayResult(
         midprices=mids, book_prices=prices, book_sizes=sizes,
         book_depth=depth, mo_interval=interval, mo_side=mo_side,
-        mo_volume=ev["size"][mo].astype(np.int64),
+        mo_volume=mo_volume,
         mo_start=np.concatenate([[0], np.cumsum(np.concatenate(mo_len))]),
         mo_prices=np.concatenate(mo_px), mo_cum=np.concatenate(mo_cum))
 

@@ -1,10 +1,13 @@
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfmm.lob
 from hfmm.lob import (EVENT_DTYPE, KIND_CODES, SIDE_CODES, BookError,
                       IntervalFlow, ReplayResult, fill_quantity, liquidate,
                       read_events_binary, read_events_csv, replay,
@@ -368,6 +371,22 @@ def outcome(fn, *args, **kwargs):
         return ("BookError", str(exc), exc.event_index)
 
 
+def handed_over(rows, grid):
+    """replay's outcome, as ``outcome`` gives it, on an EVENT_DTYPE array of
+    ``rows`` built in the call, so that replay holds its only reference."""
+    try:
+        return replay(np.array(rows, dtype=EVENT_DTYPE), grid)
+    except BookError as exc:
+        return ("BookError", str(exc), exc.event_index)
+
+
+# a call hands its arguments to the callee's frame from Python 3.11 on;
+# before that the caller's stack holds them until the call returns
+needs_handover = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="the caller holds a call's arguments before Python 3.11")
+
+
 class TestColumnarReplayMatchesOracle:
     @pytest.mark.parametrize("n_steps", [2000, 19800])
     @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -441,6 +460,25 @@ class TestColumnarReplayMatchesOracle:
             tracemalloc.stop()
         assert peak <= 2 * events.nbytes
 
+    @needs_handover
+    def test_peak_memory_with_the_records_handed_over(self, tmp_path):
+        """Records read inside the window and handed straight to replay
+        are freed before the order pass: the peak, records and result
+        included, stays under 2.2 times the stream's bytes."""
+        events, truth = generate_day(SyntheticDayConfig(n_steps=19800),
+                                     seed=3)
+        path = tmp_path / "day_0000.bin"
+        write_events_binary(events, path)
+        del events
+        tracemalloc.start()
+        try:
+            rep = replay(read_events_binary(path), truth.params.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.midprices) == 19800
+        assert peak <= 2.2 * path.stat().st_size
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_random_streams_valid_and_invalid(self, data):
@@ -455,6 +493,90 @@ class TestColumnarReplayMatchesOracle:
             assert new == old
         else:
             assert_same_replay(new, old)
+
+
+class TestRecordsHandedOver:
+    """replay takes what it needs from the records in one pass and drops
+    them: a caller that holds no reference has them freed before the order
+    pass, and one that does gets them back untouched."""
+
+    @pytest.fixture
+    def day(self, tmp_path):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=200), seed=7)
+        path = tmp_path / "day_0000.bin"
+        write_events_binary(events, path)
+        return path, truth.params.grid
+
+    @needs_handover
+    def test_released_before_the_ladder_pass(self, day, monkeypatch):
+        path, grid = day
+        refs, alive = [], []
+
+        def read(path):
+            records = read_events_binary(path)
+            refs.append(weakref.ref(records))
+            return records
+
+        def ladder_blocks(*args):
+            alive.append(refs[0]() is not None)
+            return ladder(*args)
+
+        ladder = hfmm.lob._ladder_blocks
+        monkeypatch.setattr(hfmm.lob, "_ladder_blocks", ladder_blocks)
+        rep = replay(read(path), grid)
+        assert alive == [False]
+        assert_same_replay(rep, oracle_replay(read_events_binary(path), grid))
+
+    def test_held_records_unchanged(self, day):
+        path, grid = day
+        records = read_events_binary(path)
+        before = records.tobytes()
+        replay(records, grid)
+        assert records.dtype == EVENT_DTYPE
+        assert records.tobytes() == before
+
+    GRID = TimeGrid(n_steps=4, step_seconds=1e-8, session_start_ns=10)
+    BOOK = [ev(0, "add", "bid", 100, 5, 30), ev(0, "add", "ask", 101, 5, 10)]
+
+    @pytest.mark.parametrize("rows,want", [
+        (BOOK + [ev(12, "trade", "ask", 101, 2, 0),
+                 ev(13, "execute", "ask", 101, 2, 10),
+                 ev(25, "add", "bid", 99, 5, 20),
+                 ev(24, "add", "ask", 102, 5, 40)],
+         ("event 5: events out of order", 5)),
+        ([ev(0, "add", "bid", 100, 5, 1), ev(15, "add", "ask", 101, 5, 2),
+          ev(16, "cancel", "ask", 101, 9, 2)],
+         ("one-sided book", None)),
+        ([ev(0, "add", "bid", 100, 5, 1), ev(15, "add", "bid", 99, 5, 2),
+          *(ev(3, "add", "ask", 101 + i, 5, 3 + i) for i in range(3))],
+         ("one-sided book", None)),
+        (BOOK + [ev(11, "add", "bid", 99, 5, 20),
+                 ev(12, "cancel", "bid", 99, 5, 20),
+                 ev(13, "add", "ask", 102, 5, 40),
+                 ev(14, "cancel", "bid", 99, 1, 20)],
+         ("event 5: unknown order_ref 20", 5)),
+        (BOOK + [ev(11, "execute", "ask", 101, 1, 10),
+                 ev(12, "cancel", "ask", 101, 1, 25),
+                 ev(13, "cancel", "ask", 101, 1, 15)],
+         ("event 3: unknown order_ref 25", 3)),
+        (BOOK + [ev(11, "add", "bid", 99, 5, 20),
+                 ev(22, "add", "ask", 102, 5, 40),
+                 ev(23, "add", "bid", 98, 5, 20)],
+         ("event 4: duplicate order_ref 20", 4)),
+        ([ev(0, "add", "bid", 100, 5, 1), ev(5, "execute", "bid", 100, 9, 1),
+          ev(6, "add", "ask", 101, 5, 2)],
+         ("event 1: size exceeds remaining", 1)),
+        ([ev(5, "add", "bid", 100, 5, 1), ev(4, "add", "ask", 101, 5, 2)],
+         ("event 1: events out of order", 1)),
+    ], ids=["out_of_order_after_snapshots", "one_sided_before_rejected",
+            "one_sided_before_out_of_order",
+            "unknown_ref_after_removal", "unknown_ref_never_added",
+            "duplicate_ref", "rejected_before_first_action_time",
+            "out_of_order_before_first_action_time"])
+    def test_error_paths_match_oracle(self, rows, want):
+        got = handed_over(rows, self.GRID)
+        assert got == outcome(oracle_replay, rows, self.GRID)
+        assert got == ("BookError", *want)
 
 
 def random_stream(data):

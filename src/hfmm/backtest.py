@@ -13,13 +13,14 @@ import csv as _csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .estimation import drift_forecast_series
 from .lob import BookError, ReplayResult, fill_quantity, liquidate
 from .model import MarketParams, penalized_wealth
-from .solver import CoefficientTable, optimal_spreads
+from .solver import _ROW_BLOCK, CoefficientTable, optimal_spreads
 
 __all__ = [
     "Policy",
@@ -148,16 +149,27 @@ def _level_day(rep: ReplayResult, level: int, mids, tick: float,
             int(np.count_nonzero(filled)), flags)
 
 
+def _quoted_rows(rep: ReplayResult, *arrays):
+    """(k, flow, *terms) of each interval that holds an MO, ascending, with
+    its IntervalFlow and the arrays' entries at its position among them,
+    converted ``_ROW_BLOCK`` intervals at a time."""
+    return chain.from_iterable(
+        zip(*rep.interval_flows(lo, lo + _ROW_BLOCK),
+            *(x[lo:lo + _ROW_BLOCK].tolist() for x in arrays))
+        for lo in range(0, len(arrays[0]), _ROW_BLOCK))
+
+
 def _optimal_day(rep: ReplayResult, policy: Policy, mids, tick: float,
                  order_volume: int):
     """(W, I, fills, no flags) of quoting the optimal rule, shifted by the
     drift forecast for ``optimal_forecast``: a loop over the intervals that
-    hold an MO, the only steps at which W, I and fills can change. The
+    hold an MO, the only steps at which W, I and fills can change, which
+    holds their terms and flows as Python objects a block at a time. The
     first step whose S + L+ or S - L- in ticks is not finite at the
     inventory held there raises through ``_quote_ticks``."""
     drifts = (drift_forecast_series(mids) if policy.forecast
               else np.zeros(len(mids)))
-    quoted, flows = rep.interval_flows
+    quoted = rep.quoted_ladders[0]
     held = [0.0]  # inventory before the first quoted step and after each
 
     def raise_first_failed_quote(stop):
@@ -174,18 +186,17 @@ def _optimal_day(rep: ReplayResult, policy: Policy, mids, tick: float,
                 _quote_ticks(S[k], Lp[k], Lm[k], tick)
 
     # optimal_spreads' terms and the drift at the quoted steps
-    t, at = policy.table, np.array(quoted, dtype=np.int64)
+    t, at = policy.table, quoted
     with np.errstate(all="ignore"):
-        terms = [x.tolist() for x in (
-            mids[at], drifts[at], t.A1_plus[at], t.A2_plus[at],
-            t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
-            t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
-            t.beta_minus[at] / (2 * t.gamma[at]))]
+        terms = (mids[at], drifts[at], t.A1_plus[at], t.A2_plus[at],
+                 t.A3_plus[at], t.beta_plus[at] / (2 * t.gamma[at]),
+                 t.A1_minus[at], t.A2_minus[at], t.A3_minus[at],
+                 t.beta_minus[at] / (2 * t.gamma[at]))
     W = I = 0.0
     fills = 0
     try:
         for (k, flow, S, F, a1p, a2p, a3p, bgp, a1m, a2m, a3m,
-             bgm) in zip(quoted, flows, *terms):
+             bgm) in _quoted_rows(rep, *terms):
             # optimal_spreads' expression, in the same order
             ask_ticks, bid_ticks = _quote_ticks(
                 S, a1p * I + a2p + a3p + bgp * F,

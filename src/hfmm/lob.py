@@ -101,21 +101,49 @@ class ReplayResult:
     mo_cum: np.ndarray       # int64 shares
 
     @cached_property
-    def interval_flows(self):
-        """(steps, flows): the intervals that hold an MO, ascending, and an
-        IntervalFlow of each over lists shared by all of them; built once
-        per ReplayResult."""
+    def quoted_ladders(self):
+        """(steps, first, start, keys, cum), int64 arrays cached once per
+        ReplayResult: the intervals that hold an MO, ascending; the index
+        of each one's first MO, then m; and each MO's ladder as the run
+        [start[i], start[i + 1]) of ``keys`` (its prices, negated on the bid
+        side) and ``cum``, cut after its first level whose cumulative size
+        covers the MO's volume, or whole if none does. The cut leaves
+        ``fill_quantity`` exact: a placement past that level takes
+        V - cum <= 0 from the MO either way, and a nearer one bisects the
+        same prefix."""
         m = len(self.mo_side)
-        cut = np.flatnonzero(np.diff(self.mo_interval, prepend=-1)).tolist()
-        steps = self.mo_interval[cut].tolist()
-        sign = np.repeat(2 * self.mo_side - 1, np.diff(self.mo_start))
-        keys, cum = (sign * self.mo_prices).tolist(), self.mo_cum.tolist()
-        sides, volumes = self.mo_side.tolist(), self.mo_volume.tolist()
-        start = self.mo_start.tolist()
-        cut.append(m)
-        return steps, [IntervalFlow(sides[a:b], volumes[a:b], start[a:b],
-                                    start[a + 1:b + 1], keys, cum)
-                       for a, b in zip(cut, cut[1:])]
+        first = np.flatnonzero(np.diff(self.mo_interval, prepend=-1))
+        lens = np.diff(self.mo_start)
+        owner = np.repeat(np.arange(m), lens)
+        # each ladder's cum ascends, so the levels that do not cover the
+        # volume come first
+        short = np.bincount(owner[self.mo_cum < self.mo_volume[owner]],
+                            minlength=m)
+        kept = np.arange(len(owner)) - self.mo_start[owner] <= short[owner]
+        keys = (2 * self.mo_side[owner] - 1) * self.mo_prices
+        return (self.mo_interval[first], np.append(first, m),
+                np.concatenate([[0], np.cumsum(np.minimum(short + 1, lens))]),
+                keys[kept], self.mo_cum[kept])
+
+    def interval_flows(self, lo, hi):
+        """(steps, flows) of the intervals that hold an MO, from the lo-th
+        up to before the hi-th: their steps and an IntervalFlow of each,
+        over key and cum lists made for these intervals alone from the cut
+        ladders of ``quoted_ladders``."""
+        steps, first, start, keys, cum = self.quoted_ladders
+        first = first[lo:hi + 1]
+        a, b = first[0], first[-1]
+        runs = start[a:b + 1]
+        keys = keys[runs[0]:runs[-1]].tolist()
+        cum = cum[runs[0]:runs[-1]].tolist()
+        runs = (runs - runs[0]).tolist()
+        sides, volumes = (x[a:b].tolist() for x in (self.mo_side,
+                                                    self.mo_volume))
+        first = (first - a).tolist()
+        return steps[lo:hi].tolist(), [
+            IntervalFlow(sides[i:j], volumes[i:j], runs[i:j],
+                         runs[i + 1:j + 1], keys, cum)
+            for i, j in zip(first, first[1:])]
 
     def better_priced_volume(self, mo, placed):
         """Standing volume at strictly better prices than ``placed`` on the
@@ -136,7 +164,9 @@ class IntervalFlow(NamedTuple):
     """One interval's market orders: each one's side code, volume and
     [lo, hi) run of the flat ``keys`` (its ladder's prices, best-first,
     negated on the bid side so that every run ascends) and ``cum``
-    (cumulative standing sizes). ``IntervalFlow()`` holds no MO."""
+    (cumulative standing sizes). ``ReplayResult.interval_flows`` makes the
+    two lists for a block of intervals and cuts each ladder after the level
+    that absorbs its MO. ``IntervalFlow()`` holds no MO."""
 
     sides: Sequence[int] = ()
     volumes: Sequence[int] = ()

@@ -26,8 +26,8 @@ __all__ = [
 ]
 
 _GAMMA_FLOOR = 1e-300
-# the steps whose terms the sweep's loops hold as Python floats at a time,
-# and the rows a CSV writer joins at a time
+# the steps whose terms the sweep's loops, and the backtest's optimal loop,
+# hold as Python objects at a time, and the rows a CSV writer joins at a time
 _ROW_BLOCK = 2048
 
 

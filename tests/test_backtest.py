@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfmm.backtest
 from hfmm.backtest import (DayResult, Policy, aggregate, report_to_csv,
                            report_to_json, run_day, subsample_bootstrap_ci,
                            summarize)
@@ -418,6 +420,80 @@ class TestRunDayMatchesOracle:
                 assert got[0] is BookError and got[1].endswith(want)
             else:
                 assert isinstance(got, DayResult)
+
+
+class TestOptimalDayInBlocks:
+    """The optimal rules' loop converts its terms and flows a block of
+    quoted steps at a time; every block size gives the per-step loop's
+    DayResult or error."""
+
+    NAMES = ("optimal_forecast", "optimal_martingale")
+
+    def same(self, params, policy, rep, **kwargs):
+        got = outcome(run_day, params, policy, rep, day_id=3, **kwargs)
+        want = outcome(backtest_oracle.run_day, params, policy, rep,
+                       day_id=3, **kwargs)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "day"])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_synthetic_days(self, monkeypatch, block, seed):
+        events, truth = generate_day(SyntheticDayConfig(n_steps=300),
+                                     seed=seed)
+        rep = replay(events, truth.params.grid)
+        monkeypatch.setattr(hfmm.backtest, "_ROW_BLOCK", block or 300)
+        table = backward_pass(truth.params)
+        for name in self.NAMES:
+            for volume in (37, 500):
+                assert isinstance(self.same(truth.params,
+                                            Policy.named(name, table), rep,
+                                            order_volume=volume), DayResult)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "day"])
+    def test_failure_in_a_later_block(self, monkeypatch, block):
+        # a NaN spread at a quoted step of the fourth block of 3, then a
+        # NaN at a step without an MO before an overflow at the next
+        # quoted one: the loop fails at the overflow, the NaN raises
+        monkeypatch.setattr(hfmm.backtest, "_ROW_BLOCK", block or 200)
+        events, truth = generate_day(SyntheticDayConfig(n_steps=200),
+                                     seed=4)
+        rep = replay(events, truth.params.grid)
+        table = backward_pass(truth.params)
+        busy = sorted(set(rep.mo_interval.tolist()))
+        quiet = next(k for k in range(busy[12], 200) if k not in busy)
+        after = next(k for k in busy if k > quiet)
+        for A2, error in (({busy[10]: np.nan}, ValueError),
+                          ({quiet: np.nan, after: np.inf}, ValueError),
+                          ({after: np.inf}, OverflowError)):
+            A2_plus = table.A2_plus.copy()
+            for k, bad in A2.items():
+                A2_plus[k] = bad
+            for name in self.NAMES:
+                policy = Policy.named(name, replace(table, A2_plus=A2_plus))
+                got = self.same(truth.params, policy, rep)
+                assert got[0] is error
+
+    def test_first_run_holds_a_block_at_a_time(self):
+        """On a full-length day the first optimal run's transient memory
+        stays under half the replay's arrays, and what it leaves cached on
+        the ReplayResult under a tenth."""
+        events, truth = generate_day(SyntheticDayConfig(n_steps=19800),
+                                     seed=1)
+        rep = replay(events, truth.params.grid)
+        del events
+        table = backward_pass(truth.params)
+        nbytes = sum(x.nbytes for x in vars(rep).values())
+        tracemalloc.start()
+        try:
+            run_day(truth.params, Policy.named("optimal_forecast", table),
+                    rep)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * nbytes
+        assert held <= 0.1 * nbytes
 
 
 class TestAggregate:

@@ -36,7 +36,7 @@ def mo_replay(mos):
 
 def flow_of(mos):
     """The IntervalFlow of one interval's MORecords."""
-    _, flows = mo_replay(mos).interval_flows
+    _, flows = mo_replay(mos).interval_flows(0, 1)
     return flows[0] if flows else IntervalFlow()
 
 
@@ -161,6 +161,57 @@ class TestFillQuantity:
         fills = [fill_quantity(10000 + i, 10 ** 6, "ask", flow)
                  for i in range(1, n_levels + 1)]
         assert all(a >= b for a, b in zip(fills, fills[1:]))
+
+
+class TestCutLadders:
+    """interval_flows cuts each MO's ladder after the first level whose
+    cumulative size covers the MO's volume; fill_quantity over the cut
+    ladders equals the sequential fill over the whole ones."""
+
+    ASKS = [(101, 30), (102, 50), (104, 20), (105, 40)]  # cum 30 80 100 140
+    BIDS = [(99, 30), (98, 50), (96, 20)]                # cum 30 80 100
+
+    def same_fills(self, flow, mos):
+        """Every placement from inside the spread to two ticks past the
+        deepest level, on both sides and at a binding and a free size."""
+        prices = [p for m in mos for p in m.prices] or [100]
+        for side in ("ask", "bid"):
+            for px in range(min(prices) - 2, max(prices) + 3):
+                for size in (25, 10 ** 6):
+                    assert (fill_quantity(px, size, side, flow)
+                            == sequential_fill(px, size, side, mos))
+
+    @pytest.mark.parametrize("mos,kept", [
+        ([mo("ask", 60, ASKS)], [2]),
+        ([mo("ask", 100, ASKS)], [3]),  # a level that covers it exactly
+        ([mo("ask", 500, ASKS)], [4]),  # no level absorbs it: kept whole
+        ([mo("ask", 0, ASKS)], [1]),
+        ([mo("ask", 10, [])], [0]),
+        ([mo("ask", 60, ASKS), mo("ask", 100, ASKS)], [2, 3]),
+        ([mo("bid", 31, BIDS), mo("ask", 5, ASKS), mo("bid", 900, BIDS)],
+         [2, 1, 3]),
+    ], ids=["absorbed", "exactly", "unabsorbed", "zero_volume",
+            "empty_ladder", "two_same_side", "bid_side"])
+    def test_cut_and_fills(self, mos, kept):
+        flow = flow_of(mos)
+        assert [hi - lo for lo, hi in zip(flow.lo, flow.hi)] == kept
+        self.same_fills(flow, mos)
+
+    def test_blocks_of_intervals(self):
+        """The flows of any run of the quoted intervals, each over lists
+        of its own, fill as the whole MOs do."""
+        flows = [[mo("ask", 60, self.ASKS)], [],
+                 [mo("bid", 0, self.BIDS), mo("bid", 70, self.BIDS)],
+                 [mo("ask", 10, [])],
+                 [mo("ask", 500, self.ASKS), mo("bid", 40, self.BIDS)]]
+        rep = to_arrays([EMPTY] * len(flows), flows,
+                        mids=[0.0] * len(flows))
+        assert rep.interval_flows(0, 4)[0] == [0, 2, 3, 4]
+        for lo, hi in ((0, 1), (1, 3), (2, 4), (3, 4), (0, 9)):
+            steps, block = rep.interval_flows(lo, hi)
+            assert steps == [0, 2, 3, 4][lo:hi]
+            for k, flow in zip(steps, block):
+                self.same_fills(flow, flows[k])
 
 
 class TestLiquidate:

@@ -447,14 +447,25 @@ class TestColumnarReplayMatchesOracle:
         assert_same_replay(replay(events, truth.params.grid),
                            oracle_replay(events, truth.params.grid))
 
-    def test_small_blocks(self, monkeypatch):
-        """Blocks cut short by the cell budget give the same result."""
-        import hfmm.lob
-        monkeypatch.setattr(hfmm.lob, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(hfmm.lob, "_BLOCK_CELLS", 40)
-        events, truth = generate_day(SyntheticDayConfig(n_steps=60), seed=5)
-        assert_same_replay(replay(events, truth.params.grid),
-                           oracle_replay(events, truth.params.grid))
+    @pytest.fixture(scope="class")
+    def short_day(self):
+        """A 2,000-step day's events, grid and oracle replay."""
+        events, truth = generate_day(SyntheticDayConfig(n_steps=2000), seed=5)
+        grid = truth.params.grid
+        return events, grid, oracle_replay(events, grid)
+
+    @pytest.mark.parametrize("rows,cells", [
+        (1, None), (7, 40), (256, None), (4096, None)],
+        ids=["rows1", "rows7_cells40", "rows256", "rows4096"])
+    def test_small_blocks(self, short_day, monkeypatch, rows, cells):
+        """Blocks of one row, blocks cut short by the cell budget, and
+        blocks of the default row cap and of 16 times it give the same
+        result."""
+        monkeypatch.setattr(hfmm.lob, "_BLOCK_ROWS", rows)
+        if cells is not None:
+            monkeypatch.setattr(hfmm.lob, "_BLOCK_CELLS", cells)
+        events, grid, want = short_day
+        assert_same_replay(replay(events, grid), want)
 
     def test_record_tuple_input_and_small_K(self):
         events, truth = generate_day(SyntheticDayConfig(n_steps=50), seed=4)
@@ -489,6 +500,40 @@ class TestColumnarReplayMatchesOracle:
         assert outcome(replay, bad, grid)[1:] == (
             f"event {len(arr)}: size exceeds remaining", len(arr))
 
+    def test_wide_price_span(self, monkeypatch):
+        """Adds at 1 and 2**31 - 1 ticks: the price ranks come from
+        np.unique, not from a table over the span, and the result equals
+        the oracle's."""
+        rows = [ev(0, "add", "bid", 1, 5, 1),
+                ev(0, "add", "ask", 2 ** 31 - 1, 5, 2),
+                ev(12, "trade", "ask", 2 ** 31 - 1, 2, 0),
+                ev(13, "execute", "ask", 2 ** 31 - 1, 2, 2),
+                ev(25, "add", "bid", 2, 4, 3)]
+        grid = TimeGrid(n_steps=4, step_seconds=1e-8, session_start_ns=10)
+        want = oracle_replay(rows, grid)
+        ranked, unique, bincount = [], np.unique, np.bincount
+
+        def spy_unique(a, *args, **kwargs):
+            ranked.append(np.asarray(a).tolist())
+            return unique(a, *args, **kwargs)
+
+        def small_bincount(x, *args, **kwargs):
+            # a span-sized table here would take gigabytes
+            assert np.max(x, initial=0) < 2 ** 20
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy_unique)
+        monkeypatch.setattr(np, "bincount", small_bincount)
+        tracemalloc.start()
+        try:
+            got = handed_over(rows, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_replay(got, want)
+        assert [sorted(a) for a in ranked] == [[1, 2, 2 ** 31 - 1]]
+        assert peak < 2 ** 20  # a bool table over the span is 2 GiB
+
     def test_event_count_limit_named(self, monkeypatch):
         import hfmm.lob
         events, truth = generate_day(SyntheticDayConfig(n_steps=5), seed=2)
@@ -515,7 +560,7 @@ class TestColumnarReplayMatchesOracle:
     def test_peak_memory_with_the_records_handed_over(self, tmp_path):
         """Records read inside the window and handed straight to replay
         are freed before the order pass: the peak, records and result
-        included, stays under 2.2 times the stream's bytes."""
+        included, stays under 1.85 times the stream's bytes."""
         events, truth = generate_day(SyntheticDayConfig(n_steps=19800),
                                      seed=3)
         path = tmp_path / "day_0000.bin"
@@ -528,7 +573,7 @@ class TestColumnarReplayMatchesOracle:
         finally:
             tracemalloc.stop()
         assert len(rep.midprices) == 19800
-        assert peak <= 2.2 * path.stat().st_size
+        assert peak <= 1.85 * path.stat().st_size
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -619,11 +664,15 @@ class TestRecordsHandedOver:
          ("event 1: size exceeds remaining", 1)),
         ([ev(5, "add", "bid", 100, 5, 1), ev(4, "add", "ask", 101, 5, 2)],
          ("event 1: events out of order", 1)),
+        # the add prices span more than int32 holds
+        (BOOK + [ev(11, "add", "bid", -2 ** 31, 5, 20),
+                 ev(12, "add", "ask", 102, 5, 40)],
+         ("event 2: size and price must be positive", 2)),
     ], ids=["out_of_order_after_snapshots", "one_sided_before_rejected",
             "one_sided_before_out_of_order",
             "unknown_ref_after_removal", "unknown_ref_never_added",
             "duplicate_ref", "rejected_before_first_action_time",
-            "out_of_order_before_first_action_time"])
+            "out_of_order_before_first_action_time", "price_at_int32_min"])
     def test_error_paths_match_oracle(self, rows, want):
         got = handed_over(rows, self.GRID)
         assert got == outcome(oracle_replay, rows, self.GRID)
@@ -665,8 +714,10 @@ def random_stream(data):
     if rows and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
         field = draw(st.integers(0, 5))
+        # prices at both int32 ends: a span that must not wrap
         choices = {0: [rows[i][0] - 5], 1: [4, 0, 1], 2: [2, 0, 1],
-                   3: [0, -3, 100], 4: [0, 31, 10 ** 6], 5: [1, 2, 900]}
+                   3: [0, -3, 100, 2 ** 31 - 1, -2 ** 31],
+                   4: [0, 31, 10 ** 6], 5: [1, 2, 900]}
         bad = draw(st.sampled_from(choices[field]))
         rows[i] = rows[i][:field] + (bad,) + rows[i][field + 1:]
     arr = np.zeros(len(rows), dtype=EVENT_DTYPE)

@@ -72,6 +72,11 @@ _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 21
 # the order pass holds event indices, life numbers and levels as int32
 _MAX_EVENTS = 2 ** 31 - 1
+# ... and takes its running share sums this many events at a time, so that
+# no int64 temporary spans a long day's events: a 19,800-step synthetic
+# day's 958,000 order events take eight blocks of 1 MiB temporaries, a
+# 2,000-step day's 97,000 one
+_SUM_EVENTS = 1 << 17
 
 
 class BookError(ValueError):
@@ -253,16 +258,29 @@ def liquidate(rep: ReplayResult, inventory: float,
 
 def _stream(ev, times):
     """The stream pass: what the later passes read of the records, taken
-    before replay lets them go, as (columns, disorder, cut, mos).
+    before replay lets them go, as (columns, ref_base, disorder, cut, mos).
     ``columns`` holds each event's kind, side, size, price_ticks and
-    order_ref as contiguous arrays; ``disorder`` is the index of the first
-    event earlier than the one before it (len(ev) if none); ``cut[k]``, for
-    k < n, counts the events before ``disorder`` that are earlier than t_k;
-    and ``mos`` is (index, interval, side, volume) of each trade marker
-    inside the session [t_0, t_n), in stream order, as int64 arrays."""
+    order_ref - ref_base as contiguous arrays; ``disorder`` is the index of
+    the first event earlier than the one before it (len(ev) if none);
+    ``cut[k]``, for k < n, counts the events before ``disorder`` that are
+    earlier than t_k; and ``mos`` is (index, interval, side, volume) of
+    each trade marker inside the session [t_0, t_n), in stream order, as
+    int64 arrays.
+
+    When the refs span less than 2**31, ref_base is the least of them and
+    the offsets are int32, taken with no int64 temporary: the cast and the
+    subtraction both wrap modulo 2**32, which is exact as the offsets fit.
+    A wider span keeps the int64 refs themselves, with ref_base 0."""
     n = len(times) - 1
     columns = {name: ev[name].copy()
-               for name in ("kind", "side", "size", "price_ticks", "order_ref")}
+               for name in ("kind", "side", "size", "price_ticks")}
+    ref = ev["order_ref"]
+    base = int(ref.min()) if len(ref) else 0
+    if int(ref.max(initial=base)) - base < 2 ** 31:
+        columns["order_ref"] = ref.astype(np.int32)
+        columns["order_ref"] -= np.int64(base).astype(np.int32)
+    else:
+        columns["order_ref"], base = ref.copy(), 0
     ts = ev["ts_ns"]
     down = np.flatnonzero(ts[1:] < ts[:-1])
     disorder = int(down[0]) + 1 if len(down) else len(ev)
@@ -271,12 +289,12 @@ def _stream(ev, times):
     interval = np.searchsorted(times[:n], ts[mo], "right") - 1
     inside = (interval >= 0) & (ts[mo] < times[n])
     mo = mo[inside]
-    return columns, disorder, cut, (
+    return columns, base, disorder, cut, (
         mo, interval[inside], columns["side"][mo].astype(np.int64),
         columns["size"][mo].astype(np.int64))
 
 
-def _resolve(columns, disorder):
+def _resolve(columns, ref_base, disorder):
     """Order-level pass: (ops, level, change, level_price, n_bid_levels,
     error) = the add, cancel and execute events, the ladder level each one
     changes and its signed shares, each level's price (the first
@@ -284,8 +302,8 @@ def _resolve(columns, disorder):
     best-first), and None or (index, message, last) for the first event a
     one-pass book rejects, where the time of event ``last`` is the last
     that triggers snapshots (the rejected one's, unless it is out of time
-    order). ``columns`` are _stream's and ``disorder`` its first
-    out-of-order index.
+    order). ``columns``, ``ref_base`` and ``disorder`` are _stream's; the
+    error messages add ref_base back, so they name the original refs.
 
     A stable argsort on order_ref groups each order's events in stream
     order; every add opens a life of its ref, and cumsums of the shares
@@ -297,8 +315,11 @@ def _resolve(columns, disorder):
     the levels are numbered, before the running sums. Each array takes the
     narrowest dtype that holds its values exactly and goes once used up:
     int32 for event indices, life numbers and levels (each below the event
-    count, which replay keeps under 2**31) and for single sizes; int64 only
-    for sums of shares.
+    count, which replay keeps under 2**31), for ref offsets (see _stream)
+    and for single sizes; int64 only for refs that span 2**31 or more and
+    for sums of shares. The sums are taken _SUM_EVENTS events at a time,
+    a block's cumsum carrying the last one's total, so the only int64
+    array as long as the events is the sums themselves.
 
     The add prices are ranked by one bincount over their span when the
     span (max - min + 1, taken in Python ints so that it cannot wrap) is
@@ -366,10 +387,18 @@ def _resolve(columns, disorder):
     # left[i]: shares of event i's order still standing before it, its
     # add's size less what its life took before i, from one running sum
     taken = np.where(is_add, 0, z)
-    left = np.cumsum(taken, dtype=np.int64)
+    left = np.empty(len(idx), dtype=np.int64)
+    blocks = [slice(i, i + _SUM_EVENTS) for i in range(0, len(idx),
+                                                       _SUM_EVENTS)]
+    carry = 0
+    for b in blocks:
+        np.cumsum(taken[b], dtype=np.int64, out=left[b])
+        left[b] += carry
+        carry = left[b][-1]
     start = left[opens] - taken[opens]
     start += np.where(opens_add, z[opens], 0)
-    np.subtract(start[life], left, out=left)
+    for b in blocks:
+        np.subtract(start[life[b]], left[b], out=left[b])
     del start
     left += taken
     duplicate = np.zeros(len(idx), dtype=bool)
@@ -383,7 +412,7 @@ def _resolve(columns, disorder):
         if len(at):
             p = at[np.argmin(idx[at])]
             found.append((int(idx[p]), number,
-                          msg.format(life_ref[life[p]])))
+                          msg.format(int(life_ref[life[p]]) + ref_base)))
     del left, taken, duplicate, mask, life_ref
 
     level, change = np.empty((2, len(idx)), dtype=np.int32)
@@ -478,10 +507,10 @@ def replay(events, grid, K: int = BOOK_LEVELS,
         raise BookError(f"{n_ev} events: replay takes at most {_MAX_EVENTS}")
     n = grid.n_steps
     times = grid.action_times_ns()
-    columns, disorder, cut, mos = _stream(ev, times)
+    columns, ref_base, disorder, cut, mos = _stream(ev, times)
     del ev  # the records are freed here unless the caller holds them
     ops, level, change, level_price, n_bid_levels, error = _resolve(
-        columns, disorder)
+        columns, ref_base, disorder)
     applied, n_snap = n_ev, n
     if error is not None:
         applied = error[0]
@@ -495,7 +524,12 @@ def replay(events, grid, K: int = BOOK_LEVELS,
     cuts = np.concatenate([snap_cut, mo, [applied]])
     order = np.argsort(cuts, kind="stable")
     n_ops = int(np.searchsorted(ops, applied))
-    row = np.searchsorted(cuts[order], ops[:n_ops], "right")
+    # row[i] counts the cuts at or before op i: a merge of the sorted cuts
+    # into the sorted ops, each cut's first op at or after it (int32 keys,
+    # so the int32 ops are searched in place)
+    first = np.searchsorted(ops[:n_ops], cuts[order].astype(np.int32))
+    row = np.repeat(np.arange(len(cuts) + 1),
+                    np.diff(first, prepend=0, append=n_ops))
     book_row = np.full(len(cuts), -1)  # book row of each cut; -1 for an MO
     book_row[:n_snap] = np.arange(n_snap)
     book_row[-1] = n

@@ -454,6 +454,27 @@ class TestColumnarReplayMatchesOracle:
         grid = truth.params.grid
         return events, grid, oracle_replay(events, grid)
 
+    @pytest.mark.parametrize("size", [1, 3, 1 << 17])
+    def test_small_sum_blocks(self, short_day, monkeypatch, size):
+        """Running share sums taken a few events at a time give the same
+        result, and the same errors for orders whose events span blocks."""
+        monkeypatch.setattr(hfmm.lob, "_SUM_EVENTS", size)
+        events, grid, want = short_day
+        assert_same_replay(replay(events, grid), want)
+        rows = [ev(0, "add", "bid", 100, 9, 1), ev(0, "add", "ask", 101, 9, 2),
+                ev(1, "cancel", "bid", 100, 3, 1),
+                ev(2, "execute", "ask", 101, 4, 2),
+                ev(3, "cancel", "bid", 100, 3, 1),
+                ev(4, "cancel", "ask", 101, 5, 2)]
+        grid = TimeGrid(n_steps=4, step_seconds=1e-8, session_start_ns=10)
+        for last, msg in [(ev(5, "cancel", "bid", 100, 4, 1),
+                           "size exceeds remaining"),
+                          (ev(5, "cancel", "ask", 101, 1, 2),
+                           "unknown order_ref 2")]:
+            assert (outcome(replay, rows + [last], grid)
+                    == outcome(oracle_replay, rows + [last], grid)
+                    == ("BookError", f"event 6: {msg}", 6))
+
     @pytest.mark.parametrize("rows,cells", [
         (1, None), (7, 40), (256, None), (4096, None)],
         ids=["rows1", "rows7_cells40", "rows256", "rows4096"])
@@ -560,7 +581,7 @@ class TestColumnarReplayMatchesOracle:
     def test_peak_memory_with_the_records_handed_over(self, tmp_path):
         """Records read inside the window and handed straight to replay
         are freed before the order pass: the peak, records and result
-        included, stays under 1.85 times the stream's bytes."""
+        included, stays under 1.55 times the stream's bytes."""
         events, truth = generate_day(SyntheticDayConfig(n_steps=19800),
                                      seed=3)
         path = tmp_path / "day_0000.bin"
@@ -573,7 +594,7 @@ class TestColumnarReplayMatchesOracle:
         finally:
             tracemalloc.stop()
         assert len(rep.midprices) == 19800
-        assert peak <= 1.85 * path.stat().st_size
+        assert peak <= 1.55 * path.stat().st_size
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -583,7 +604,11 @@ class TestColumnarReplayMatchesOracle:
                         step_seconds=3e-9,
                         session_start_ns=data.draw(st.integers(0, 4)))
         K = data.draw(st.integers(1, 4))
-        new = outcome(replay, arr, grid, K=K)
+        with pytest.MonkeyPatch.context() as mp:
+            # share sums in blocks of one, a few and all events
+            mp.setattr(hfmm.lob, "_SUM_EVENTS",
+                       data.draw(st.sampled_from([1, 3, 1 << 17])))
+            new = outcome(replay, arr, grid, K=K)
         old = outcome(oracle_replay, arr, grid, K=K)
         if isinstance(old, tuple):
             assert new == old
@@ -679,12 +704,68 @@ class TestRecordsHandedOver:
         assert got == ("BookError", *want)
 
 
+class TestWideRefs:
+    """Streams whose refs do not fit int32, or sit at its edges, replay as
+    the oracle does, errors included; replay keeps the refs as int32
+    offsets from the least one when they span less than 2**31 and as int64
+    otherwise, and its errors name the refs of the stream."""
+
+    GRID = TimeGrid(n_steps=4, step_seconds=1e-8, session_start_ns=10)
+
+    @staticmethod
+    def rows(refs):
+        """A valid stream over refs[0] (the trade marker) to refs[4], with
+        refs[3] reused after its order is gone and refs[4] gone at the
+        end."""
+        return [ev(0, "add", "bid", 100, 5, refs[1]),
+                ev(0, "add", "ask", 101, 5, refs[2]),
+                ev(12, "trade", "ask", 101, 2, refs[0]),
+                ev(13, "execute", "ask", 101, 2, refs[2]),
+                ev(14, "add", "bid", 99, 3, refs[3]),
+                ev(15, "add", "ask", 103, 2, refs[4]),
+                ev(16, "execute", "ask", 103, 2, refs[4]),
+                ev(25, "cancel", "bid", 99, 3, refs[3]),
+                ev(26, "add", "bid", 98, 4, refs[3])]
+
+    @pytest.mark.parametrize("refs,dtype", [
+        ([2 ** 40 + r for r in (0, 1, 2, 3, 4)], np.int32),
+        ([-1, -5, -2, -9, -4], np.int32),
+        ([0, -2 ** 63, 2 ** 63 - 1, 2 ** 63 - 2, -2 ** 63 + 1], np.int64),
+        # refs[4], unknown once gone, is the top of the span
+        ([2 ** 40 + r for r in (0, 5, 2 ** 30, 7, 2 ** 31 - 1)], np.int32),
+        ([-2 ** 31 + r for r in (0, 5, 2 ** 30, 7, 2 ** 31)], np.int64),
+    ], ids=["offset_2e40", "negative", "int64_ends", "span_2e31_less_1",
+            "span_2e31"])
+    @pytest.mark.parametrize("tail,want", [
+        (None, None),
+        ((27, "add", "ask", 102, 5, 2), "event 9: duplicate order_ref {}"),
+        ((27, "cancel", "ask", 103, 1, 4), "event 9: unknown order_ref {}"),
+    ], ids=["valid", "duplicate_ref", "unknown_ref"])
+    def test_match_oracle(self, refs, dtype, tail, want):
+        rows = self.rows(refs)
+        if tail is not None:
+            rows.append(ev(*tail[:5], refs[tail[5]]))
+        columns = hfmm.lob._stream(np.array(rows, dtype=EVENT_DTYPE),
+                                   self.GRID.action_times_ns())[0]
+        assert columns["order_ref"].dtype == dtype
+        got = handed_over(rows, self.GRID)
+        old = outcome(oracle_replay, rows, self.GRID)
+        if want is None:
+            assert_same_replay(got, old)
+        else:
+            assert got == old == ("BookError", want.format(refs[tail[5]]), 9)
+
+
 def random_stream(data):
     """A small valid stream over few prices and times, with refs reused
     after removal and, unless left out, a standing order on each side that
     keeps the book two-sided; then, half the time, one field of one event
-    corrupted (time, kind, side, price, size or ref)."""
+    corrupted (time, kind, side, price, size or ref). A base drawn per
+    stream is added to every ref, so that refs sit at the int32 and int64
+    edges."""
     draw = data.draw
+    base = draw(st.sampled_from([0, 2 ** 31 - 64, -2 ** 31, 2 ** 40,
+                                 2 ** 63 - 2 ** 12]))
     rows = [(-1, 0, 0, 97, 50, 900), (-1, 0, 1, 104, 50, 901)] \
         if draw(st.integers(0, 3)) else []
     live, dead, ts = {}, [], 0
@@ -714,15 +795,17 @@ def random_stream(data):
     if rows and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
         field = draw(st.integers(0, 5))
-        # prices at both int32 ends: a span that must not wrap
+        # prices at both int32 ends: a span that must not wrap; refs that
+        # land, with the base, on either int64 end
         choices = {0: [rows[i][0] - 5], 1: [4, 0, 1], 2: [2, 0, 1],
                    3: [0, -3, 100, 2 ** 31 - 1, -2 ** 31],
-                   4: [0, 31, 10 ** 6], 5: [1, 2, 900]}
+                   4: [0, 31, 10 ** 6],
+                   5: [1, 2, 900, -2 ** 63 - base, 2 ** 63 - 1 - base]}
         bad = draw(st.sampled_from(choices[field]))
         rows[i] = rows[i][:field] + (bad,) + rows[i][field + 1:]
     arr = np.zeros(len(rows), dtype=EVENT_DTYPE)
     for i, (ts, kind, side, price, size, ref) in enumerate(rows):
-        arr[i] = (ts, kind, side, 0, price, size, ref, 0)
+        arr[i] = (ts, kind, side, 0, price, size, ref + base, 0)
     return arr
 
 
